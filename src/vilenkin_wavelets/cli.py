@@ -10,6 +10,7 @@ FAIL or INCONCLUSIVE or resource limits, 2 for input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -28,6 +29,7 @@ from .transform import QuotientGrid, forward, inverse, read_csv, synthesize_wave
 from .verifier import is_wavelet_set, search_wavelet_sets
 
 
+@functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vilenkin-wavelets",

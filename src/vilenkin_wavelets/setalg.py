@@ -297,12 +297,13 @@ class PSet:
                 raise BaseMismatchError("cylinder base differs from set base")
         if validate:
             self._check_disjoint(cyls)
-        merged = _merge_siblings(p, [(c.resolution, c.digits) for c in cyls])
+        given = {(c.resolution, c.digits): c for c in cyls}
+        merged = _merge_siblings(p, list(given))
         object.__setattr__(self, "p", p)
         object.__setattr__(
             self,
             "cylinders",
-            tuple(Cylinder(p, res, digs) for res, digs in merged),
+            tuple(given.get(key) or Cylinder(p, *key) for key in merged),
         )
 
     @staticmethod

@@ -31,8 +31,8 @@ from .group import (
     lambda_decode,
     parse_element,
 )
-from .setalg import Cylinder, PSet
-from .verifier import WaveletFamily, congruence_partition
+from .setalg import Cylinder, PSet, unit_cell
+from .verifier import WaveletFamily, _cover_defects, congruence_partition
 
 _NORM_RTOL = 1e-9
 
@@ -426,38 +426,20 @@ class TranslateOrthonormalityReport:
     max_deviation: float
 
 
-def translate_orthonormality_exact(
-    pset: PSet, tail_ball: PSet | None = None
-) -> TranslateOrthonormalityReport:
+def translate_orthonormality_exact(pset: PSet) -> TranslateOrthonormalityReport:
     """Exact unit-energy check: lattice translates of the set must cover
-    the unit cell exactly once.  Cells inside tail_ball are excluded."""
-    from .setalg import unit_cell
-
-    p = pset.p
+    the unit cell exactly once."""
     parts = congruence_partition(pset)
-    translated = [t for _, _, t in parts]
-    res = max([0] + [t.max_resolution for t in translated])
-    counts: dict = {}
-    for piece in translated:
-        for cell in piece.cells_at(res):
-            counts[cell] = counts.get(cell, 0) + 1
-    failing = []
-    excluded = 0
-    for cell in sorted(unit_cell(p).cells_at(res)):
-        cyl = Cylinder(p, res, cell)
-        if tail_ball is not None and not tail_ball.intersect(
-            PSet(p, (cyl,), validate=False)
-        ).is_empty:
-            excluded += 1
-            continue
-        got = counts.get(cell, 0)
-        if got != 1:
-            failing.append({"cell": cyl.to_json(), "count": got})
+    res, defects = _cover_defects(unit_cell(pset.p), [t for _, _, t in parts])
+    failing = [
+        {"cell": Cylinder(pset.p, res, cell).to_json(), "count": got}
+        for cell, got in defects
+    ]
     return TranslateOrthonormalityReport(
         passed=not failing,
         exact=True,
         failing_cells=failing,
-        excluded_cells=excluded,
+        excluded_cells=0,
         max_deviation=0.0 if not failing else 1.0,
     )
 

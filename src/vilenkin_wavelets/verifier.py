@@ -16,11 +16,12 @@ return the partition certificate.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import FamilyArityError
 from .group import GroupElement, lambda_encode
-from .setalg import Cylinder, Measure, PSet, annulus, unit_cell
+from .setalg import Cylinder, DigitMap, Measure, PSet, _truncate, annulus, unit_cell
 
 
 @dataclass
@@ -119,12 +120,61 @@ def _least_cell(s: PSet) -> dict:
     return min(s.cylinders, key=Cylinder.sort_key).to_json()
 
 
-def _cell_counts(pieces: list[PSet], resolution: int) -> dict:
-    counts: dict = {}
-    for piece in pieces:
-        for cell in piece.cells_at(resolution):
-            counts[cell] = counts.get(cell, 0) + 1
-    return counts
+def _cover_defects(
+    target: PSet, pieces: list[PSet]
+) -> tuple[int, list[tuple[DigitMap, int]]]:
+    """Cells of the target that the pieces do not cover exactly once.
+
+    Every piece must lie inside the target.  Returns the cell resolution
+    (the finest one present, at least 0) and the sorted (cell, count)
+    pairs with count != 1 -- what counting every cell of every piece at
+    that resolution would give, decided on cylinders instead: two
+    cylinders are nested or disjoint, so when no piece cylinder lies
+    inside another the pieces cover the target exactly once iff their
+    measures add up to its measure.  Only on failure are cells listed,
+    and only witnesses: the cells of each overlapping cylinder, and the
+    gaps found by descending from the target through the cylinders that
+    strictly contain a piece cylinder.
+    """
+    p = target.p
+    keys = Counter((c.resolution, c.digits) for piece in pieces for c in piece.cylinders)
+    by_res: dict[int, set] = {}
+    for r, digits in keys:
+        by_res.setdefault(r, set()).add(digits)
+    res = max([0, target.max_resolution] + list(by_res))
+
+    overlapping = [
+        (r, digits)
+        for (r, digits), m in keys.items()
+        if m > 1
+        or any(q < r and _truncate(digits, q) in found for q, found in by_res.items())
+    ]
+    covered = sum(m * p ** (res - r) for (r, _), m in keys.items())
+    if not overlapping and covered == sum(p ** (res - c.resolution) for c in target.cylinders):
+        return res, []
+
+    defects: dict[DigitMap, int] = {}
+    for r, digits in overlapping:
+        for cell in Cylinder(p, r, digits).refine_to(res):
+            if cell.digits not in defects:
+                defects[cell.digits] = sum(
+                    keys[(q, _truncate(cell.digits, q))] for q in by_res
+                )
+
+    lo = min((c.resolution for c in target.cylinders), default=0)
+    inner = {(q, _truncate(digits, q)) for r, digits in keys for q in range(lo, r)}
+    stack = [(c.resolution, c.digits) for c in target.cylinders]
+    while stack:
+        r, digits = stack.pop()
+        if (r, digits) in keys:
+            continue
+        if (r, digits) in inner:
+            stack.append((r + 1, digits))
+            stack.extend((r + 1, digits + ((r + 1, d),)) for d in range(1, p))
+        else:
+            for cell in Cylinder(p, r, digits).refine_to(res):
+                defects[cell.digits] = 0
+    return res, sorted(defects.items())
 
 
 def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> ConditionRecord:
@@ -186,21 +236,14 @@ def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> Condit
     shell = annulus(p)
     k_lo, k_hi = -level - extra_range, -w_lo + extra_range
     pieces = [union.dilate(k).intersect(shell) for k in range(k_lo, k_hi + 1)]
-    res = max([0] + [piece.max_resolution for piece in pieces if not piece.is_empty])
-    counts = _cell_counts([piece for piece in pieces if not piece.is_empty], res)
     shell_total = Measure.zero(p)
     for piece in pieces:
         shell_total = shell_total + piece.measure()
-    for cell in sorted(shell.cells_at(res)):
-        got = counts.get(cell, 0)
-        if got != 1:
-            witnesses.append(
-                {
-                    "kind": "cover-defect",
-                    "cell": Cylinder(p, res, cell).to_json(),
-                    "count": got,
-                }
-            )
+    res, defects = _cover_defects(shell, pieces)
+    witnesses.extend(
+        {"kind": "cover-defect", "cell": Cylinder(p, res, cell).to_json(), "count": got}
+        for cell, got in defects
+    )
 
     return ConditionRecord(
         name="dilation-tiling",
@@ -223,12 +266,14 @@ def congruence_partition(s: PSet) -> list[tuple[GroupElement, PSet, PSet]]:
     """Split a set by the integer part of its cells.
 
     Returns (n, piece, piece translated by -n) triples; every translated
-    piece lies inside the unit cell by construction.
+    piece lies inside the unit cell by construction.  Only cylinders
+    coarser than resolution 0 span several integer parts, so only they
+    are split, and only down to resolution 0.
     """
-    refined = s.refine(max(0, s.max_resolution))
     groups: dict[GroupElement, list] = {}
-    for c in refined.cylinders:
-        groups.setdefault(c.integer_part(), []).append(c)
+    for c in s.cylinders:
+        for cell in c.refine_to(0) if c.resolution < 0 else (c,):
+            groups.setdefault(cell.integer_part(), []).append(cell)
     out = []
     for n in sorted(groups, key=lambda g: lambda_encode(g)):
         piece = PSet(s.p, groups[n], validate=False)
@@ -244,21 +289,16 @@ def check_translation_congruence(family: WaveletFamily) -> tuple[ConditionRecord
 
     for name, s in zip(family.names, family.sets):
         parts = congruence_partition(s)
-        translated = [t for _, _, t in parts]
-        res = max([0] + [t.max_resolution for t in translated])
-        counts = _cell_counts(translated, res)
-        for cell_map in sorted(cell.cells_at(res)):
-            got = counts.get(cell_map, 0)
-            if got != 1:
-                kind = "translate-overlap" if got > 1 else "cover-gap"
-                witnesses.append(
-                    {
-                        "kind": kind,
-                        "set": name,
-                        "cell": Cylinder(p, res, cell_map).to_json(),
-                        "count": got,
-                    }
-                )
+        res, defects = _cover_defects(cell, [t for _, _, t in parts])
+        witnesses.extend(
+            {
+                "kind": "translate-overlap" if got > 1 else "cover-gap",
+                "set": name,
+                "cell": Cylinder(p, res, cell_map).to_json(),
+                "count": got,
+            }
+            for cell_map, got in defects
+        )
         certificate.append(
             {
                 "set": name,

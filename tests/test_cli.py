@@ -110,6 +110,42 @@ class TestExitCodes:
         assert code == 1 and report["verdict"] == "INCONCLUSIVE"
 
 
+class TestNegativeResolutionMember:
+    def test_verify_reports_translate_overlap(self, tmp_path):
+        # Two resolution-0 siblings merge into one cylinder of resolution
+        # -1; it spans two integer parts, and both translate onto the unit
+        # cell.  verify must write a FAIL report, not stop on the split.
+        family = tmp_path / "negative.json"
+        family.write_text(
+            json.dumps(
+                {
+                    "p": 2,
+                    "family": [
+                        {"name": "omega1", "cylinders": [
+                            {"resolution": 0, "digits": {"-1": 1}},
+                            {"resolution": 0, "digits": {"-1": 1, "0": 1}},
+                        ]}
+                    ],
+                }
+            )
+        )
+        out = tmp_path / "report.json"
+        code = main(["verify", "--p", "2", "--input", str(family), "--output", str(out)])
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "FAIL"
+        congruence = {c["name"]: c for c in report["conditions"]}["translation-congruence"]
+        assert not congruence["passed"]
+        assert congruence["witnesses"] == [
+            {
+                "kind": "translate-overlap",
+                "set": "omega1",
+                "cell": {"resolution": 0, "digits": {}},
+                "count": 2,
+            }
+        ]
+
+
 class TestVerdictsMatchLibrary:
     @pytest.mark.parametrize(
         "path,p",

@@ -310,11 +310,13 @@ class TestTranslateOrthonormality:
     def test_truncated_spectrum_excludes_tail(self):
         p = 2
         sigma = accumulate_omega_sigma(shannon_family(p), 4)
-        report = translate_orthonormality_exact(
-            sigma.truncated, tail_ball=theta_ball(p, 4)
-        )
-        assert report.passed
-        assert report.excluded_cells >= 1
+        # The truncation leaves out exactly the depth-4 tail ball: it is the
+        # one defect, an uncovered cell, and every other cell is covered once.
+        report = translate_orthonormality_exact(sigma.truncated)
+        assert not report.passed
+        tail = theta_ball(p, 4).cylinders[0].to_json()
+        assert report.failing_cells == [{"cell": tail, "count": 0}]
+        assert report.excluded_cells == 0
 
     def test_grid_path_shannon(self):
         p = 2

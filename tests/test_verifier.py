@@ -4,9 +4,11 @@ import random
 import pytest
 
 from vilenkin_wavelets.errors import FamilyArityError
-from vilenkin_wavelets.setalg import Cylinder, PSet, theta_ball, unit_cell
+from vilenkin_wavelets.group import from_digits
+from vilenkin_wavelets.setalg import Cylinder, PSet, annulus, theta_ball, unit_cell
 from vilenkin_wavelets.verifier import (
     WaveletFamily,
+    _cover_defects,
     check_dilation_tiling,
     check_measure_one,
     check_translation_congruence,
@@ -307,3 +309,99 @@ class TestRandomFamiliesAgainstOracle:
             for name, key in _KEYS.items():
                 assert library.condition(name).passed == verdict[key]
             assert library.overall == verdict["overall"]
+
+
+def brute_cover_defects(target, pieces):
+    """Count every cell of every piece at the finest resolution present."""
+    res = max([0, target.max_resolution] + [s.max_resolution for s in pieces if not s.is_empty])
+    counts: dict = {}
+    for piece in pieces:
+        for cell in piece.cells_at(res):
+            counts[cell] = counts.get(cell, 0) + 1
+    return res, [
+        (cell, counts.get(cell, 0))
+        for cell in sorted(target.cells_at(res))
+        if counts.get(cell, 0) != 1
+    ]
+
+
+def random_piece(gen, target, depth):
+    """A union of a few random cylinders inside the target."""
+    p = target.p
+    piece = PSet(p, (), validate=False)
+    for _ in range(gen.randint(1, 4)):
+        top = gen.choice(target.cylinders)
+        r = gen.randint(top.resolution, top.resolution + depth)
+        tail = tuple((pos, d) for pos in range(top.resolution + 1, r + 1) if (d := gen.randrange(p)))
+        piece = piece.union(PSet(p, (Cylinder(p, r, top.digits + tail),), validate=False))
+    return piece
+
+
+def tiling_pieces(family):
+    union = family.union()
+    level = union.max_resolution
+    w_lo = union.min_fixed_position
+    w_lo = level if w_lo is None else w_lo
+    shell = annulus(family.p)
+    return shell, [union.dilate(k).intersect(shell) for k in range(-level - 1, -w_lo + 2)]
+
+
+@pytest.fixture
+def refine_calls(monkeypatch):
+    """(resolution, target) of every Cylinder.refine_to call in the test."""
+    calls = []
+    original = Cylinder.refine_to
+
+    def recording_refine_to(self, L):
+        calls.append((self.resolution, L))
+        return original(self, L)
+
+    monkeypatch.setattr(Cylinder, "refine_to", recording_refine_to)
+    return calls
+
+
+class TestCoverDefects:
+    @pytest.mark.parametrize("p,depth", [(2, 4), (3, 3), (5, 2)])
+    def test_random_pieces_match_cell_counting(self, p, depth):
+        gen = random.Random(1000 + p)
+        for target in (unit_cell(p), annulus(p)):
+            for _ in range(80):
+                pieces = [random_piece(gen, target, depth) for _ in range(gen.randint(1, 4))]
+                assert _cover_defects(target, pieces) == brute_cover_defects(target, pieces)
+
+    @pytest.mark.parametrize("mutant", all_mutants(), ids=lambda m: f"p{m.p}-{m.name}")
+    def test_mutant_pieces_match_cell_counting(self, mutant):
+        family = mutant.family
+        for s in family.sets:
+            translated = [t for _, _, t in congruence_partition(s)]
+            target = unit_cell(family.p)
+            assert _cover_defects(target, translated) == brute_cover_defects(target, translated)
+        if not any(not c.digits for c in family.union().cylinders):
+            shell, pieces = tiling_pieces(family)
+            assert _cover_defects(shell, pieces) == brute_cover_defects(shell, pieces)
+
+    def test_congruence_splits_only_coarse_cylinders(self, refine_calls):
+        # A 2-adic set congruent to the unit cell with 19 cylinders at
+        # resolution 18: the cells of the chain (r, {r: 1}) for r = 1..18
+        # plus the depth-18 ball, each moved by a different lattice point.
+        R = 18
+        chain = [Cylinder(2, r, ((r, 1),)) for r in range(1, R + 1)] + [Cylinder(2, R, ())]
+        moved = [
+            c.translate(from_digits(2, {-pos: 1 for pos in range(5) if (i >> pos) & 1}))
+            for i, c in enumerate(chain)
+        ]
+        s = PSet(2, moved)
+        assert s.max_resolution == R and len(s.cylinders) == R + 1
+
+        family = WaveletFamily(2, ("omega1",), (s,))
+        record, certificate = check_translation_congruence(family)
+        assert record.passed and not record.witnesses
+        assert len(certificate[0]["partition"]) == R + 1
+        assert all(r < 0 and L == 0 for r, L in refine_calls)
+
+    def test_negative_resolution_cylinder_is_split_to_resolution_zero(self, refine_calls):
+        s = PSet(3, (Cylinder(3, -1, ((-1, 2),)),))
+        parts = congruence_partition(s)
+        assert refine_calls == [(-1, 0)]
+        assert len(parts) == 3
+        assert all(shifted == unit_cell(3) for _, _, shifted in parts)
