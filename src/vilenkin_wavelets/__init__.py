@@ -37,7 +37,6 @@ from .setalg import (
     Measure,
     PSet,
     annulus,
-    combine,
     empty_set,
     expanded_unit,
     theta_ball,
@@ -66,7 +65,6 @@ from .mra import (
     accumulate_omega_sigma,
     build_filters,
     check_mra_condition,
-    evaluate_filter,
     verify_calderon,
     verify_filter_identities,
     verify_two_scale,
@@ -76,7 +74,6 @@ from .transform import (
     QuotientGrid,
     analyze,
     band_mask,
-    check_translate_orthonormality,
     dilate_translate,
     forward,
     gram_matrix,

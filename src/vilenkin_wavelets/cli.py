@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import SchemaError, VilenkinError
+from .errors import DigitError, ParseError, SchemaError, VilenkinError
 from .famio import (
     build_report,
     emit_report,
@@ -24,6 +24,7 @@ from .famio import (
     parse_family_file,
     verdict_conditions,
 )
+from .group import check_text_base
 from .mra import accumulate_omega_sigma, build_filters, check_mra_condition, verify_filter_identities
 from .transform import QuotientGrid, forward, inverse, read_csv, synthesize_wavelet, write_csv
 from .verifier import is_wavelet_set, search_wavelet_sets
@@ -216,13 +217,31 @@ def _cmd_filters(args) -> tuple[dict, int]:
     return doc, 0 if identities.passed else 1
 
 
+def _csv_grid(args) -> QuotientGrid:
+    """The primal grid of a CSV command, checked before any file is opened."""
+    M, N = args.grid
+    try:
+        check_text_base(args.p)  # CSV cell labels spell one digit per character
+        return QuotientGrid(args.p, M, N)
+    except (ValueError, DigitError, ParseError) as exc:
+        raise SchemaError(f"--p {args.p} --grid {M} {N}: {exc}") from exc
+
+
+def _open_csv(path: str, mode: str):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        verb = "read" if mode == "r" else "write"
+        raise SchemaError(f"cannot {verb} {path}: {exc}") from exc
+
+
 def _cmd_synthesize(args) -> tuple[dict, int]:
+    grid = _csv_grid(args)
     family = _load_family(args)
     if not 1 <= args.member <= family.p - 1:
         raise SchemaError(f"--set must be in [1, {family.p - 1}]")
-    grid = QuotientGrid(args.p, args.grid[0], args.grid[1])
     psi = synthesize_wavelet(family.sets[args.member - 1], grid)
-    with open(args.samples, "w", encoding="utf-8") as handle:
+    with _open_csv(args.samples, "w") as handle:
         write_csv(psi, handle)
     doc = build_report(
         version=__version__, command="synthesize",
@@ -245,12 +264,12 @@ def _cmd_synthesize(args) -> tuple[dict, int]:
 
 
 def _cmd_transform(args) -> tuple[dict, int]:
-    primal = QuotientGrid(args.p, args.grid[0], args.grid[1])
+    primal = _csv_grid(args)
     in_grid = primal if args.direction == "forward" else primal.dual()
-    with open(args.input, "r", encoding="utf-8") as handle:
+    with _open_csv(args.input, "r") as handle:
         signal = read_csv(in_grid, handle)
     result = forward(signal) if args.direction == "forward" else inverse(signal)
-    with open(args.samples, "w", encoding="utf-8") as handle:
+    with _open_csv(args.samples, "w") as handle:
         write_csv(result, handle)
     round_trip = inverse(result) if args.direction == "forward" else forward(result)
     drift = float(max(abs(round_trip.values - signal.values)))

@@ -39,7 +39,3 @@ class FamilyArityError(VilenkinError):
 
 class SchemaError(VilenkinError):
     """A family file or signal file violates its documented schema."""
-
-
-class BudgetExhaustedError(VilenkinError):
-    """An enumeration ran out of its configured budget."""

@@ -214,14 +214,19 @@ def character_exponent(x: GroupElement, omega: GroupElement) -> int:
 # -- text notation ------------------------------------------------------------
 
 
-def parse_element(text: str, p: int) -> GroupElement:
-    """Parse radix-point notation (see module docstring)."""
+def check_text_base(p: int) -> None:
+    """Validate a base for radix-point text: one character per digit."""
     check_base(p)
     if p > len(_ALPHABET):
         raise ParseError(
             f"text notation uses single-character digits and supports bases up to "
             f"{len(_ALPHABET)}; got {p}"
         )
+
+
+def parse_element(text: str, p: int) -> GroupElement:
+    """Parse radix-point notation (see module docstring)."""
+    check_text_base(p)
     if text.count(".") != 1:
         raise ParseError(f"expected exactly one radix point in {text!r}")
     left, right = text.split(".")

@@ -402,15 +402,6 @@ def build_filters(
     )
 
 
-def evaluate_filter(table: FilterTable, query):
-    """Evaluate a filter table on a cell or a single dual point."""
-    if isinstance(query, Cylinder):
-        return table.evaluate_cell(query)
-    if isinstance(query, GroupElement):
-        return table.evaluate_point(query)
-    raise TypeError(f"cannot evaluate a filter at {type(query).__name__}")
-
-
 # -- filter identity checks ----------------------------------------------------------
 
 

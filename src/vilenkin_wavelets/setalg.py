@@ -583,14 +583,3 @@ def annulus(p: int) -> PSet:
         tuple(Cylinder(p, 0, ((0, d),)) for d in range(1, p)),
         validate=False,
     )
-
-
-def combine(a: PSet, b: PSet, mode: str) -> PSet:
-    """Functional wrapper over union / intersect / difference."""
-    if mode == "union":
-        return a.union(b)
-    if mode == "intersect":
-        return a.intersect(b)
-    if mode == "difference":
-        return a.difference(b)
-    raise ValueError(f"unknown combine mode {mode!r}")

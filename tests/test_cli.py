@@ -300,6 +300,95 @@ class TestSignalCommands:
         assert np.max(np.abs(a.values - b.values)) < 1e-12
 
 
+class TestCsvCommandInputErrors:
+    """Grid and CSV input errors exit 2 with a one-line message."""
+
+    def _fails_with(self, capsys, argv, message):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and message in err, err
+
+    def test_base_above_36_rejected_before_any_file(self, tmp_path, capsys):
+        samples = tmp_path / "psi.csv"
+        self._fails_with(
+            capsys,
+            ["synthesize", "--p", "37", "--input", "families/shannon2.json",
+             "--grid", "1", "1", "--samples", str(samples)],
+            "bases up to 36; got 37",
+        )
+        assert not samples.exists()
+        # The base is checked before the missing input file is opened.
+        self._fails_with(
+            capsys,
+            ["transform", "--p", "37", "--grid", "1", "1",
+             "--input", str(tmp_path / "missing.csv"), "--samples", str(samples)],
+            "bases up to 36; got 37",
+        )
+        assert not samples.exists()
+
+    @pytest.mark.parametrize("command", ["synthesize", "transform"])
+    def test_empty_grid(self, command, tmp_path, capsys):
+        self._fails_with(
+            capsys,
+            [command, "--p", "2", "--input", "families/shannon2.json",
+             "--grid", "0", "0", "--samples", str(tmp_path / "out.csv")],
+            "--grid 0 0: grid depths must be nonnegative and not both zero",
+        )
+
+    @pytest.mark.parametrize("command", ["synthesize", "transform"])
+    def test_negative_depth(self, command, tmp_path, capsys):
+        self._fails_with(
+            capsys,
+            [command, "--p", "2", "--input", "families/shannon2.json",
+             "--grid", "-1", "2", "--samples", str(tmp_path / "out.csv")],
+            "--grid -1 2: grid depths must be nonnegative and not both zero",
+        )
+
+    def test_missing_csv_input(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        self._fails_with(
+            capsys,
+            ["transform", "--p", "2", "--grid", "1", "1",
+             "--input", str(missing), "--samples", str(tmp_path / "out.csv")],
+            f"cannot read {missing}",
+        )
+
+    def test_unwritable_synthesize_samples(self, tmp_path, capsys):
+        target = tmp_path / "no-such-dir" / "psi.csv"
+        self._fails_with(
+            capsys,
+            ["synthesize", "--p", "2", "--input", "families/shannon2.json",
+             "--grid", "1", "1", "--samples", str(target)],
+            f"cannot write {target}",
+        )
+
+    def test_unwritable_transform_samples(self, tmp_path, capsys):
+        samples = tmp_path / "psi.csv"
+        code, _ = run_command(
+            ["synthesize", "--p", "2", "--input", "families/shannon2.json",
+             "--grid", "1", "1", "--samples", str(samples)]
+        )
+        assert code == 0
+        target = tmp_path / "no-such-dir" / "spec.csv"
+        self._fails_with(
+            capsys,
+            ["transform", "--p", "2", "--grid", "1", "1",
+             "--input", str(samples), "--samples", str(target)],
+            f"cannot write {target}",
+        )
+
+    def test_digit_outside_base_in_csv(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("cell,re,im\n.2,1.0,0.0\n")
+        self._fails_with(
+            capsys,
+            ["transform", "--p", "2", "--grid", "1", "1",
+             "--input", str(bad), "--samples", str(tmp_path / "out.csv")],
+            "line 2: digit '2' in '.2' is >= base 2",
+        )
+
+
 class TestSearchCommand:
     def test_search_finds_shannon(self):
         code, report = run_command(["search", "--p", "2", "--window", "0", "2"])

@@ -10,7 +10,6 @@ from vilenkin_wavelets.setalg import (
     Measure,
     PSet,
     annulus,
-    combine,
     empty_set,
     expanded_unit,
     theta_ball,
@@ -265,17 +264,6 @@ class TestAeEquality:
             a = random_pset(p)
             b = PSet(p, a.cylinders, validate=False)
             assert a.ae_equal(b) and b.ae_equal(a)
-
-
-class TestCombineWrapper:
-    def test_modes(self):
-        p = 2
-        a, b = random_pset(p), random_pset(p)
-        assert combine(a, b, "union") == a.union(b)
-        assert combine(a, b, "intersect") == a.intersect(b)
-        assert combine(a, b, "difference") == a.difference(b)
-        with pytest.raises(ValueError):
-            combine(a, b, "xor")
 
 
 class TestSerialization:

@@ -316,7 +316,6 @@ class TestTranslateOrthonormality:
         assert not report.passed
         tail = theta_ball(p, 4).cylinders[0].to_json()
         assert report.failing_cells == [{"cell": tail, "count": 0}]
-        assert report.excluded_cells == 0
 
     def test_grid_path_shannon(self):
         p = 2
