@@ -92,6 +92,24 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_numbers(args) -> None:
+    """Reject numeric options outside their domain before any work starts."""
+    if getattr(args, "depth", 1) < 1:
+        raise SchemaError(f"--depth must be at least 1, got {args.depth}")
+    if getattr(args, "extra_range", 0) < 0:
+        raise SchemaError(f"--extra-range must be nonnegative, got {args.extra_range}")
+    if args.command == "search":
+        lo, hi = args.window
+        if lo > hi:
+            raise SchemaError(f"--window {lo} {hi}: the lower bound exceeds the upper bound")
+        if args.resolution not in (None, hi):
+            raise SchemaError(
+                f"--resolution {args.resolution} must equal the window top {hi}"
+            )
+        if args.budget is not None and args.budget < 0:
+            raise SchemaError(f"--budget must be nonnegative, got {args.budget}")
+
+
 def _load_family(args):
     family = parse_family_file(args.input)
     if family.p != args.p:
@@ -348,6 +366,7 @@ def _run(argv: list[str]) -> tuple[int, dict | None, object | None]:
 
     start = time.perf_counter()
     try:
+        _check_numbers(args)
         report, code = _HANDLERS[args.command](args)
     except SchemaError as exc:
         return 2, {"error": str(exc), "exit": 2}, args
@@ -375,8 +394,12 @@ def main(argv: list[str] | None = None) -> int:
     payload = emit_report(report, getattr(args, "format", "json"))
     output = getattr(args, "output", None)
     if output:
-        with open(output, "wb") as handle:
-            handle.write(payload)
+        try:
+            with open(output, "wb") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            sys.stderr.write(f"cannot write {output}: {exc}\n")
+            return 2
     else:
         sys.stdout.buffer.write(payload)
     return code

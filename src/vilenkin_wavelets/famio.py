@@ -38,6 +38,8 @@ def load_family_document(path: str) -> dict:
             doc = json.load(handle)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"cannot decode {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

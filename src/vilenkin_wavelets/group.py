@@ -125,6 +125,8 @@ class GroupElement:
         return GroupElement(self.p, self.support_lo - k, self.digits)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        if self.p > len(_ALPHABET):  # no radix-point text for this base
+            return f"GroupElement(p={self.p}, {self.support_lo}, {self.digits})"
         return f"GroupElement(p={self.p}, {format_element(self)!r})"
 
 
@@ -249,6 +251,7 @@ def _digit_value(ch: str, p: int, text: str) -> int:
 
 def format_element(x: GroupElement) -> str:
     """Canonical radix-point text; inverse of parse_element."""
+    check_text_base(x.p)
     if x.is_identity:
         return "."
     lo = min(x.min_pos, 1)  # type: ignore[type-var]

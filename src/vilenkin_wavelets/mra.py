@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ResolutionCapError, VilenkinError
+from .errors import DigitError, ResolutionCapError, VilenkinError
 from .group import GroupElement, from_digits, lambda_encode
 from .setalg import (
     MAX_RESOLUTION,
@@ -263,18 +263,42 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
 # -- filter construction -----------------------------------------------------------
 
 
-def _cell_key(pairs, resolution: int) -> DigitMap:
-    return tuple((pos, d) for pos, d in pairs if pos <= resolution and d)
-
-
 @dataclass
 class FilterTable:
-    """Lattice-periodic piecewise-constant function resolved on spectrum cells."""
+    """Lattice-periodic piecewise-constant function resolved on spectrum cells.
+
+    A query is shifted by the lattice element that moves its integer part
+    onto a candidate; the first candidate whose shifted cell is resolved
+    gives the value.  A lattice shift rewrites only positions <= 0, so the
+    value depends on the query's fractional digits (positions 1 to the
+    table resolution) alone, and one index built from the table answers
+    every lookup.
+    """
 
     p: int
     resolution: int
     values: dict[DigitMap, complex]
     candidates: tuple[GroupElement, ...]  # integer parts of resolved cells
+    _by_fraction: dict[DigitMap, object] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        by_integer: dict[DigitMap, dict[DigitMap, object]] = {}
+        for key, value in self.values.items():
+            integer = tuple((pos, d) for pos, d in key if pos <= 0)
+            by_integer.setdefault(integer, {})[key[len(integer) :]] = value
+        self._by_fraction = {}
+        for base in self.candidates:
+            integer = tuple(
+                (pos, d) for pos, d in base.support() if pos <= self.resolution
+            )
+            for fraction, value in by_integer.get(integer, {}).items():
+                self._by_fraction.setdefault(fraction, value)
+
+    def _lookup(self, digits) -> object:
+        fraction = tuple((pos, d) for pos, d in digits if 0 < pos <= self.resolution)
+        return self._by_fraction.get(fraction, UNRESOLVED)
 
     def evaluate_cell(self, cell: Cylinder):
         """Value on a cell at least as fine as the table, or UNRESOLVED."""
@@ -283,25 +307,13 @@ class FilterTable:
                 f"query at resolution {cell.resolution} is coarser than the "
                 f"table resolution {self.resolution}"
             )
-        q_int = cell.integer_part()
-        for base in self.candidates:
-            n = q_int.subtract(base)
-            shifted = cell.translate(n.negate())
-            key = _cell_key(shifted.digits, self.resolution)
-            if key in self.values:
-                return self.values[key]
-        return UNRESOLVED
+        if cell.resolution < 0:
+            raise DigitError("integer part requires resolution >= 0")
+        return self._lookup(cell.digits)
 
     def evaluate_point(self, omega: GroupElement):
         """Value at a single dual point, or UNRESOLVED."""
-        q_int = from_digits(self.p, {j: d for j, d in omega.support() if j <= 0})
-        for base in self.candidates:
-            n = q_int.subtract(base)
-            shifted = omega.subtract(n)
-            key = _cell_key(shifted.support(), self.resolution)
-            if key in self.values:
-                return self.values[key]
-        return UNRESOLVED
+        return self._lookup(omega.support())
 
     def is_binary(self) -> bool:
         return all(v in (0, 1) for v in self.values.values())
@@ -417,9 +429,9 @@ class FilterIdentityReport:
     formulations_agree: bool
 
 
-def _unit_cells(p: int, level: int):
-    positions = range(1, level + 1)
-    for combo in itertools.product(range(p), repeat=level):
+def _digit_maps(p: int, positions: range):
+    """Every digit map on `positions`, first position most significant."""
+    for combo in itertools.product(range(p), repeat=len(positions)):
         yield tuple((pos, d) for pos, d in zip(positions, combo) if d)
 
 
@@ -433,15 +445,22 @@ def verify_filter_identities(
     unit energy across the rotations and distinct columns are orthogonal.
     Both formulations are evaluated and must agree cell by cell.  Binary
     tables are checked in exact integer arithmetic.
+
+    Every value read depends only on the digits at positions up to the
+    table resolution r, so the check runs once per resolution-r cell and
+    counts for its p**(level - r) sub-cells; a failing cell lists each of
+    them as a witness.
     """
     p = bank.p
-    if level < bank.resolution:
+    r = max(bank.resolution, 1)  # the rotation acts at position 1
+    if level < r:
         raise ResolutionCapError(
-            f"identity level {level} is coarser than the table resolution "
-            f"{bank.resolution}"
+            f"identity level {level} is coarser than the table resolution {r}"
         )
     tables = bank.all_tables()
     exact = all(t.is_binary() for t in tables)
+    weight = p ** (level - r)
+    cell_mass = Measure.make(1, p, r)
 
     failing: list[dict] = []
     skipped = 0
@@ -449,7 +468,7 @@ def verify_filter_identities(
     checked = 0
     agree = True
 
-    for cell_map in _unit_cells(p, level):
+    for cell_map in _digit_maps(p, range(1, r + 1)):
         base = dict(cell_map)
         rows = []
         unresolved = False
@@ -459,17 +478,17 @@ def verify_filter_identities(
             rotated.pop(1, None)
             if d:
                 rotated[1] = d
-            query = Cylinder(p, level, tuple(sorted(rotated.items())))
+            query = Cylinder(p, r, tuple(sorted(rotated.items())))
             row = [t.evaluate_cell(query) for t in tables]
             if any(v is UNRESOLVED for v in row):
                 unresolved = True
                 break
             rows.append(row)
         if unresolved:
-            skipped += 1
-            skipped_mass = skipped_mass + Measure.make(1, p, level)
+            skipped += weight
+            skipped_mass = skipped_mass + cell_mass
             continue
-        checked += 1
+        checked += weight
 
         # Column c energy across rotations, and cross-column products.
         bad = []
@@ -495,11 +514,12 @@ def verify_filter_identities(
         if bool(bad) != row_bad:
             agree = False
         if bad:
-            failing.append(
+            failing.extend(
                 {
-                    "cell": Cylinder(p, level, cell_map).to_json(),
+                    "cell": Cylinder(p, level, cell_map + tail).to_json(),
                     "violations": bad,
                 }
+                for tail in _digit_maps(p, range(r + 1, level + 1))
             )
 
     allowance = bank.unresolved_allowance

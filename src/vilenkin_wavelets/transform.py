@@ -503,8 +503,17 @@ def write_csv(signal: GridSignal, stream: TextIO) -> None:
         stream.write(f"{label},{v.real!r},{v.imag!r}\n")
 
 
+def _decoded_lines(stream: TextIO):
+    """The stream's lines; bytes the stream cannot decode are a schema error."""
+    try:
+        yield from stream
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"cannot decode the CSV input: {exc}") from exc
+
+
 def read_csv(grid: QuotientGrid, stream: TextIO) -> GridSignal:
-    header = stream.readline().strip()
+    lines = _decoded_lines(stream)
+    header = next(lines, "").strip()
     if header != "cell,re,im":
         raise SchemaError(f"expected header 'cell,re,im', got {header!r}")
     values = np.zeros(grid.size, dtype=np.complex128)
@@ -513,7 +522,7 @@ def read_csv(grid: QuotientGrid, stream: TextIO) -> GridSignal:
     # any other row is parsed and located.
     expected = enumerate(grid.labels())
     next_idx, next_label = next(expected)
-    for lineno, line in enumerate(stream, start=2):
+    for lineno, line in enumerate(lines, start=2):
         line = line.strip()
         if not line:
             continue

@@ -389,6 +389,70 @@ class TestCsvCommandInputErrors:
         )
 
 
+    def test_non_utf8_csv_input(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"cell,re,im\n\xff\xfe,1,0\n")
+        self._fails_with(
+            capsys,
+            ["transform", "--p", "2", "--grid", "1", "1",
+             "--input", str(bad), "--samples", str(tmp_path / "out.csv")],
+            "cannot decode the CSV input: 'utf-8' codec can't decode byte 0xff",
+        )
+
+
+class TestInputErrorsExitTwo:
+    """Malformed family files, unwritable reports and out-of-range numeric
+    options exit 2 with a one-line message."""
+
+    _fails_with = TestCsvCommandInputErrors._fails_with
+
+    def test_non_utf8_family_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"p": 2}')
+        self._fails_with(
+            capsys,
+            ["verify", "--p", "2", "--input", str(bad)],
+            f"cannot decode {bad}: 'utf-8' codec can't decode byte 0xff",
+        )
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        target = tmp_path / "no-such-dir" / "r.json"
+        self._fails_with(
+            capsys,
+            ["verify", "--p", "2", "--input", "families/shannon2.json",
+             "--output", str(target)],
+            f"cannot write {target}",
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["mra", "--p", "2", "--input", "families/shannon2.json", "--depth", "0"],
+             "--depth must be at least 1, got 0"),
+            (["filters", "--p", "2", "--input", "families/shannon2.json", "--depth", "-3"],
+             "--depth must be at least 1, got -3"),
+            (["verify", "--p", "2", "--input", "families/shannon2.json", "--extra-range", "-5"],
+             "--extra-range must be nonnegative, got -5"),
+            (["search", "--p", "2", "--window", "3", "1"],
+             "--window 3 1: the lower bound exceeds the upper bound"),
+            (["search", "--p", "2", "--window", "0", "1", "--budget", "-1"],
+             "--budget must be nonnegative, got -1"),
+            (["search", "--p", "2", "--window", "0", "1", "--resolution", "0"],
+             "--resolution 0 must equal the window top 1"),
+        ],
+        ids=["mra-depth", "filters-depth", "extra-range", "window", "budget", "resolution"],
+    )
+    def test_numeric_options_rejected_before_work(self, argv, message, capsys, monkeypatch):
+        import vilenkin_wavelets.cli as cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the options were checked")
+
+        for name in ("parse_family_file", "search_wavelet_sets"):
+            monkeypatch.setattr(cli, name, no_work)
+        self._fails_with(capsys, argv, message)
+
+
 class TestSearchCommand:
     def test_search_finds_shannon(self):
         code, report = run_command(["search", "--p", "2", "--window", "0", "2"])

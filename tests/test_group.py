@@ -226,6 +226,14 @@ class TestTextNotation:
         with pytest.raises(ParseError):
             parse_element("x.", 5)
 
+    def test_format_rejects_bases_above_36(self):
+        # Radix-point text has one character per digit, as parse_element
+        # requires; a base-37 digit 36 has no character.
+        assert format_element(from_digits(36, {0: 35})) == "z."
+        for x in (from_digits(37, {0: 36}), from_digits(37, {0: 1}), identity(37)):
+            with pytest.raises(ParseError, match="bases up to 36; got 37"):
+                format_element(x)
+
 
 class TestCanonicalForm:
     def test_trimmed_windows_rejected(self):

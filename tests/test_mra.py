@@ -1,11 +1,16 @@
+import cmath
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from vilenkin_wavelets.errors import VilenkinError
-from vilenkin_wavelets.group import from_digits, lambda_decode
+from vilenkin_wavelets.errors import DigitError, ResolutionCapError, VilenkinError
+from vilenkin_wavelets.group import from_digits, identity, lambda_decode
 from vilenkin_wavelets.mra import (
     UNRESOLVED,
+    FilterBank,
+    FilterIdentityReport,
     FilterTable,
     accumulate_omega_sigma,
     build_filters,
@@ -14,9 +19,10 @@ from vilenkin_wavelets.mra import (
     verify_filter_identities,
     verify_two_scale,
 )
-from vilenkin_wavelets.setalg import Cylinder, PSet, theta_ball, unit_cell
+from vilenkin_wavelets.setalg import Cylinder, Measure, PSet, theta_ball, unit_cell
 from vilenkin_wavelets.verifier import shannon_family
 
+from .families import three_shell_family
 from .mutants import mutants_for
 
 
@@ -404,3 +410,209 @@ class TestCalderon:
         sigma = accumulate_omega_sigma(family, 4)
         with pytest.raises(VilenkinError):
             verify_calderon(mutant.family, sigma)
+
+
+# -- table-resolution walk and fractional-digit lookup vs. the per-level loops --
+
+
+def _loop_key(pairs, resolution):
+    return tuple((pos, d) for pos, d in pairs if pos <= resolution and d)
+
+
+def loop_evaluate_cell(table, cell):
+    """Shift the cell onto each candidate's integer part in turn and look up
+    the shifted cell; the first resolved one gives the value."""
+    if cell.resolution < table.resolution:
+        raise ResolutionCapError("query coarser than the table")
+    q_int = cell.integer_part()
+    for base in table.candidates:
+        shifted = cell.translate(q_int.subtract(base).negate())
+        key = _loop_key(shifted.digits, table.resolution)
+        if key in table.values:
+            return table.values[key]
+    return UNRESOLVED
+
+
+def loop_evaluate_point(table, omega):
+    q_int = from_digits(table.p, {j: d for j, d in omega.support() if j <= 0})
+    for base in table.candidates:
+        shifted = omega.subtract(q_int.subtract(base))
+        key = _loop_key(shifted.support(), table.resolution)
+        if key in table.values:
+            return table.values[key]
+    return UNRESOLVED
+
+
+def _digit_maps(p, positions):
+    for combo in itertools.product(range(p), repeat=len(positions)):
+        yield tuple((pos, d) for pos, d in zip(positions, combo) if d)
+
+
+def per_level_identities(bank, level, tolerance=1e-12):
+    """Every resolution-`level` unit cell checked on its own."""
+    p = bank.p
+    tables = bank.all_tables()
+    exact = all(t.is_binary() for t in tables)
+
+    def conj(v):
+        return v.conjugate() if isinstance(v, complex) else v
+
+    def close(total, want):
+        return total == want if exact else abs(total - want) <= tolerance
+
+    failing, skipped, checked, agree = [], 0, 0, True
+    skipped_mass = Measure.zero(p)
+    for cell_map in _digit_maps(p, range(1, level + 1)):
+        rows = []
+        for x in range(p):
+            rotated = dict(cell_map)
+            d = (rotated.pop(1, 0) + x) % p
+            if d:
+                rotated[1] = d
+            query = Cylinder(p, level, tuple(sorted(rotated.items())))
+            rows.append([loop_evaluate_cell(t, query) for t in tables])
+        if any(v is UNRESOLVED for row in rows for v in row):
+            skipped += 1
+            skipped_mass = skipped_mass + Measure.make(1, p, level)
+            continue
+        checked += 1
+        bad = []
+        for a in range(p):
+            for b in range(p):
+                total = sum(rows[x][a] * conj(rows[x][b]) for x in range(p))
+                if not close(total, int(a == b)):
+                    rendered = [total.real, total.imag] if isinstance(total, complex) else total
+                    bad.append({"columns": [a, b], "sum": rendered})
+        row_bad = False
+        for x in range(p):
+            for y in range(p):
+                total = sum(rows[x][c] * conj(rows[y][c]) for c in range(p))
+                row_bad = row_bad or not close(total, int(x == y))
+        if bool(bad) != row_bad:
+            agree = False
+        if bad:
+            failing.append({"cell": Cylinder(p, level, cell_map).to_json(), "violations": bad})
+    return FilterIdentityReport(
+        level=level,
+        passed=not failing and skipped_mass <= bank.unresolved_allowance and agree,
+        exact=exact,
+        checked_cells=checked,
+        failing_cells=failing,
+        skipped_cells=skipped,
+        skipped_mass=skipped_mass,
+        formulations_agree=agree,
+    )
+
+
+def _with_m0(bank, values):
+    m0 = FilterTable(bank.p, bank.resolution, values, bank.m0.candidates)
+    return type(bank)(
+        p=bank.p, resolution=bank.resolution, m0=m0, m1=bank.m1,
+        unresolved_allowance=bank.unresolved_allowance,
+    )
+
+
+def _truncated_bank(family, depth):
+    sigma = accumulate_omega_sigma(family, depth)
+    sigma.resolved = None
+    sigma.self_similar_tail_resolved = False
+    return build_filters(family, sigma, mra=check_mra_condition(sigma))
+
+
+def _bank(name):
+    if name in ("shannon2", "shannon3", "shannon5"):
+        return shannon_pipeline(int(name[-1]))[3]
+    if name == "three-shell2":
+        family = three_shell_family()
+        sigma = accumulate_omega_sigma(family, 6)
+        return build_filters(family, sigma, mra=check_mra_condition(sigma))
+    if name == "three-shell2-truncated":
+        return _truncated_bank(three_shell_family(), 8)
+    if name == "shannon2-truncated":
+        return _truncated_bank(shannon_family(2), 3)
+    if name == "resolution-0":
+        # Hand-built tables constant on resolution-0 cells: the rotation at
+        # position 1 still needs a finer walk.
+        p = 2
+        ones, zeros = (FilterTable(p, 0, {(): v}, (identity(p),)) for v in (1, 0))
+        return FilterBank(p, 0, ones, (zeros,), Measure.zero(p))
+    bank = shannon_pipeline(2)[3]
+    if name == "constant-ones":
+        return _with_m0(bank, {cell: 1 for cell in bank.m0.values})
+    phase = cmath.exp(0.3j)  # phase-twisted
+    return _with_m0(bank, {cell: phase * v for cell, v in bank.m0.values.items()})
+
+
+BANKS = [
+    "shannon2", "shannon3", "shannon5", "three-shell2", "three-shell2-truncated",
+    "shannon2-truncated", "constant-ones", "phase-twisted", "resolution-0",
+]
+
+
+class TestTableResolutionWalk:
+    @pytest.mark.parametrize("extra", [0, 1, 3])
+    @pytest.mark.parametrize("name", BANKS)
+    def test_report_matches_per_level_walk(self, name, extra):
+        bank = _bank(name)
+        level = max(bank.resolution, 1) + extra
+        got = verify_filter_identities(bank, level)
+        want = per_level_identities(bank, level)
+        assert got.checked_cells == want.checked_cells
+        assert got.skipped_cells == want.skipped_cells
+        assert got.skipped_mass.exact_string() == want.skipped_mass.exact_string()
+        assert got.failing_cells == want.failing_cells
+        assert got.exact == want.exact
+        assert got.formulations_agree == want.formulations_agree
+        assert got == want
+        assert got.checked_cells + got.skipped_cells == bank.p**level
+
+    def test_inputs_cover_every_outcome(self):
+        # The differential inputs reach failing cells, skipped cells and
+        # non-binary tables, so each weighted branch is compared.
+        reports = {name: verify_filter_identities(_bank(name), _bank(name).resolution + 1) for name in BANKS}
+        assert len(reports["constant-ones"].failing_cells) == 2**2
+        assert reports["three-shell2-truncated"].skipped_cells > 0
+        assert reports["shannon2-truncated"].skipped_cells > 0
+        assert not reports["phase-twisted"].exact and reports["phase-twisted"].passed
+
+    @pytest.mark.parametrize("name", BANKS)
+    def test_lookup_matches_translate_loop(self, name):
+        bank = _bank(name)
+        p, r = bank.p, bank.resolution
+        gen = random.Random(f"lookup-{name}")
+        integers = list(_digit_maps(p, range(-1, 1)))
+        seen = set()
+        for table in bank.all_tables():
+            for level in range(r, r + 4):
+                for fraction in _digit_maps(p, range(1, level + 1)):
+                    cell = Cylinder(p, level, gen.choice(integers) + fraction)
+                    value = table.evaluate_cell(cell)
+                    assert value == loop_evaluate_cell(table, cell), cell
+                    seen.add(value is UNRESOLVED)
+            for _ in range(300):
+                digits = {pos: gen.randrange(p) for pos in range(-3, r + 6)}
+                omega = from_digits(p, digits)
+                assert table.evaluate_point(omega) == loop_evaluate_point(table, omega)
+        if "truncated" in name:
+            assert seen == {True, False}
+
+    def test_lookup_errors_match(self):
+        bank = shannon_pipeline(3)[3]
+        coarse = Cylinder(3, 0, ((0, 2),))
+        for evaluate in (bank.m0.evaluate_cell, lambda c: loop_evaluate_cell(bank.m0, c)):
+            with pytest.raises(ResolutionCapError):
+                evaluate(coarse)
+        # A table coarser than the integer lattice: a query of resolution
+        # < 0 has no integer part to shift by.
+        p = 2
+        table = FilterTable(
+            p, -1, {((-1, 1),): 1, (): 0},
+            (from_digits(p, {-1: 1, 0: 1}), identity(p)),
+        )
+        negative = Cylinder(p, -1, ((-1, 1),))
+        for evaluate in (table.evaluate_cell, lambda c: loop_evaluate_cell(table, c)):
+            with pytest.raises(DigitError):
+                evaluate(negative)
+        for cell_map in _digit_maps(p, range(-2, 3)):
+            cell = Cylinder(p, 2, cell_map)
+            assert table.evaluate_cell(cell) == loop_evaluate_cell(table, cell)
