@@ -195,6 +195,22 @@ class TestDeterminism:
         golden = (GOLDEN / f"mra-shannon{p}.json").read_bytes()
         assert emit_report(report) == golden
 
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            ("verify-three-shell2", ["verify", "--p", "2", "--input", "families/three-shell2.json"]),
+            ("mra-three-shell2", ["mra", "--p", "2", "--input", "families/three-shell2.json", "--depth", "8"]),
+            ("filters-three-shell2", ["filters", "--p", "2", "--input", "families/three-shell2.json", "--level", "4"]),
+            ("verify-mutant-moved-cylinder-p2", ["verify", "--p", "2", "--input", "families/mutant-moved-cylinder-p2.json"]),
+        ],
+    )
+    def test_merging_and_witness_golden(self, name, argv):
+        # Multi-cylinder sets run the sibling merge; the mutant's FAIL
+        # report lists witnesses.  The Shannon goldens do neither.
+        _, report = run_command(argv)
+        golden = (GOLDEN / f"{name}.json").read_bytes()
+        assert emit_report(report) == golden
+
     def test_text_format_renders(self):
         _, report = run_command(
             ["verify", "--p", "2", "--input", "families/shannon2.json"]
