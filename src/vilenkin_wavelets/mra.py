@@ -29,6 +29,9 @@ from .setalg import (
     DigitMap,
     Measure,
     PSet,
+    _keys_by_resolution,
+    _prefix_in,
+    empty_set,
     theta_ball,
 )
 from .verifier import VerdictReport, WaveletFamily, is_wavelet_set
@@ -553,16 +556,38 @@ class TwoScaleReport:
     unresolved_mass: Measure
 
 
-def _membership(cell: Cylinder, s: PSet) -> int | None:
-    """1 if the cell is inside, 0 if disjoint from, None if it straddles s."""
-    saw_partial = False
-    for cyl in s.cylinders:
-        rel = cell.relation(cyl)
-        if rel in ("within", "equal"):
+def _membership_index(s: PSet):
+    """Where cells lie relative to s, answered from truncated digit keys.
+
+    Returns a function of a cell: 1 if the cell is inside s (its digits
+    truncated to some member's resolution are that member's), None if it
+    straddles s (its key is a truncation of a finer member), else 0.
+    A cell pinning no digit is a truncation of every member below the
+    member's first pinned position, so those cells need only one bound.
+    """
+    members = _keys_by_resolution(s.cylinders)
+    prefixes: set[tuple[int, DigitMap]] = set()
+    empty_below = None
+    for c in s.cylinders:
+        digits = c.digits
+        first = digits[0][0] if digits else c.resolution
+        if empty_below is None or first > empty_below:
+            empty_below = first
+        i = 0
+        for q in range(first, c.resolution):
+            while i < len(digits) and digits[i][0] <= q:
+                i += 1
+            prefixes.add((q, digits[:i]))
+
+    def locate(cell: Cylinder) -> int | None:
+        q, digits = cell.resolution, cell.digits
+        if _prefix_in(digits, q, members):
             return 1
-        if rel == "contains":
-            saw_partial = True
-    return None if saw_partial else 0
+        if digits:
+            return None if (q, digits) in prefixes else 0
+        return None if empty_below is not None and q < empty_below else 0
+
+    return locate
 
 
 def verify_two_scale(
@@ -603,24 +628,20 @@ def verify_two_scale(
     if not 0 < product_depth <= J:
         raise ValueError(f"product depth must lie in [1, {J}]")
 
-    phi = omega_sigma.spectrum()
-    product_exclusion = theta_ball(p, L + J)
+    phi = _membership_index(omega_sigma.spectrum())
+    members = [_membership_index(member) for member in family.sets]
     if omega_sigma.resolved is None:
-        tail = theta_ball(p, w_lo + J)
+        tail = _membership_index(theta_ball(p, w_lo + J))
         two_scale_exclusion = tail
         product_exclusion = tail  # the wider of the two balls
     else:
-        two_scale_exclusion = None
+        two_scale_exclusion = _membership_index(empty_set(p))
+        product_exclusion = _membership_index(theta_ball(p, L + J))
 
     failing: list[dict] = []
     checked = 0
     excluded = Measure.zero(p)
     unresolved = Measure.zero(p)
-
-    def classify(cell: Cylinder, exclusion: PSet | None):
-        if exclusion is None:
-            return 0
-        return _membership(cell, exclusion)
 
     def evaluate(table: FilterTable, cell: Cylinder):
         """(value, hopeless): splitting cannot resolve a lookup that already
@@ -637,14 +658,15 @@ def verify_two_scale(
         hopeless = False
 
         # Exclusion handling: skip cells fully inside, split straddlers.
-        exc2 = classify(cell, two_scale_exclusion)
-        excp = classify(cell, product_exclusion)
+        exc2 = two_scale_exclusion(cell)
+        excp = product_exclusion(cell)
         if exc2 is None or excp is None:
             stack.extend(cell.refine_to(cell.resolution + 1))
             continue
 
-        phi_here = _membership(cell, phi)
-        phi_up = _membership(cell.dilate(-1), phi)
+        up = cell.dilate(-1)
+        phi_here = phi(cell)
+        phi_up = phi(up)
         problems = []
 
         if exc2 == 0:
@@ -669,10 +691,8 @@ def verify_two_scale(
                 )
             # Band refinement equations.
             if not split:
-                for u, (table, member) in enumerate(
-                    zip(bank.m1, family.sets), start=1
-                ):
-                    psi_up = _membership(cell.dilate(-1), member)
+                for u, (table, member) in enumerate(zip(bank.m1, members), start=1):
+                    psi_up = member(up)
                     if phi_here == 0 and psi_up == 0:
                         continue
                     m1_here, m1_hopeless = evaluate(table, cell)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -39,6 +40,19 @@ def _check_resolution(L: int, max_resolution: int | None = None) -> None:
     cap = MAX_RESOLUTION if max_resolution is None else max_resolution
     if L > cap:
         raise ResolutionCapError(f"resolution {L} exceeds the cap {cap}")
+
+
+def _check_refinement(p: int, resolution: int, L: int) -> None:
+    """The limits on splitting a resolution-`resolution` cylinder down to L."""
+    if L < resolution:
+        raise ResolutionCapError(
+            f"cannot coarsen a cylinder from resolution {resolution} to {L}"
+        )
+    _check_resolution(L)
+    if p ** (L - resolution) > MAX_REFINE_CELLS:
+        raise ResolutionCapError(
+            f"refining by {L - resolution} positions would produce {p ** (L - resolution)} cells"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,25 +231,17 @@ class Cylinder:
 
     def refine_to(self, L: int) -> Iterator["Cylinder"]:
         """Split into the p**(L - resolution) sub-cylinders at resolution L."""
-        if L < self.resolution:
-            raise ResolutionCapError(
-                f"cannot coarsen a cylinder from resolution {self.resolution} to {L}"
-            )
-        _check_resolution(L)
+        _check_refinement(self.p, self.resolution, L)
         span = L - self.resolution
         if span == 0:
             yield self
             return
-        if self.p**span > MAX_REFINE_CELLS:
-            raise ResolutionCapError(
-                f"refining by {span} positions would produce {self.p**span} cells"
-            )
         new_positions = range(self.resolution + 1, L + 1)
         for extra in itertools.product(range(self.p), repeat=span):
             tail = tuple(
                 (pos, d) for pos, d in zip(new_positions, extra) if d
             )
-            yield Cylinder(self.p, L, self.digits + tail)
+            yield _cylinder(self.p, L, self.digits + tail)
 
     def translate(self, t: GroupElement) -> "Cylinder":
         """Digitwise shift by t.
@@ -246,19 +252,21 @@ class Cylinder:
         """
         if t.p != self.p:
             raise BaseMismatchError("translator base differs")
-        positions = {pos for pos, _ in self.digits}
-        positions.update(pos for pos, _ in t.support() if pos <= self.resolution)
-        new = []
-        for pos in sorted(positions):
-            d = (self.digit(pos) + t.digit(pos)) % self.p
-            if d:
-                new.append((pos, d))
-        return Cylinder(self.p, self.resolution, tuple(new))
+        shifted = dict(self.digits)
+        for pos, d in t.support():
+            if pos > self.resolution:
+                break
+            shifted[pos] = (shifted.get(pos, 0) + d) % self.p
+        return _cylinder(
+            self.p,
+            self.resolution,
+            tuple(sorted((pos, d) for pos, d in shifted.items() if d)),
+        )
 
     def dilate(self, k: int) -> "Cylinder":
         """Apply the contracting shift k times: positions and resolution move by +k."""
         _check_resolution(self.resolution + k)
-        return Cylinder(
+        return _cylinder(
             self.p, self.resolution + k, tuple((pos + k, d) for pos, d in self.digits)
         )
 
@@ -284,6 +292,25 @@ class Cylinder:
         return Cylinder(p, int(obj["resolution"]), digits)
 
 
+_new = object.__new__
+_set_cylinder_p = Cylinder.__dict__["p"].__set__
+_set_cylinder_resolution = Cylinder.__dict__["resolution"].__set__
+_set_cylinder_digits = Cylinder.__dict__["digits"].__set__
+
+
+def _cylinder(p: int, resolution: int, digits: DigitMap) -> Cylinder:
+    """A cylinder from fields that are valid by construction; no checks run."""
+    c = _new(Cylinder)
+    _set_cylinder_p(c, p)
+    _set_cylinder_resolution(c, resolution)
+    _set_cylinder_digits(c, digits)
+    return c
+
+
+#: Canonical cylinder order: by resolution, then by pinned digits.
+_sort_key = attrgetter("resolution", "digits")
+
+
 class PSet:
     """A finite disjoint union of cylinders in canonical merged, sorted form."""
 
@@ -303,17 +330,42 @@ class PSet:
         object.__setattr__(
             self,
             "cylinders",
-            tuple(given.get(key) or Cylinder(p, *key) for key in merged),
+            tuple(given.get(key) or _cylinder(p, *key) for key in merged),
         )
 
     @staticmethod
     def _check_disjoint(cyls: tuple[Cylinder, ...]) -> None:
-        for i, a in enumerate(cyls):
-            for b in cyls[i + 1 :]:
-                if a.relation(b) != "disjoint":
-                    raise OverlapError(
-                        f"cylinders overlap: {a.to_json()} and {b.to_json()}"
-                    )
+        """Raise on the first overlapping pair (i, j), i < j, in scan order.
+
+        Two cylinders overlap iff the coarser one's digits are the finer
+        one's truncated to its resolution, so each cylinder finds every
+        coarser-or-equal partner by one lookup per resolution present.
+        """
+        at: dict[tuple[int, DigitMap], list[int]] = {}
+        for i, c in enumerate(cyls):
+            at.setdefault((c.resolution, c.digits), []).append(i)
+        resolutions = sorted({c.resolution for c in cyls})
+        first = None
+        for j, b in enumerate(cyls):
+            for r in resolutions:
+                if r > b.resolution:
+                    break
+                for i in at.get((r, _truncate(b.digits, r)), ()):
+                    if i != j:
+                        pair = (i, j) if i < j else (j, i)
+                        if first is None or pair < first:
+                            first = pair
+        if first is not None:
+            a, b = cyls[first[0]], cyls[first[1]]
+            raise OverlapError(f"cylinders overlap: {a.to_json()} and {b.to_json()}")
+
+    @staticmethod
+    def _canonical(p: int, cylinders: tuple[Cylinder, ...]) -> "PSet":
+        """A set from cylinders already disjoint, merged and in canonical order."""
+        s = _new(PSet)
+        _set_pset_p(s, p)
+        _set_pset_cylinders(s, cylinders)
+        return s
 
     def __setattr__(self, *args) -> None:  # pragma: no cover
         raise AttributeError("PSet is immutable")
@@ -365,22 +417,20 @@ class PSet:
     # -- refinement and cells ------------------------------------------------------
 
     def refine(self, L: int, *, allow_partial: bool = False) -> "PSet":
-        """Same set with every cylinder split down to resolution L.
+        """The same set, after checking that it may be split down to resolution L.
 
-        Unless allow_partial is set, L must not be coarser than the
-        finest cylinder already present.
+        Canonical form merges every split cylinder straight back, so the
+        set itself is the result.  Unless allow_partial is set, L must
+        not be coarser than the finest cylinder already present; the
+        coarsest cylinder finer than L must be splittable to L.
         """
         if not allow_partial and not self.is_empty and L < self.max_resolution:
             raise ResolutionCapError(
                 f"refinement target {L} is coarser than resolution {self.max_resolution}"
             )
-        out: list[Cylinder] = []
-        for c in self.cylinders:
-            if c.resolution >= L:
-                out.append(c)
-            else:
-                out.extend(c.refine_to(L))
-        return PSet(self.p, out, validate=False)
+        if self.cylinders and self.cylinders[0].resolution < L:
+            _check_refinement(self.p, self.cylinders[0].resolution, L)
+        return self
 
     def cells_at(self, L: int) -> frozenset[DigitMap]:
         """Digit maps of the resolution-L refinement (requires L >= max resolution)."""
@@ -424,18 +474,12 @@ class PSet:
         self._check_other(other)
         mine = _keys_by_resolution(self.cylinders)
         theirs = _keys_by_resolution(other.cylinders)
-        out = []
-        for b in other.cylinders:
-            for r, keys in mine.items():
-                if r <= b.resolution and _truncate(b.digits, r) in keys:
-                    out.append(b)
-                    break  # member cylinders are disjoint: at most one hit
-        for a in self.cylinders:
-            for r, keys in theirs.items():
-                if r < a.resolution and _truncate(a.digits, r) in keys:
-                    out.append(a)
-                    break
-        return PSet(self.p, out, validate=False)
+        out = [b for b in other.cylinders if _prefix_in(b.digits, b.resolution, mine)]
+        out.extend(a for a in self.cylinders if _prefix_in(a.digits, a.resolution - 1, theirs))
+        # Every piece is a cylinder of one canonical input, and no p
+        # siblings can all come from two canonical sets, so only the
+        # order needs restoring.
+        return PSet._canonical(self.p, tuple(sorted(out, key=_sort_key)))
 
     def difference(self, other: "PSet") -> "PSet":
         self._check_other(other)
@@ -448,12 +492,7 @@ class PSet:
                     inner[r].setdefault(_truncate(b.digits, r), []).append(b)
         out = []
         for a in self.cylinders:
-            swallowed = False
-            for r, keys in theirs.items():
-                if r <= a.resolution and _truncate(a.digits, r) in keys:
-                    swallowed = True
-                    break
-            if swallowed:
+            if _prefix_in(a.digits, a.resolution, theirs):
                 continue
             pieces = [a]
             for b in inner[a.resolution].get(a.digits, ()):
@@ -478,11 +517,19 @@ class PSet:
         """Translate by t; digits finer than a cylinder are absorbed by its tail."""
         if t.p != self.p:
             raise BaseMismatchError("translator base differs")
-        return PSet(self.p, (c.translate(t) for c in self.cylinders), validate=False)
+        # A shift relabels the cylinders of each resolution bijectively and
+        # maps complete sibling families to complete ones, incomplete to
+        # incomplete, so canonical form survives up to order.
+        translated = (c.translate(t) for c in self.cylinders)
+        return PSet._canonical(self.p, tuple(sorted(translated, key=_sort_key)))
 
     def dilate(self, k: int) -> "PSet":
-        """Apply the contracting shift k times; measure scales by p**(-k)."""
-        return PSet(self.p, (c.dilate(k) for c in self.cylinders), validate=False)
+        """Apply the contracting shift k times; measure scales by p**(-k).
+
+        Moving every position by k keeps canonical form and order.  The
+        first cylinder in that order to pass the cap names it in the error.
+        """
+        return PSet._canonical(self.p, tuple(c.dilate(k) for c in self.cylinders))
 
     # -- serialization ------------------------------------------------------------------
 
@@ -494,6 +541,10 @@ class PSet:
         return PSet(p, (Cylinder.from_json(p, item) for item in obj))
 
 
+_set_pset_p = PSet.__dict__["p"].__set__
+_set_pset_cylinders = PSet.__dict__["cylinders"].__set__
+
+
 def _truncate(digits: DigitMap, resolution: int) -> DigitMap:
     """Digits restricted to positions <= resolution (input sorted)."""
     i = len(digits)
@@ -502,11 +553,29 @@ def _truncate(digits: DigitMap, resolution: int) -> DigitMap:
     return digits[:i]
 
 
-def _keys_by_resolution(cylinders) -> dict[int, set]:
+def _keys_by_resolution(cylinders) -> list[tuple[int, set]]:
+    """(resolution, digit maps of the cylinders there) pairs, coarsest first."""
     out: dict[int, set] = {}
     for c in cylinders:
         out.setdefault(c.resolution, set()).add(c.digits)
-    return out
+    return sorted(out.items())
+
+
+def _prefix_in(digits: DigitMap, top: int, levels: list[tuple[int, set]]) -> bool:
+    """Whether the digits truncated to some level r <= top are among r's keys.
+
+    Levels come from _keys_by_resolution; one pass over the sorted digits
+    yields every truncation.
+    """
+    i, n = 0, len(digits)
+    for r, keys in levels:
+        if r > top:
+            break
+        while i < n and digits[i][0] <= r:
+            i += 1
+        if digits[:i] in keys:
+            return True
+    return False
 
 
 def _cylinder_difference(a: Cylinder, b: Cylinder) -> list[Cylinder]:
@@ -527,26 +596,39 @@ def _cylinder_difference(a: Cylinder, b: Cylinder) -> list[Cylinder]:
     return out
 
 
+def _parent(key: tuple[int, DigitMap]) -> tuple[int, DigitMap]:
+    """The key one resolution coarser: a child's own digit, if any, is its last."""
+    res, digits = key
+    if digits and digits[-1][0] == res:
+        return res - 1, digits[:-1]
+    return res - 1, digits
+
+
 def _merge_siblings(p: int, items: list[tuple[int, DigitMap]]) -> list[tuple[int, DigitMap]]:
-    """Merge every complete family of p siblings into its parent, repeatedly."""
+    """Merge every complete family of p siblings into its parent, repeatedly.
+
+    Children are counted per parent key; a parent that reaches p merges
+    and counts toward its own parent in turn.  A merged parent already
+    among the keys (nested input) is not counted again.
+    """
     pool = set(items)
-    queue = list(pool)
-    while queue:
-        item = queue.pop()
-        if item not in pool:
+    counts: dict[tuple[int, DigitMap], int] = {}
+    for key in pool:
+        parent = _parent(key)
+        counts[parent] = counts.get(parent, 0) + 1
+    ready = [parent for parent, n in counts.items() if n == p]
+    while ready:
+        res, base = ready.pop()
+        pool.discard((res + 1, base))
+        for d in range(1, p):
+            pool.discard((res + 1, base + ((res + 1, d),)))
+        if (res, base) in pool:
             continue
-        res, digs = item
-        base = tuple((pos, d) for pos, d in digs if pos != res)
-        siblings = [
-            (res, base if d == 0 else tuple(sorted(base + ((res, d),))))
-            for d in range(p)
-        ]
-        if all(s in pool for s in siblings):
-            for s in siblings:
-                pool.discard(s)
-            parent = (res - 1, base)
-            pool.add(parent)
-            queue.append(parent)
+        pool.add((res, base))
+        grand = _parent((res, base))
+        counts[grand] = counts.get(grand, 0) + 1
+        if counts[grand] == p:
+            ready.append(grand)
     return sorted(pool)
 
 

@@ -274,9 +274,12 @@ def congruence_partition(s: PSet) -> list[tuple[GroupElement, PSet, PSet]]:
     for c in s.cylinders:
         for cell in c.refine_to(0) if c.resolution < 0 else (c,):
             groups.setdefault(cell.integer_part(), []).append(cell)
+    # A group is one resolution-0 split cell or an in-order run of
+    # cylinders of s, so it is already canonical: siblings of resolution
+    # <= 0 differ in their integer parts, finer ones all come from s.
     out = []
     for n in sorted(groups, key=lambda g: lambda_encode(g)):
-        piece = PSet(s.p, groups[n], validate=False)
+        piece = PSet._canonical(s.p, tuple(groups[n]))
         out.append((n, piece, piece.translate(n.negate())))
     return out
 

@@ -110,6 +110,32 @@ class TestExitCodes:
         assert code == 1 and report["verdict"] == "INCONCLUSIVE"
 
 
+class TestResolutionCap:
+    def test_verify_names_first_over_cap_dilate(self, tmp_path, capsys):
+        # Resolutions 20, 26 and 30: the first dilate past the cap is the
+        # resolution-26 cylinder moved to 27, first in canonical order.
+        family = tmp_path / "deep.json"
+        family.write_text(
+            json.dumps(
+                {
+                    "p": 2,
+                    "family": [
+                        {"name": "omega1", "cylinders": [
+                            {"resolution": 26, "digits": {"0": 1, "26": 1}},
+                            {"resolution": 20, "digits": {"0": 1, "1": 1}},
+                            {"resolution": 30, "digits": {"-1": 1}},
+                        ]}
+                    ],
+                }
+            )
+        )
+        out = tmp_path / "report.json"
+        code = main(["verify", "--p", "2", "--input", str(family), "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "resolution 27 exceeds the cap 24\n"
+        assert not out.exists()
+
+
 class TestNegativeResolutionMember:
     def test_verify_reports_translate_overlap(self, tmp_path):
         # Two resolution-0 siblings merge into one cylinder of resolution

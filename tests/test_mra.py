@@ -616,3 +616,96 @@ class TestTableResolutionWalk:
         for cell_map in _digit_maps(p, range(-2, 3)):
             cell = Cylinder(p, 2, cell_map)
             assert table.evaluate_cell(cell) == loop_evaluate_cell(table, cell)
+
+
+def relation_membership(cell, s):
+    """The pairwise Cylinder.relation scan the membership index replaced."""
+    saw_partial = False
+    for cyl in s.cylinders:
+        rel = cell.relation(cyl)
+        if rel in ("within", "equal"):
+            return 1
+        if rel == "contains":
+            saw_partial = True
+    return None if saw_partial else 0
+
+
+def _two_scale_inputs(name):
+    if name in ("shannon2", "shannon3", "shannon5"):
+        family, sigma, _, bank = shannon_pipeline(int(name[-1]))
+        return family, sigma, bank
+    if name.startswith("shannon2"):
+        family, depth = shannon_family(2), 3
+    else:
+        family, depth = three_shell_family(), 8 if name.endswith("truncated") else 6
+    sigma = accumulate_omega_sigma(family, depth)
+    if name.endswith("truncated"):
+        sigma.resolved = None
+        sigma.self_similar_tail_resolved = False
+    return family, sigma, build_filters(family, sigma, mra=check_mra_condition(sigma))
+
+
+class TestMembershipIndex:
+    NAMES = [
+        "shannon2", "shannon3", "shannon5", "three-shell2", "three-shell2-truncated",
+        "shannon2-truncated",
+    ]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_walk_matches_relation_scan(self, name, monkeypatch):
+        # Every lookup the two-scale walk makes (spectrum, members,
+        # exclusion balls) is checked against the pairwise scan.
+        import vilenkin_wavelets.mra as mra_module
+
+        index = mra_module._membership_index
+        seen = []
+
+        def checked(s):
+            locate = index(s)
+
+            def answer(cell):
+                got = locate(cell)
+                assert got == relation_membership(cell, s), (cell, s)
+                seen.append(got)
+                return got
+
+            return answer
+
+        monkeypatch.setattr(mra_module, "_membership_index", checked)
+        family, sigma, bank = _two_scale_inputs(name)
+        report = verify_two_scale(family, sigma, bank)
+        assert report.passed
+        assert set(seen) == {0, 1, None}
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_random_cells_match_relation_scan(self, name):
+        from vilenkin_wavelets.mra import _membership_index
+
+        family, sigma, _ = _two_scale_inputs(name)
+        p = family.p
+        gen = random.Random(f"membership-{name}")
+        sets = [sigma.spectrum(), *family.sets, theta_ball(p, sigma.level + sigma.depth)]
+        for s in sets:
+            locate = _membership_index(s)
+            outcomes = set()
+            for _ in range(300):
+                r = gen.randrange(-3, s.max_resolution + 5)
+                if gen.random() < 0.5:
+                    # Derived from a member: a truncation, the member, or a
+                    # sub-cell of it.
+                    c = gen.choice(s.cylinders)
+                    digits = tuple((pos, d) for pos, d in c.digits if pos <= r)
+                    digits += tuple(
+                        (pos, d)
+                        for pos in range(c.resolution + 1, r + 1)
+                        if (d := gen.randrange(p))
+                    )
+                else:
+                    digits = tuple(
+                        (pos, d) for pos in range(-4, r + 1) if (d := gen.randrange(p))
+                    )
+                cell = Cylinder(p, r, digits)
+                got = locate(cell)
+                assert got == relation_membership(cell, s), cell
+                outcomes.add(got)
+            assert outcomes >= {0, 1} and (None in outcomes or len(s.cylinders) == 1)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vilenkin_wavelets.errors import OverlapError, ResolutionCapError
 from vilenkin_wavelets.group import from_digits, identity, lambda_decode
@@ -9,6 +11,8 @@ from vilenkin_wavelets.setalg import (
     Cylinder,
     Measure,
     PSet,
+    _merge_siblings,
+    _truncate,
     annulus,
     empty_set,
     expanded_unit,
@@ -275,3 +279,256 @@ class TestSerialization:
         for p in (2, 3):
             s = random_pset(p)
             assert PSet.from_json(p, s.to_json()) == s
+
+
+# -- trusted constructors and the counting merge ------------------------------------
+
+
+def random_root(gen, p, lo=-2):
+    return tuple((pos, gen.randrange(1, p)) for pos in range(lo - 2, lo + 1) if gen.random() < 0.5)
+
+
+def random_mixed_pset(gen, p, root=None, lo=-2, hi=4):
+    """Random disjoint union of cylinders at resolutions lo..hi, merged.
+
+    Cells are split at random from one resolution-lo root cylinder that
+    pins digits at positions lo - 2..lo (random unless given), so
+    negative resolutions and negative positions both occur.
+    """
+    if root is None:
+        root = random_root(gen, p, lo)
+    leaves, stack = [], [Cylinder(p, lo, root)]
+    while stack:
+        c = stack.pop()
+        if c.resolution < hi and gen.random() < 1.6 / p:
+            stack.extend(c.refine_to(c.resolution + 1))
+        elif gen.random() < 0.7:
+            leaves.append(c)
+    return PSet(p, leaves)
+
+
+def old_merge_siblings(p, items):
+    """The queue-driven merge the counting merge replaced, kept as the reference."""
+    pool = set(items)
+    queue = list(pool)
+    while queue:
+        item = queue.pop()
+        if item not in pool:
+            continue
+        res, digs = item
+        base = tuple((pos, d) for pos, d in digs if pos != res)
+        siblings = [
+            (res, base if d == 0 else tuple(sorted(base + ((res, d),))))
+            for d in range(p)
+        ]
+        if all(s in pool for s in siblings):
+            for s in siblings:
+                pool.discard(s)
+            parent = (res - 1, base)
+            pool.add(parent)
+            queue.append(parent)
+    return sorted(pool)
+
+
+def pairwise_overlap_message(cyls):
+    """The O(n^2) scan the hashed disjointness check replaced, kept as the reference."""
+    for i, a in enumerate(cyls):
+        for b in cyls[i + 1 :]:
+            if a.relation(b) != "disjoint":
+                return f"cylinders overlap: {a.to_json()} and {b.to_json()}"
+    return None
+
+
+def hashed_overlap_message(cyls):
+    try:
+        PSet._check_disjoint(tuple(cyls))
+    except OverlapError as exc:
+        return str(exc)
+    return None
+
+
+def keys(cylinders):
+    return [(c.resolution, c.digits) for c in cylinders]
+
+
+def random_split(gen, c, depth):
+    """A random partition of c into sub-cylinders at most depth levels finer."""
+    if depth == 0 or gen.random() < 0.4:
+        return [c]
+    return [
+        piece
+        for child in c.refine_to(c.resolution + 1)
+        for piece in random_split(gen, child, depth - 1)
+    ]
+
+
+def random_element(gen, p, lo=-5, hi=6):
+    return from_digits(p, {pos: gen.randrange(p) for pos in range(lo, hi + 1)})
+
+
+class TestTrustedPaths:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_results_match_merging_constructor(self, p):
+        # dilate, translate, intersect and the congruence pieces skip the
+        # merge; each result must be what the merging constructor gives,
+        # in the same order.
+        from vilenkin_wavelets.verifier import congruence_partition
+
+        gen = random.Random(f"trusted-{p}")
+        nonempty_intersections = negative = 0
+        for _ in range(60):
+            root = random_root(gen, p)
+            a, b = random_mixed_pset(gen, p, root), random_mixed_pset(gen, p, root)
+            t = random_element(gen, p)
+            results = [a.dilate(gen.randrange(-3, 4)), a.translate(t), b.translate(t.negate())]
+            results += [a.intersect(b), b.intersect(a), a.intersect(b.translate(t))]
+            for _, piece, shifted in congruence_partition(a):
+                results += [piece, shifted]
+            for result in results:
+                assert type(result) is PSet and result.p == p
+                assert PSet(p, result.cylinders).cylinders == result.cylinders
+            nonempty_intersections += not a.intersect(b).is_empty
+            negative += any(c.resolution < 0 for c in a.cylinders)
+        assert nonempty_intersections > 5 and negative > 5
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_cylinder_actions_match_validated_cylinders(self, p):
+        gen = random.Random(f"cylinder-actions-{p}")
+        for _ in range(40):
+            for c in random_mixed_pset(gen, p).cylinders:
+                t = random_element(gen, p)
+                for out in (c.dilate(gen.randrange(-3, 4)), c.translate(t)):
+                    assert out == Cylinder(out.p, out.resolution, out.digits)
+                    assert type(out) is Cylinder
+                assert c.translate(t).translate(t.negate()) == c
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_counting_merge_matches_old_merge_on_disjoint_input(self, p):
+        gen = random.Random(f"merge-disjoint-{p}")
+        merged = 0
+        for _ in range(80):
+            s = random_mixed_pset(gen, p)
+            pieces = [piece for c in s.cylinders for piece in random_split(gen, c, 3)]
+            gen.shuffle(pieces)
+            items = keys(pieces)
+            got = _merge_siblings(p, items)
+            assert got == old_merge_siblings(p, items) == keys(s.cylinders)
+            merged += len(items) > len(got)
+        assert merged > 20
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_counting_merge_matches_old_merge_on_nested_input(self, p):
+        # Nested input: a canonical set plus a split of one of its
+        # cylinders (which merges back into a key already present), part
+        # of one split, or one strict ancestor (which may complete a family).
+        gen = random.Random(f"merge-nested-{p}")
+        kinds = set()
+        for _ in range(120):
+            s = random_mixed_pset(gen, p)
+            if s.is_empty:
+                continue
+            c = gen.choice(s.cylinders)
+            kind = gen.choice(["split", "partial", "ancestor"])
+            if kind == "split":
+                extra = list(c.refine_to(c.resolution + gen.randrange(1, 3)))
+            elif kind == "partial":
+                extra = gen.sample(list(c.refine_to(c.resolution + 1)), p - 1)
+            else:
+                r = c.resolution - gen.randrange(1, 3)
+                extra = [Cylinder(p, r, tuple((pos, d) for pos, d in c.digits if pos <= r))]
+            items = keys(s.cylinders) + keys(extra)
+            gen.shuffle(items)
+            got = _merge_siblings(p, items)
+            assert got == old_merge_siblings(p, items)
+            kinds.add((kind, got == keys(s.cylinders)))
+        assert {("split", True), ("partial", False), ("ancestor", False)} <= kinds
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_hashed_disjointness_check_matches_pairwise_scan(self, p):
+        # Same inputs raise, naming the same first pair (i, j) in scan order.
+        gen = random.Random(f"disjoint-{p}")
+        raised = 0
+        for _ in range(150):
+            cyls = list(random_mixed_pset(gen, p).cylinders)
+            for _ in range(gen.choice([0, 0, 1, 2, 3])):
+                if not cyls:
+                    break
+                c = gen.choice(cyls)
+                extra = gen.choice(
+                    [
+                        c,
+                        next(c.refine_to(c.resolution + 2)),
+                        Cylinder(p, c.resolution - 1, _truncate(c.digits, c.resolution - 1)),
+                        Cylinder(p, c.resolution + 1, c.digits + ((c.resolution + 1, 1),)),
+                    ]
+                )
+                cyls.insert(gen.randrange(len(cyls) + 1), extra)
+            gen.shuffle(cyls)
+            want = pairwise_overlap_message(cyls)
+            assert hashed_overlap_message(cyls) == want
+            raised += want is not None
+        assert raised > 40
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-2, 3),
+                st.dictionaries(st.integers(-3, 3), st.integers(1, 2), max_size=4),
+            ),
+            max_size=12,
+        )
+    )
+    def test_hashed_disjointness_check_property(self, raw):
+        p = 3
+        cyls = [
+            Cylinder(p, r, tuple(sorted((pos, d) for pos, d in digits.items() if pos <= r)))
+            for r, digits in raw
+        ]
+        assert hashed_overlap_message(cyls) == pairwise_overlap_message(cyls)
+
+    def test_load_rejects_overlap_with_the_same_message(self):
+        p = 2
+        cyls = [
+            Cylinder(p, 2, ((1, 1),)),
+            Cylinder(p, 0, ((0, 1),)),
+            Cylinder(p, 3, ((0, 1), (2, 1))),
+            Cylinder(p, 2, ((1, 1),)),
+        ]
+        with pytest.raises(OverlapError) as info:
+            PSet(p, cyls)
+        assert str(info.value) == pairwise_overlap_message(cyls)
+        assert str(info.value) == (
+            "cylinders overlap: {'resolution': 2, 'digits': {'1': 1}} and "
+            "{'resolution': 2, 'digits': {'1': 1}}"
+        )
+
+
+class TestResolutionCapParity:
+    def test_dilate_names_first_over_cap_cylinder_in_sorted_order(self):
+        p = 2
+        s = PSet(
+            p,
+            [
+                Cylinder(p, 26, ((0, 1), (26, 1))),
+                Cylinder(p, 20, ((0, 1), (1, 1))),
+                Cylinder(p, 30, ((-1, 1),)),
+            ],
+        )
+        with pytest.raises(ResolutionCapError, match=r"^resolution 27 exceeds the cap 24$"):
+            s.dilate(1)
+        with pytest.raises(ResolutionCapError, match=r"^resolution 25 exceeds the cap 24$"):
+            s.dilate(5)
+        assert s.dilate(-6).max_resolution == 24
+
+    def test_refine_keeps_its_argument_checks(self):
+        s = PSet(2, [Cylinder(2, 3, ((1, 1), (3, 1))), Cylinder(2, 1, ((0, 1),))])
+        assert s.refine(3) is s and s.refine(12) is s
+        assert s.refine(0, allow_partial=True) is s
+        with pytest.raises(ResolutionCapError, match="^refinement target 2 is coarser than resolution 3$"):
+            s.refine(2)
+        with pytest.raises(ResolutionCapError, match="^resolution 25 exceeds the cap 24$"):
+            s.refine(25)
+        with pytest.raises(ResolutionCapError, match="^refining by 22 positions would produce 4194304 cells$"):
+            unit_cell(2).refine(22)
+        assert empty_set(3).refine(999) == empty_set(3)
