@@ -562,10 +562,12 @@ def _membership_index(s: PSet):
     Returns a function of a cell: 1 if the cell is inside s (its digits
     truncated to some member's resolution are that member's), None if it
     straddles s (its key is a truncation of a finer member), else 0.
-    A cell pinning no digit is a truncation of every member below the
-    member's first pinned position, so those cells need only one bound.
+    The empty digit map is a member's truncation at every resolution
+    below its first pinned position (its resolution if it pins none), so
+    cells pinning no digit straddle exactly below the largest such
+    position; every other truncation is stored.
     """
-    members = _keys_by_resolution(s.cylinders)
+    levels = _keys_by_resolution(s.cylinders)
     prefixes: set[tuple[int, DigitMap]] = set()
     empty_below = None
     for c in s.cylinders:
@@ -581,7 +583,7 @@ def _membership_index(s: PSet):
 
     def locate(cell: Cylinder) -> int | None:
         q, digits = cell.resolution, cell.digits
-        if _prefix_in(digits, q, members):
+        if _prefix_in(digits, q, levels):
             return 1
         if digits:
             return None if (q, digits) in prefixes else 0
@@ -629,7 +631,7 @@ def verify_two_scale(
         raise ValueError(f"product depth must lie in [1, {J}]")
 
     phi = _membership_index(omega_sigma.spectrum())
-    members = [_membership_index(member) for member in family.sets]
+    bands = [_membership_index(member) for member in family.sets]
     if omega_sigma.resolved is None:
         tail = _membership_index(theta_ball(p, w_lo + J))
         two_scale_exclusion = tail
@@ -691,8 +693,8 @@ def verify_two_scale(
                 )
             # Band refinement equations.
             if not split:
-                for u, (table, member) in enumerate(zip(bank.m1, members), start=1):
-                    psi_up = member(up)
+                for u, (table, band) in enumerate(zip(bank.m1, bands), start=1):
+                    psi_up = band(up)
                     if phi_here == 0 and psi_up == 0:
                         continue
                     m1_here, m1_hopeless = evaluate(table, cell)

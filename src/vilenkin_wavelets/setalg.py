@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -307,10 +306,6 @@ def _cylinder(p: int, resolution: int, digits: DigitMap) -> Cylinder:
     return c
 
 
-#: Canonical cylinder order: by resolution, then by pinned digits.
-_sort_key = attrgetter("resolution", "digits")
-
-
 class PSet:
     """A finite disjoint union of cylinders in canonical merged, sorted form."""
 
@@ -479,7 +474,7 @@ class PSet:
         # Every piece is a cylinder of one canonical input, and no p
         # siblings can all come from two canonical sets, so only the
         # order needs restoring.
-        return PSet._canonical(self.p, tuple(sorted(out, key=_sort_key)))
+        return PSet._canonical(self.p, tuple(sorted(out, key=Cylinder.sort_key)))
 
     def difference(self, other: "PSet") -> "PSet":
         self._check_other(other)
@@ -521,13 +516,14 @@ class PSet:
         # maps complete sibling families to complete ones, incomplete to
         # incomplete, so canonical form survives up to order.
         translated = (c.translate(t) for c in self.cylinders)
-        return PSet._canonical(self.p, tuple(sorted(translated, key=_sort_key)))
+        return PSet._canonical(self.p, tuple(sorted(translated, key=Cylinder.sort_key)))
 
     def dilate(self, k: int) -> "PSet":
         """Apply the contracting shift k times; measure scales by p**(-k).
 
-        Moving every position by k keeps canonical form and order.  The
-        first cylinder in that order to pass the cap names it in the error.
+        Moving every position by k keeps canonical form and order.  Past
+        MAX_RESOLUTION the error names the first cylinder, in that order,
+        whose dilate passes the cap.
         """
         return PSet._canonical(self.p, tuple(c.dilate(k) for c in self.cylinders))
 

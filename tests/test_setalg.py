@@ -525,10 +525,12 @@ class TestResolutionCapParity:
         s = PSet(2, [Cylinder(2, 3, ((1, 1), (3, 1))), Cylinder(2, 1, ((0, 1),))])
         assert s.refine(3) is s and s.refine(12) is s
         assert s.refine(0, allow_partial=True) is s
-        with pytest.raises(ResolutionCapError, match="^refinement target 2 is coarser than resolution 3$"):
+        coarser = "^refinement target 2 is coarser than resolution 3$"
+        with pytest.raises(ResolutionCapError, match=coarser):
             s.refine(2)
         with pytest.raises(ResolutionCapError, match="^resolution 25 exceeds the cap 24$"):
             s.refine(25)
-        with pytest.raises(ResolutionCapError, match="^refining by 22 positions would produce 4194304 cells$"):
+        too_many = "^refining by 22 positions would produce 4194304 cells$"
+        with pytest.raises(ResolutionCapError, match=too_many):
             unit_cell(2).refine(22)
         assert empty_set(3).refine(999) == empty_set(3)
