@@ -1,8 +1,9 @@
 """Walkthrough: exhaustively enumerating wavelet families in a digit window.
 
 Candidates are unions of resolution-2 cells whose pinned digits sit at
-positions 0..2, one measure-one set per family member.  The verifier
-filters the candidates; for p = 2 that is a 70-candidate search.
+positions 0..2, one measure-one set per family member.  For p = 2 that
+is a 70-candidate search: the walk skips the candidates that provably
+fail, counting them, and the verifier decides the rest.
 """
 
 from vilenkin_wavelets import is_wavelet_set, search_wavelet_sets, shannon_family

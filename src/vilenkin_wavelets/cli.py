@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import DigitError, ParseError, SchemaError, VilenkinError
+from .errors import DigitError, ParseError, ResolutionCapError, SchemaError, VilenkinError
 from .famio import (
     build_report,
     emit_report,
@@ -24,8 +24,14 @@ from .famio import (
     parse_family_file,
     verdict_conditions,
 )
-from .group import check_text_base
-from .mra import accumulate_omega_sigma, build_filters, check_mra_condition, verify_filter_identities
+from .group import check_base, check_text_base
+from .mra import (
+    accumulate_omega_sigma,
+    build_filters,
+    check_identity_level,
+    check_mra_condition,
+    verify_filter_identities,
+)
 from .transform import QuotientGrid, forward, inverse, read_csv, synthesize_wavelet, write_csv
 from .verifier import is_wavelet_set, search_wavelet_sets
 
@@ -99,6 +105,10 @@ def _check_numbers(args) -> None:
     if getattr(args, "extra_range", 0) < 0:
         raise SchemaError(f"--extra-range must be nonnegative, got {args.extra_range}")
     if args.command == "search":
+        try:
+            check_base(args.p)
+        except DigitError as exc:
+            raise SchemaError(f"--p {args.p}: {exc}") from exc
         lo, hi = args.window
         if lo > hi:
             raise SchemaError(f"--window {lo} {hi}: the lower bound exceeds the upper bound")
@@ -210,6 +220,10 @@ def _cmd_filters(args) -> tuple[dict, int]:
         )
         return doc, 1
     bank = build_filters(family, sigma, mra=mra)
+    try:  # the table resolution is known only now
+        check_identity_level(bank, args.level)
+    except ResolutionCapError as exc:
+        raise SchemaError(str(exc)) from exc
     identities = verify_filter_identities(bank, args.level, tolerance=args.tolerance)
     conditions.append(
         {

@@ -82,7 +82,7 @@ def family_from_document(doc: dict, *, where: str = "family file") -> WaveletFam
                     sorted((int(pos), int(d)) for pos, d in digits.items())
                 )
                 cylinders.append(Cylinder(p, int(cyl_json["resolution"]), pairs))
-            except (ValueError, VilenkinError) as exc:
+            except (ValueError, TypeError, OverflowError, VilenkinError) as exc:
                 raise SchemaError(f"{cloc}: {exc}") from exc
         try:
             sets.append(PSet(p, cylinders))

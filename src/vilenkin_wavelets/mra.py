@@ -438,6 +438,17 @@ def _digit_maps(p: int, positions: range):
         yield tuple((pos, d) for pos, d in zip(positions, combo) if d)
 
 
+def check_identity_level(bank: FilterBank, level: int) -> int:
+    """The table resolution the identities are decided at; raise when the
+    identity level is coarser than it."""
+    r = max(bank.resolution, 1)  # the rotation acts at position 1
+    if level < r:
+        raise ResolutionCapError(
+            f"identity level {level} is coarser than the table resolution {r}"
+        )
+    return r
+
+
 def verify_filter_identities(
     bank: FilterBank, level: int, *, tolerance: float = 1e-12
 ) -> FilterIdentityReport:
@@ -455,11 +466,7 @@ def verify_filter_identities(
     them as a witness.
     """
     p = bank.p
-    r = max(bank.resolution, 1)  # the rotation acts at position 1
-    if level < r:
-        raise ResolutionCapError(
-            f"identity level {level} is coarser than the table resolution {r}"
-        )
+    r = check_identity_level(bank, level)
     tables = bank.all_tables()
     exact = all(t.is_binary() for t in tables)
     weight = p ** (level - r)

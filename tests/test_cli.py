@@ -40,6 +40,26 @@ class TestFamilyFiles:
         with pytest.raises(SchemaError, match=r"family\[0\].cylinders\[0\]"):
             parse_family_file(str(bad))
 
+    @pytest.mark.parametrize(
+        "cylinder, message",
+        [
+            ('{"resolution": 1e400, "digits": {"0": 1}}', "cannot convert float infinity"),
+            ('{"resolution": null, "digits": {"0": 1}}', "not 'NoneType'"),
+            ('{"resolution": 0, "digits": {"0": [1]}}', "not 'list'"),
+        ],
+        ids=["overflow", "null-resolution", "list-digit"],
+    )
+    def test_malformed_numbers_exit_two(self, cylinder, message, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"p": 2, "family": [{"name": "omega1", "cylinders": [%s]}]}' % cylinder
+        )
+        with pytest.raises(SchemaError, match=r"family\[0\]\.cylinders\[0\]: "):
+            parse_family_file(str(bad))
+        code = main(["verify", "--p", "2", "--input", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and message in err, err
+
     def test_overlapping_cylinders_rejected(self, tmp_path):
         bad = tmp_path / "overlap.json"
         bad.write_text(
@@ -237,6 +257,20 @@ class TestDeterminism:
         _, report = run_command(argv[:1] + ["--p", "2", "--input", family] + argv[1:])
         golden = (GOLDEN / f"{name}.json").read_bytes()
         assert emit_report(report) == golden
+
+    @pytest.mark.parametrize(
+        "name,window,budget,code",
+        [
+            ("search-p2-w-1_2", ("2", "-1", "2"), [], 0),
+            ("search-p3-w0_1", ("3", "0", "1"), [], 0),
+            ("search-p2-w0_2-budget3", ("2", "0", "2"), ["--budget", "3"], 1),
+        ],
+    )
+    def test_search_golden(self, name, window, budget, code):
+        p, lo, hi = window
+        got, report = run_command(["search", "--p", p, "--window", lo, hi] + budget)
+        assert got == code
+        assert emit_report(report) == (GOLDEN / f"{name}.json").read_bytes()
 
     def test_text_format_renders(self):
         _, report = run_command(
@@ -496,6 +530,30 @@ class TestInputErrorsExitTwo:
         self._fails_with(capsys, argv, message)
 
 
+    def test_filters_level_below_table_resolution(self, capsys, monkeypatch):
+        import vilenkin_wavelets.cli as cli
+
+        def no_identities(*args, **kwargs):
+            raise AssertionError("identities checked before the level")
+
+        monkeypatch.setattr(cli, "verify_filter_identities", no_identities)
+        self._fails_with(
+            capsys,
+            ["filters", "--p", "2", "--input", "families/shannon2.json", "--level", "0"],
+            "identity level 0 is coarser than the table resolution 1",
+        )
+
+    @pytest.mark.parametrize("p", ["1", "0", "256"])
+    def test_search_base_out_of_range(self, p, capsys, monkeypatch):
+        import vilenkin_wavelets.cli as cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("search started before the base was checked")
+
+        monkeypatch.setattr(cli, "search_wavelet_sets", no_work)
+        self._fails_with(capsys, ["search", "--p", p, "--window", "0", "1"], f"--p {p}: base")
+
+
 class TestSearchCommand:
     def test_search_finds_shannon(self):
         code, report = run_command(["search", "--p", "2", "--window", "0", "2"])
@@ -508,6 +566,44 @@ class TestSearchCommand:
             ],
         }
         assert shannon_doc in docs
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--p", "2", "--window", "-30", "30", "--budget", "5"],
+             "search window -30..30 holds 2**61 atoms, more than the cap 2000000"),
+            (["--p", "2", "--window", "-3", "6"],
+             "search window -3..6 has up to 16**64 transversal families, "
+             "more than the cap 2000000; give a budget"),
+            (["--p", "13", "--window", "0", "0"],
+             "search window 0..0 has up to 13**12 transversal families"),
+        ],
+        ids=["atoms", "transversals", "members"],
+    )
+    def test_preflight_bound_exits_one_before_atoms(self, argv, message, capsys, monkeypatch):
+        import vilenkin_wavelets.verifier as verifier
+
+        def no_atoms(*args, **kwargs):
+            raise AssertionError("atoms built before the bound was checked")
+
+        monkeypatch.setattr(verifier, "_window_cell", no_atoms)
+        monkeypatch.setattr(verifier.itertools, "product", no_atoms)
+        code = main(["search"] + argv)
+        err = capsys.readouterr().err
+        assert code == 1 and err.count("\n") == 1 and message in err, err
+
+    def test_budget_lifts_the_transversal_bound(self):
+        code, report = run_command(
+            ["search", "--p", "2", "--window", "-3", "6", "--budget", "1000"]
+        )
+        measures = report["conditions"][0]["measures"]
+        assert code == 1 and report["verdict"] == "INCONCLUSIVE"
+        assert measures == {"examined": 1000, "found": 0, "exhausted": True}
+
+    def test_window_below_resolution_zero_has_no_candidates(self):
+        code, report = run_command(["search", "--p", "2", "--window", "-2", "-1"])
+        measures = report["conditions"][0]["measures"]
+        assert code == 0 and measures == {"examined": 0, "found": 0, "exhausted": False}
 
 
 class TestMainEntryPoint:

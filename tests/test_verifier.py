@@ -1,14 +1,18 @@
+import functools
 import itertools
+import math
 import random
 
 import pytest
 
 from vilenkin_wavelets.errors import FamilyArityError
 from vilenkin_wavelets.group import from_digits
-from vilenkin_wavelets.setalg import Cylinder, PSet, annulus, theta_ball, unit_cell
+from vilenkin_wavelets.setalg import Cylinder, PSet, _truncate, annulus, theta_ball, unit_cell
 from vilenkin_wavelets.verifier import (
     WaveletFamily,
+    _comb_upto,
     _cover_defects,
+    _window_cell,
     check_dilation_tiling,
     check_measure_one,
     check_translation_congruence,
@@ -17,6 +21,8 @@ from vilenkin_wavelets.verifier import (
     search_wavelet_sets,
     shannon_family,
 )
+
+from perfbench import searchref
 
 from .mutants import CONGRUENCE, MEASURE, TILING, all_mutants
 from .oracle import CellSet, oracle_is_wavelet_set
@@ -405,3 +411,155 @@ class TestCoverDefects:
         assert refine_calls == [(-1, 0)]
         assert len(parts) == 3
         assert all(shifted == unit_cell(3) for _, _, shifted in parts)
+
+
+# -- transversal search against the enumeration it replaced ---------------------------
+
+SEARCH_WINDOWS = searchref.WINDOWS + [(2, 0, 2), (2, 0, 0), (3, 0, 0), (2, 1, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def old_candidates(p, lo, hi):
+    """Every candidate of the search before the transversal walk, in its
+    order, as (atoms of each member, whether is_wavelet_set passes it)."""
+    atoms = [
+        tuple((pos, d) for pos, d in zip(range(lo, hi + 1), combo) if d)
+        for combo in itertools.product(range(p), repeat=hi - lo + 1)
+    ]
+    per_set = p**hi
+
+    def candidates(pool, chosen):
+        if len(chosen) == p - 1:
+            yield tuple(chosen)
+            return
+        for combo in itertools.combinations(pool, per_set):
+            remaining = tuple(a for a in pool if a not in set(combo))
+            chosen.append(combo)
+            yield from candidates(remaining, chosen)
+            chosen.pop()
+
+    out = []
+    if per_set * (p - 1) <= len(atoms):
+        names = tuple(f"omega{u}" for u in range(1, p))
+        for candidate in candidates(tuple(atoms), []):
+            sets = tuple(PSet.from_cells(p, hi, maps) for maps in candidate)
+            out.append((candidate, is_wavelet_set(WaveletFamily(p, names, sets)).overall))
+    return tuple(out)
+
+
+def old_search(p, lo, hi, budget=None):
+    """(examined, exhausted, found member sets) as the old loop gave them."""
+    found, examined, exhausted = [], 0, False
+    for candidate, passed in old_candidates(p, lo, hi):
+        if budget is not None and examined >= budget:
+            exhausted = True
+            break
+        examined += 1
+        if passed:
+            found.append(tuple(PSet.from_cells(p, hi, maps) for maps in candidate))
+    return examined, exhausted, found
+
+
+def cylinders(sets_list):
+    return [[s.cylinders for s in sets] for sets in sets_list]
+
+
+class TestTransversalSearch:
+    @pytest.mark.parametrize("p,lo,hi", SEARCH_WINDOWS)
+    def test_matches_old_search_at_every_budget(self, p, lo, hi):
+        total = len(old_candidates(p, lo, hi))
+        gen = random.Random(7000 + 100 * p + 10 * lo + hi)
+        budgets = {None, 0, 1, 2, max(total - 1, 0), total, total + 1}
+        budgets |= {gen.randint(0, total + 1) for _ in range(5)}
+        for budget in budgets:
+            examined, exhausted, found = old_search(p, lo, hi, budget)
+            result = search_wavelet_sets(p, (lo, hi), budget=budget)
+            assert (result.examined, result.exhausted) == (examined, exhausted), budget
+            assert cylinders(f.sets for f in result.families) == cylinders(found), budget
+
+    @pytest.mark.parametrize("p,lo,hi", SEARCH_WINDOWS)
+    def test_decider_sees_exactly_the_families_that_verify(self, p, lo, hi, monkeypatch):
+        # The pruning rules and the weight test are exact: is_wavelet_set
+        # is called on every candidate that verifies and on no other.
+        import vilenkin_wavelets.verifier as verifier
+
+        decided = []
+
+        def recording(family, *args, **kwargs):
+            decided.append(family.sets)
+            return is_wavelet_set(family, *args, **kwargs)
+
+        monkeypatch.setattr(verifier, "is_wavelet_set", recording)
+        search_wavelet_sets(p, (lo, hi))
+        assert cylinders(decided) == cylinders(old_search(p, lo, hi)[2])
+
+    @pytest.mark.parametrize("p,lo,hi", [(2, -2, 2), (3, -1, 1)])
+    def test_decider_sees_only_families_that_verify(self, p, lo, hi, monkeypatch):
+        # Windows too large for the old search (35,960 and 5,920,200
+        # candidates); with p = 3 a later member can pick an atom whose
+        # shell key contains an earlier member's key.
+        import vilenkin_wavelets.verifier as verifier
+
+        verdicts = []
+
+        def recording(family, *args, **kwargs):
+            report = is_wavelet_set(family, *args, **kwargs)
+            verdicts.append(report.overall)
+            return report
+
+        monkeypatch.setattr(verifier, "is_wavelet_set", recording)
+        result = search_wavelet_sets(p, (lo, hi))
+        assert verdicts == [True] * len(result.families) and result.families
+
+    @pytest.mark.parametrize("p,lo,hi", [(2, 0, 2), (2, -1, 1), (3, -1, 0)])
+    def test_pruning_rules_decide_every_candidate(self, p, lo, hi):
+        # The rules as stated, on each candidate: no zero atom, each member
+        # a transversal of the fractional classes, no two nesting shell
+        # keys, and shell keys that fill the shell by weight.
+        shell = (p - 1) * p ** (hi - lo)
+        for candidate, passed in old_candidates(p, lo, hi):
+            atoms = [x for member in candidate for x in member]
+            if not all(atoms):
+                assert not passed
+                continue
+            transversal = all(
+                len({tuple(pd for pd in x if pd[0] > 0) for x in member}) == len(member)
+                for member in candidate
+            )
+            keys = [(hi - x[0][0], tuple((pos - x[0][0], d) for pos, d in x)) for x in atoms]
+            nested = any(
+                i != j and a[0] <= b[0] and _truncate(b[1], a[0]) == a[1]
+                for i, a in enumerate(keys)
+                for j, b in enumerate(keys)
+            )
+            weight = sum(p ** (x[0][0] - lo) for x in atoms)
+            assert (transversal and not nested and weight == shell) == passed
+
+    @pytest.mark.parametrize("p,lo,hi", [(2, -2, 1), (3, -1, 0), (5, 0, 0)])
+    def test_window_cells_in_product_order(self, p, lo, hi):
+        cells = [
+            tuple((pos, d) for pos, d in zip(range(lo, hi + 1), combo) if d)
+            for combo in itertools.product(range(p), repeat=hi - lo + 1)
+        ]
+        assert [_window_cell(p, lo, hi, i) for i in range(len(cells))] == cells
+
+    def test_capped_binomials(self):
+        for n in range(0, 14):
+            for k in range(-1, n + 3):
+                exact = math.comb(n, k) if k >= 0 else 0
+                for cap in (1, 2, 7, 100, math.inf):
+                    assert _comb_upto(n, k, cap) == min(exact, cap), (n, k, cap)
+
+    def test_huge_budgeted_window_counts_without_huge_binomials(self):
+        # comb(2**20, 2**19) alone takes seconds; the capped counts do not.
+        result = search_wavelet_sets(2, (0, 19), budget=10)
+        assert (result.examined, result.exhausted, result.families) == (10, True, [])
+
+    @pytest.mark.parametrize("window", [(-2, -1), (2, 3), (5, 40)])
+    def test_windows_without_candidates(self, window, monkeypatch):
+        import vilenkin_wavelets.verifier as verifier
+
+        monkeypatch.setattr(verifier, "_window_cell", None)
+        for budget in (None, 0, 3):
+            result = search_wavelet_sets(2, window, budget=budget)
+            assert (result.examined, result.exhausted, result.families) == (0, False, [])
