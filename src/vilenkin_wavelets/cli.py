@@ -76,24 +76,18 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--samples", required=True, help="CSV output path")
 
     t = sub.add_parser("transform", help="forward/inverse transform of a CSV signal")
-    t.add_argument("--p", type=int, required=True)
+    common(t, needs_input=False)
     t.add_argument("--grid", type=int, nargs=2, metavar=("M", "N"), required=True)
     t.add_argument("--direction", choices=("forward", "inverse"), default="forward")
     t.add_argument("--input", required=True, help="CSV signal path")
     t.add_argument("--samples", required=True, help="CSV output path")
-    t.add_argument("--output", help="write the report to this file")
-    t.add_argument("--format", choices=("json", "text"), default="json")
-    t.add_argument("--timing", action="store_true")
     t.add_argument("--tolerance", type=float, default=1e-10)
 
     q = sub.add_parser("search", help="enumerate wavelet families in a digit window")
-    q.add_argument("--p", type=int, required=True)
+    common(q, needs_input=False)
     q.add_argument("--window", type=int, nargs=2, metavar=("LO", "HI"), required=True)
     q.add_argument("--resolution", type=int, default=None)
     q.add_argument("--budget", type=int, default=None)
-    q.add_argument("--output", help="write the report to this file")
-    q.add_argument("--format", choices=("json", "text"), default="json")
-    q.add_argument("--timing", action="store_true")
 
     return parser
 
@@ -158,7 +152,7 @@ def _mra_condition_json(mra) -> dict:
                 {
                     "lattice_index": row.lattice_index,
                     "measure": measure_json(row.measure),
-                    "expected": row.expected(mra.depth),
+                    "expected": row.expected(),
                 }
                 for row in mra.rows
             ],
@@ -166,57 +160,55 @@ def _mra_condition_json(mra) -> dict:
     }
 
 
-def _cmd_mra(args) -> tuple[dict, int]:
+def _spectrum_stage(args):
+    """Load and verify the family, then decide the scaling-spectrum criterion.
+
+    Returns (report conditions so far, family, spectrum, criterion report);
+    the last two are None when the family does not verify.
+    """
     family = _load_family(args)
     verdict_report = is_wavelet_set(family)
     conditions = verdict_conditions(verdict_report)
-    params = {"p": args.p, "input": args.input, "depth": args.depth}
     if not verdict_report.overall:
-        doc = build_report(
-            version=__version__, command="mra", parameters=params,
-            verdict="FAIL", conditions=conditions,
-        )
-        return doc, 1
+        return conditions, family, None, None
     sigma = accumulate_omega_sigma(family, args.depth, verdict=verdict_report)
     mra = check_mra_condition(sigma)
     conditions.append(_mra_condition_json(mra))
-    verdict = mra.status
-    doc = build_report(
-        version=__version__, command="mra", parameters=params,
-        verdict=verdict, conditions=conditions,
-        extra={
+    return conditions, family, sigma, mra
+
+
+def _cmd_mra(args) -> tuple[dict, int]:
+    params = {"p": args.p, "input": args.input, "depth": args.depth}
+    conditions, _, sigma, mra = _spectrum_stage(args)
+    if mra is None:
+        verdict, extra = "FAIL", None
+    else:
+        verdict = mra.status
+        extra = {
             "spectrum": {
                 "depth": sigma.depth,
                 "tail_bound": measure_json(sigma.tail_bound()),
                 "truncated_measure": measure_json(sigma.truncated.measure()),
                 "self_similar_tail_resolved": sigma.self_similar_tail_resolved,
             }
-        },
+        }
+    doc = build_report(
+        version=__version__, command="mra", parameters=params,
+        verdict=verdict, conditions=conditions, extra=extra,
     )
     return doc, 0 if verdict == "PASS" else 1
 
 
 def _cmd_filters(args) -> tuple[dict, int]:
-    family = _load_family(args)
-    verdict_report = is_wavelet_set(family)
     params = {
         "p": args.p, "input": args.input, "depth": args.depth,
         "level": args.level, "tolerance": args.tolerance,
     }
-    conditions = verdict_conditions(verdict_report)
-    if not verdict_report.overall:
+    conditions, family, sigma, mra = _spectrum_stage(args)
+    if mra is None or not mra.passed:
         doc = build_report(
             version=__version__, command="filters", parameters=params,
-            verdict="FAIL", conditions=conditions,
-        )
-        return doc, 1
-    sigma = accumulate_omega_sigma(family, args.depth, verdict=verdict_report)
-    mra = check_mra_condition(sigma)
-    conditions.append(_mra_condition_json(mra))
-    if not mra.passed:
-        doc = build_report(
-            version=__version__, command="filters", parameters=params,
-            verdict=mra.status, conditions=conditions,
+            verdict="FAIL" if mra is None else mra.status, conditions=conditions,
         )
         return doc, 1
     bank = build_filters(family, sigma, mra=mra)

@@ -47,6 +47,15 @@ def load_family_document(path: str) -> dict:
     return doc
 
 
+def _json_int(value) -> int:
+    """A JSON integer.  int() names what is wrong with a value that is no
+    number at all; a bool, a float or a string is refused, not truncated."""
+    number = int(value)
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return number
+
+
 def family_from_document(doc: dict, *, where: str = "family file") -> WaveletFamily:
     if "p" not in doc:
         raise SchemaError(f"{where}: missing field 'p'")
@@ -79,9 +88,9 @@ def family_from_document(doc: dict, *, where: str = "family file") -> WaveletFam
                 raise SchemaError(f"{cloc}.digits must be an object")
             try:
                 pairs = tuple(
-                    sorted((int(pos), int(d)) for pos, d in digits.items())
+                    sorted((int(pos), _json_int(d)) for pos, d in digits.items())
                 )
-                cylinders.append(Cylinder(p, int(cyl_json["resolution"]), pairs))
+                cylinders.append(Cylinder(p, _json_int(cyl_json["resolution"]), pairs))
             except (ValueError, TypeError, OverflowError, VilenkinError) as exc:
                 raise SchemaError(f"{cloc}: {exc}") from exc
         try:
@@ -119,11 +128,11 @@ def save_family_file(family: WaveletFamily, path: str) -> None:
 # -- reports -----------------------------------------------------------------------
 
 
-def condition_json(record: ConditionRecord, *, exact: bool = True) -> dict:
+def condition_json(record: ConditionRecord) -> dict:
     return {
         "name": record.name,
         "passed": record.passed,
-        "exact": exact,
+        "exact": True,
         "witnesses": record.witnesses,
         "measures": record.details,
     }
@@ -141,7 +150,6 @@ def build_report(
     verdict: str,
     conditions: list[dict],
     extra: dict | None = None,
-    timing: float | None = None,
 ) -> dict:
     report: dict[str, Any] = {
         "tool": TOOL_NAME,
@@ -153,7 +161,7 @@ def build_report(
     }
     if extra:
         report.update(extra)
-    report["timing"] = timing
+    report["timing"] = None  # filled in by --timing
     return report
 
 

@@ -29,8 +29,7 @@ from .setalg import (
     DigitMap,
     Measure,
     PSet,
-    _keys_by_resolution,
-    _prefix_in,
+    _NestingIndex,
     empty_set,
     theta_ball,
 )
@@ -139,7 +138,7 @@ class MraRow:
     lattice_index: int
     measure: Measure
 
-    def expected(self, depth: int) -> str:
+    def expected(self) -> str:
         return "1-p^-J" if self.lattice_index == 0 else "0"
 
 
@@ -195,42 +194,33 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
     T = omega_sigma.truncated
     rows: list[MraRow] = []
     witnesses: list[dict] = []
-    failures = 0
 
-    for n in _translation_candidates(T, p):
-        if n.is_identity:
-            rows.append(MraRow(0, T.measure()))
-            continue
-        overlap = T.intersect(T.translate(n))
-        m = overlap.measure()
-        rows.append(MraRow(lambda_encode(n), m))
-        if m > 0:
-            failures += 1
-            witnesses.append(
-                {
+    # The truncation's table, then the overlaps of the exact spectrum when
+    # the tail is resolved; identity rows overlap by definition.
+    exact = omega_sigma.resolved if omega_sigma.self_similar_tail_resolved else None
+    passes = [(T, False)] if exact is None else [(T, False), (exact, True)]
+    for S, tail in passes:
+        for n in _translation_candidates(S, p):
+            if n.is_identity:
+                if not tail:
+                    rows.append(MraRow(0, S.measure()))
+                continue
+            overlap = S.intersect(S.translate(n))
+            m = overlap.measure()
+            if not tail:
+                rows.append(MraRow(lambda_encode(n), m))
+            if m > 0:
+                witness = {
                     "lattice_index": lambda_encode(n),
                     "measure": m.exact_string(),
                     "cell": min(overlap.cylinders, key=Cylinder.sort_key).to_json(),
                 }
-            )
+                if tail:
+                    witness["tail"] = True
+                witnesses.append(witness)
 
     certification: str | None = None
-    if omega_sigma.self_similar_tail_resolved and omega_sigma.resolved is not None:
-        S = omega_sigma.resolved
-        for n in _translation_candidates(S, p):
-            if n.is_identity:
-                continue
-            overlap = S.intersect(S.translate(n))
-            if not overlap.is_empty:
-                failures += 1
-                witnesses.append(
-                    {
-                        "lattice_index": lambda_encode(n),
-                        "measure": overlap.measure().exact_string(),
-                        "cell": min(overlap.cylinders, key=Cylinder.sort_key).to_json(),
-                        "tail": True,
-                    }
-                )
+    if exact is not None:
         certification = "self-similar-fixed-point"
     else:
         # 2 p^-J below the family cell measure closes the tolerance band;
@@ -243,7 +233,7 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
         if threshold and omega_sigma.depth >= sound_depth:
             certification = "depth-threshold"
 
-    if failures:
+    if witnesses:
         status = "FAIL"
         certified = True
     elif certification is not None:
@@ -566,35 +556,17 @@ class TwoScaleReport:
 def _membership_index(s: PSet):
     """Where cells lie relative to s, answered from truncated digit keys.
 
-    Returns a function of a cell: 1 if the cell is inside s (its digits
-    truncated to some member's resolution are that member's), None if it
-    straddles s (its key is a truncation of a finer member), else 0.
-    The empty digit map is a member's truncation at every resolution
-    below its first pinned position (its resolution if it pins none), so
-    cells pinning no digit straddle exactly below the largest such
-    position; every other truncation is stored.
+    Returns a function of a cell: 1 if the cell is inside s (a cylinder
+    of s contains it), None if it straddles s (it strictly contains a
+    cylinder of s and lies inside none), else 0.
     """
-    levels = _keys_by_resolution(s.cylinders)
-    prefixes: set[tuple[int, DigitMap]] = set()
-    empty_below = None
-    for c in s.cylinders:
-        digits = c.digits
-        first = digits[0][0] if digits else c.resolution
-        if empty_below is None or first > empty_below:
-            empty_below = first
-        i = 0
-        for q in range(first, c.resolution):
-            while i < len(digits) and digits[i][0] <= q:
-                i += 1
-            prefixes.add((q, digits[:i]))
+    index = _NestingIndex(s.cylinders)
+    covers, straddled = index.covers, index.straddled
 
     def locate(cell: Cylinder) -> int | None:
-        q, digits = cell.resolution, cell.digits
-        if _prefix_in(digits, q, levels):
+        if covers(cell.digits, cell.resolution):
             return 1
-        if digits:
-            return None if (q, digits) in prefixes else 0
-        return None if empty_below is not None and q < empty_below else 0
+        return None if straddled(cell.resolution, cell.digits) else 0
 
     return locate
 

@@ -35,10 +35,9 @@ MAX_REFINE_CELLS = 2_000_000
 DigitMap = tuple[tuple[int, int], ...]
 
 
-def _check_resolution(L: int, max_resolution: int | None = None) -> None:
-    cap = MAX_RESOLUTION if max_resolution is None else max_resolution
-    if L > cap:
-        raise ResolutionCapError(f"resolution {L} exceeds the cap {cap}")
+def _check_resolution(L: int) -> None:
+    if L > MAX_RESOLUTION:
+        raise ResolutionCapError(f"resolution {L} exceeds the cap {MAX_RESOLUTION}")
 
 
 def _check_refinement(p: int, resolution: int, L: int) -> None:
@@ -463,14 +462,11 @@ class PSet:
         return PSet(self.p, self.cylinders + extra.cylinders, validate=False)
 
     def intersect(self, other: "PSet") -> "PSet":
-        # A pair intersects iff the finer cylinder's pinned digits restrict
-        # to the coarser one's, so hash lookups on truncated digit maps
-        # find every intersecting pair without a quadratic scan.
         self._check_other(other)
-        mine = _keys_by_resolution(self.cylinders)
-        theirs = _keys_by_resolution(other.cylinders)
-        out = [b for b in other.cylinders if _prefix_in(b.digits, b.resolution, mine)]
-        out.extend(a for a in self.cylinders if _prefix_in(a.digits, a.resolution - 1, theirs))
+        mine = _NestingIndex(self.cylinders)
+        theirs = _NestingIndex(other.cylinders)
+        out = [b for b in other.cylinders if mine.covers(b.digits, b.resolution)]
+        out.extend(a for a in self.cylinders if theirs.covers(a.digits, a.resolution - 1))
         # Every piece is a cylinder of one canonical input, and no p
         # siblings can all come from two canonical sets, so only the
         # order needs restoring.
@@ -478,26 +474,10 @@ class PSet:
 
     def difference(self, other: "PSet") -> "PSet":
         self._check_other(other)
-        theirs = _keys_by_resolution(other.cylinders)
-        own_resolutions = sorted({c.resolution for c in self.cylinders})
-        inner: dict[int, dict] = {r: {} for r in own_resolutions}
-        for b in other.cylinders:
-            for r in own_resolutions:
-                if r < b.resolution:
-                    inner[r].setdefault(_truncate(b.digits, r), []).append(b)
-        out = []
-        for a in self.cylinders:
-            if _prefix_in(a.digits, a.resolution, theirs):
-                continue
-            pieces = [a]
-            for b in inner[a.resolution].get(a.digits, ()):
-                pieces = [
-                    shard
-                    for piece in pieces
-                    for shard in _cylinder_difference(piece, b)
-                ]
-            out.extend(pieces)
-        return PSet(self.p, out, validate=False)
+        parts = _NestingIndex(other.cylinders).outside(
+            self.p, [(c.resolution, c.digits) for c in self.cylinders]
+        )
+        return PSet(self.p, (_cylinder(self.p, r, d) for r, d in parts), validate=False)
 
     def is_subset_ae(self, other: "PSet") -> bool:
         return self.difference(other).is_empty
@@ -549,47 +529,78 @@ def _truncate(digits: DigitMap, resolution: int) -> DigitMap:
     return digits[:i]
 
 
-def _keys_by_resolution(cylinders) -> list[tuple[int, set]]:
-    """(resolution, digit maps of the cylinders there) pairs, coarsest first."""
-    out: dict[int, set] = {}
-    for c in cylinders:
-        out.setdefault(c.resolution, set()).add(c.digits)
-    return sorted(out.items())
+class _NestingIndex:
+    """Where cells lie relative to some stored cylinders, from truncated keys.
 
-
-def _prefix_in(digits: DigitMap, top: int, levels: list[tuple[int, set]]) -> bool:
-    """Whether the digits truncated to some level r <= top are among r's keys.
-
-    Levels come from _keys_by_resolution; one pass over the sorted digits
-    yields every truncation.
+    Two cylinders are nested or disjoint, and the coarser one's digits are
+    the finer one's truncated to its resolution, so every question below
+    is a lookup of truncated digit maps, never a comparison of cylinder
+    pairs.  The stored cylinders may repeat or nest.
     """
-    i, n = 0, len(digits)
-    for r, keys in levels:
-        if r > top:
-            break
-        while i < n and digits[i][0] <= r:
-            i += 1
-        if digits[:i] in keys:
-            return True
-    return False
 
+    __slots__ = ("at", "levels", "inner")
 
-def _cylinder_difference(a: Cylinder, b: Cylinder) -> list[Cylinder]:
-    """a minus b as disjoint cylinders, splitting only toward b."""
-    rel = a.relation(b)
-    if rel == "disjoint":
-        return [a]
-    if rel in ("within", "equal"):
-        return []
-    # b sits strictly inside a: exactly one child of a contains it.
-    out: list[Cylinder] = []
-    for child in a.refine_to(a.resolution + 1):
-        child_rel = child.relation(b)
-        if child_rel == "disjoint":
-            out.append(child)
-        else:
-            out.extend(_cylinder_difference(child, b))
-    return out
+    def __init__(self, cylinders: Iterable[Cylinder]):
+        at: dict[int, set[DigitMap]] = {}
+        for c in cylinders:
+            at.setdefault(c.resolution, set()).add(c.digits)
+        self.at = at
+        self.levels = sorted(at.items())
+        # inner[q]: the stored digit maps finer than q truncated to q,
+        # filled in per resolution on first use.
+        self.inner: dict[int, set[DigitMap]] = {}
+
+    def covers(self, digits: DigitMap, top: int) -> bool:
+        """Whether a stored cylinder of resolution <= top contains the cell
+        with these digits (whose resolution is at least top).
+
+        One pass over the sorted digits yields every truncation.
+        """
+        i, n = 0, len(digits)
+        for r, keys in self.levels:
+            if r > top:
+                break
+            while i < n and digits[i][0] <= r:
+                i += 1
+            if digits[:i] in keys:
+                return True
+        return False
+
+    def straddled(self, q: int, digits: DigitMap) -> bool:
+        """Whether the resolution-q cell with these digits strictly contains
+        a stored cylinder.  The empty digit map is the truncation of every
+        stored cylinder that pins nothing at or below q."""
+        inner = self.inner.get(q)
+        if inner is None:
+            inner = self.inner[q] = {
+                _truncate(key, q) for r, keys in self.levels if r > q for key in keys
+            }
+        return digits in inner
+
+    def outside(
+        self, p: int, keys: Iterable[tuple[int, DigitMap]]
+    ) -> list[tuple[int, DigitMap]]:
+        """The parts of the given (resolution, digits) cells that no stored
+        cylinder meets, as cylinder keys, split only toward stored cylinders.
+
+        Below a cell that no stored cylinder covers, only a stored key
+        equal to a part can cover it, so that check is one set lookup.
+        """
+        out = []
+        for r, digits in keys:
+            if self.covers(digits, r):
+                continue
+            stack = [(r, digits)]
+            while stack:
+                r, digits = stack.pop()
+                if digits in self.at.get(r, ()):
+                    continue
+                if self.straddled(r, digits):
+                    stack.append((r + 1, digits))
+                    stack.extend((r + 1, digits + ((r + 1, d),)) for d in range(1, p))
+                else:
+                    out.append((r, digits))
+        return out
 
 
 def _parent(key: tuple[int, DigitMap]) -> tuple[int, DigitMap]:

@@ -33,8 +33,8 @@ from .group import (
     lambda_decode,
     parse_element,
 )
-from .setalg import Cylinder, PSet, unit_cell
-from .verifier import WaveletFamily, _cover_defects, congruence_partition
+from .setalg import Cylinder, PSet
+from .verifier import WaveletFamily, congruence_defects
 
 _NORM_RTOL = 1e-9
 
@@ -422,8 +422,7 @@ class TranslateOrthonormalityReport:
 def translate_orthonormality_exact(pset: PSet) -> TranslateOrthonormalityReport:
     """Exact unit-energy check: lattice translates of the set must cover
     the unit cell exactly once."""
-    parts = congruence_partition(pset)
-    res, defects = _cover_defects(unit_cell(pset.p), [t for _, _, t in parts])
+    _, res, defects = congruence_defects(pset)
     failing = [
         {"cell": Cylinder(pset.p, res, cell).to_json(), "count": got}
         for cell, got in defects

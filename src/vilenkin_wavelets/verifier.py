@@ -29,7 +29,7 @@ from .setalg import (
     DigitMap,
     Measure,
     PSet,
-    _truncate,
+    _NestingIndex,
     annulus,
     unit_cell,
 )
@@ -143,48 +143,33 @@ def _cover_defects(
     cylinders are nested or disjoint, so when no piece cylinder lies
     inside another the pieces cover the target exactly once iff their
     measures add up to its measure.  Only on failure are cells listed,
-    and only witnesses: the cells of each overlapping cylinder, and the
-    gaps found by descending from the target through the cylinders that
-    strictly contain a piece cylinder.
+    and only witnesses: the cells of each overlapping cylinder, counted by
+    the pieces that cover them, and the cells of the target's parts
+    outside every piece.
     """
     p = target.p
     keys = Counter((c.resolution, c.digits) for piece in pieces for c in piece.cylinders)
-    by_res: dict[int, set] = {}
-    for r, digits in keys:
-        by_res.setdefault(r, set()).add(digits)
-    res = max([0, target.max_resolution] + list(by_res))
+    index = _NestingIndex(c for piece in pieces for c in piece.cylinders)
+    res = max([0, target.max_resolution] + [r for r, _ in keys])
 
     overlapping = [
-        (r, digits)
-        for (r, digits), m in keys.items()
-        if m > 1
-        or any(q < r and _truncate(digits, q) in found for q, found in by_res.items())
+        (r, digits) for (r, digits), m in keys.items() if m > 1 or index.covers(digits, r - 1)
     ]
     covered = sum(m * p ** (res - r) for (r, _), m in keys.items())
     if not overlapping and covered == sum(p ** (res - c.resolution) for c in target.cylinders):
         return res, []
 
     defects: dict[DigitMap, int] = {}
+    by_piece = [_NestingIndex(piece.cylinders) for piece in pieces] if overlapping else []
     for r, digits in overlapping:
         for cell in Cylinder(p, r, digits).refine_to(res):
             if cell.digits not in defects:
-                defects[cell.digits] = sum(
-                    keys[(q, _truncate(cell.digits, q))] for q in by_res
-                )
+                defects[cell.digits] = sum(ix.covers(cell.digits, res) for ix in by_piece)
 
-    lo = min((c.resolution for c in target.cylinders), default=0)
-    inner = {(q, _truncate(digits, q)) for r, digits in keys for q in range(lo, r)}
-    stack = [(c.resolution, c.digits) for c in target.cylinders]
-    while stack:
-        r, digits = stack.pop()
-        if (r, digits) in keys:
-            continue
-        if (r, digits) in inner:
-            stack.append((r + 1, digits))
-            stack.extend((r + 1, digits + ((r + 1, d),)) for d in range(1, p))
-        else:
-            for cell in Cylinder(p, r, digits).refine_to(res):
-                defects[cell.digits] = 0
+    gaps = index.outside(p, [(c.resolution, c.digits) for c in target.cylinders])
+    for r, digits in gaps:
+        for cell in Cylinder(p, r, digits).refine_to(res):
+            defects[cell.digits] = 0
     return res, sorted(defects.items())
 
 
@@ -295,15 +280,28 @@ def congruence_partition(s: PSet) -> list[tuple[GroupElement, PSet, PSet]]:
     return out
 
 
+def congruence_defects(
+    s: PSet,
+) -> tuple[list[tuple[GroupElement, PSet, PSet]], int, list[tuple[DigitMap, int]]]:
+    """Decide whether the lattice translates of s cover the unit cell once.
+
+    Returns the congruence partition of s together with the cell
+    resolution and the sorted (cell, count) pairs of the unit cell that
+    the translated pieces do not cover exactly once (none when s is
+    congruent to the unit cell).
+    """
+    parts = congruence_partition(s)
+    res, defects = _cover_defects(unit_cell(s.p), [t for _, _, t in parts])
+    return parts, res, defects
+
+
 def check_translation_congruence(family: WaveletFamily) -> tuple[ConditionRecord, list[dict]]:
     p = family.p
     witnesses: list[dict] = []
     certificate: list[dict] = []
-    cell = unit_cell(p)
 
     for name, s in zip(family.names, family.sets):
-        parts = congruence_partition(s)
-        res, defects = _cover_defects(cell, [t for _, _, t in parts])
+        parts, res, defects = congruence_defects(s)
         witnesses.extend(
             {
                 "kind": "translate-overlap" if got > 1 else "cover-gap",
@@ -508,7 +506,9 @@ def _walk_transversals(
             else:
                 m = x[0][0]
                 digits = tuple((pos - m, d) for pos, d in x)
-                chain = tuple((q, _truncate(digits, q)) for q in range(hi - m + 1))
+                chain = tuple(
+                    (q, tuple(pd for pd in digits if pd[0] <= q)) for q in range(hi - m + 1)
+                )
                 seen[i] = (x, frac, chain[-1], chain, p ** (m - lo))
         return seen[i]
 

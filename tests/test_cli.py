@@ -60,6 +60,36 @@ class TestFamilyFiles:
         err = capsys.readouterr().err
         assert code == 2 and err.count("\n") == 1 and message in err, err
 
+    @pytest.mark.parametrize(
+        "cylinder, message",
+        [
+            ('{"resolution": 0.9, "digits": {"0": 1}}', "got 0.9"),
+            ('{"resolution": 0, "digits": {"0": 1.7}}', "got 1.7"),
+            ('{"resolution": 0, "digits": {"0": 1.0}}', "got 1.0"),
+            ('{"resolution": 0.9, "digits": {"0": 1.7}}', "got 1.7"),
+            ('{"resolution": true, "digits": {"0": 1}}', "got true"),
+            ('{"resolution": 0, "digits": {"0": true}}', "got true"),
+            ('{"resolution": "0", "digits": {"0": 1}}', 'got "0"'),
+            ('{"resolution": 0, "digits": {"0": "1"}}', 'got "1"'),
+        ],
+        ids=[
+            "float-resolution", "float-digit", "integral-float-digit", "float-both",
+            "bool-resolution", "bool-digit", "string-resolution", "string-digit",
+        ],
+    )
+    def test_non_integer_numbers_exit_two(self, cylinder, message, tmp_path, capsys):
+        # Each of these once truncated or coerced to the Shannon cylinder
+        # {"resolution": 0, "digits": {"0": 1}} and verified as PASS.
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"p": 2, "family": [{"name": "omega1", "cylinders": [%s]}]}' % cylinder
+        )
+        with pytest.raises(SchemaError, match=r"family\[0\]\.cylinders\[0\]: "):
+            parse_family_file(str(bad))
+        code = main(["verify", "--p", "2", "--input", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and message in err, err
+
     def test_overlapping_cylinders_rejected(self, tmp_path):
         bad = tmp_path / "overlap.json"
         bad.write_text(

@@ -12,6 +12,7 @@ from vilenkin_wavelets.setalg import (
     Measure,
     PSet,
     _merge_siblings,
+    _NestingIndex,
     _truncate,
     annulus,
     empty_set,
@@ -534,3 +535,175 @@ class TestResolutionCapParity:
         with pytest.raises(ResolutionCapError, match=too_many):
             unit_cell(2).refine(22)
         assert empty_set(3).refine(999) == empty_set(3)
+
+
+# -- the nesting index ------------------------------------------------------------
+
+
+def old_cylinder_difference(a, b):
+    """a minus b as disjoint cylinders, splitting only toward b."""
+    rel = a.relation(b)
+    if rel == "disjoint":
+        return [a]
+    if rel in ("within", "equal"):
+        return []
+    out = []
+    for child in a.refine_to(a.resolution + 1):
+        if child.relation(b) == "disjoint":
+            out.append(child)
+        else:
+            out.extend(old_cylinder_difference(child, b))
+    return out
+
+
+def old_difference(a, b):
+    """PSet.difference before the nesting index, kept as the reference: drop
+    each cylinder of a that a cylinder of b contains, and split the others
+    toward every finer cylinder of b inside them, one pair at a time."""
+    own_resolutions = sorted({c.resolution for c in a.cylinders})
+    inner = {r: {} for r in own_resolutions}
+    for c in b.cylinders:
+        for r in own_resolutions:
+            if r < c.resolution:
+                inner[r].setdefault(_truncate(c.digits, r), []).append(c)
+    theirs = set(keys(b.cylinders))
+    out = []
+    for c in a.cylinders:
+        if any(r <= c.resolution and (r, _truncate(c.digits, r)) in theirs for r, _ in theirs):
+            continue
+        pieces = [c]
+        for inside in inner[c.resolution].get(c.digits, ()):
+            pieces = [
+                shard for piece in pieces for shard in old_cylinder_difference(piece, inside)
+            ]
+        out.extend(pieces)
+    return PSet(a.p, out, validate=False)
+
+
+def sparse_mixed_pset(gen, p, root, n=24):
+    """Up to n disjoint cylinders at resolutions -3..8, split at random
+    from the children of the resolution -4 root (see random_root)."""
+    leaves, stack = [], list(Cylinder(p, -4, root).refine_to(-3))
+    while stack and len(leaves) < n:
+        c = stack.pop(gen.randrange(len(stack)) if gen.random() < 0.3 else -1)
+        if c.resolution < 8 and gen.random() < 0.6:
+            stack.extend(c.refine_to(c.resolution + 1))
+        elif gen.random() < 0.5:
+            leaves.append(c)
+    return PSet(p, leaves)
+
+
+def nested_pset(gen, s):
+    """s plus cylinders nested with its own (part of a split, an ancestor
+    or a repeat), kept unmerged by validate=False."""
+    p = s.p
+    cyls = list(s.cylinders)
+    for c in gen.sample(cyls, min(len(cyls), 3)):
+        r = c.resolution - gen.randrange(1, 3)
+        cyls += gen.choice(
+            [
+                list(c.refine_to(c.resolution + 1))[: p - 1],
+                [Cylinder(p, r, _truncate(c.digits, r))],
+                [c],
+            ]
+        )
+    return PSet(p, cyls, validate=False)
+
+
+def random_cell(gen, s):
+    """A random cell near s: an identity ball, a cell derived from one of
+    its cylinders (a truncation, the cylinder itself or a sub-cell), or an
+    arbitrary cell."""
+    p = s.p
+    r = gen.randrange(-8, s.max_resolution + 3)
+    kind = gen.random()
+    if kind < 0.1:
+        digits = ()
+    elif kind < 0.55:
+        c = gen.choice(s.cylinders)
+        digits = _truncate(c.digits, r) + tuple(
+            (pos, d) for pos in range(c.resolution + 1, r + 1) if (d := gen.randrange(p))
+        )
+    else:
+        digits = tuple((pos, d) for pos in range(-10, r + 1) if (d := gen.randrange(p)))
+    return Cylinder(p, r, digits)
+
+
+class TestNestingIndex:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_difference_matches_pairwise_reference(self, p):
+        # Disjoint and nested inputs on both sides, resolutions -3..8;
+        # the cylinders must come out the same and in the same order.
+        gen = random.Random(f"difference-{p}")
+        split = nested = 0
+        for _ in range(60):
+            root = random_root(gen, p, lo=-4)
+            a, b = sparse_mixed_pset(gen, p, root), sparse_mixed_pset(gen, p, root)
+            c = nested_pset(gen, a)
+            for x in (a, b, c):
+                for y in (a, b, c):
+                    got = x.difference(y)
+                    assert got.cylinders == old_difference(x, y).cylinders
+                    split += any(piece not in x.cylinders for piece in got.cylinders)
+            nested += any(
+                x.relation(y) != "disjoint"
+                for i, x in enumerate(c.cylinders)
+                for y in c.cylinders[i + 1 :]
+            )
+        assert split > 30 and nested > 30
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("kind", ["disjoint", "nested"])
+    def test_queries_match_relation_scan(self, p, kind):
+        gen = random.Random(f"index-{p}-{kind}")
+        seen = set()
+        for _ in range(6):
+            s = sparse_mixed_pset(gen, p, random_root(gen, p, lo=-4))
+            if kind == "nested":
+                s = nested_pset(gen, s)
+            if s.is_empty:
+                continue
+            index = _NestingIndex(s.cylinders)
+            for _ in range(300):
+                cell = random_cell(gen, s)
+                q, digits = cell.resolution, cell.digits
+                rel = [cell.relation(c) for c in s.cylinders]
+                for top in (q, q - 1):
+                    want = any(
+                        r in ("within", "equal") and c.resolution <= top
+                        for r, c in zip(rel, s.cylinders)
+                    )
+                    assert index.covers(digits, top) == want, (cell, top)
+                    seen.add(("covers", top - q, want))
+                want = "contains" in rel
+                assert index.straddled(q, digits) == want, cell
+                seen.add(("straddled", not digits, want))
+                if kind == "disjoint":
+                    check_outside(index, s, cell)
+        assert len(seen) == 8, seen
+
+
+def check_outside(index, s, cell):
+    """outside() of one cell against the relation scan: its parts lie in
+    the cell, meet neither each other (by the hashed disjointness check)
+    nor s, are maximal (each strict parent inside the cell meets s) and
+    fill the cell minus s."""
+    p = s.p
+    parts = [Cylinder(p, r, d) for r, d in index.outside(p, [(cell.resolution, cell.digits)])]
+    near = [c for c in s.cylinders if cell.relation(c) != "disjoint"]
+    PSet._check_disjoint(tuple(parts))
+    for part in parts:
+        assert cell.relation(part) in ("contains", "equal")
+        assert all(part.relation(c) == "disjoint" for c in near)
+        if part.resolution > cell.resolution:
+            parent = Cylinder(p, part.resolution - 1, _truncate(part.digits, part.resolution - 1))
+            assert any(parent.relation(c) != "disjoint" for c in near)
+    if any(cell.relation(c) in ("within", "equal") for c in s.cylinders):
+        inside = cell.measure()
+    else:
+        inside = sum(
+            (c.measure() for c in s.cylinders if cell.relation(c) == "contains"),
+            Measure.zero(p),
+        )
+    total = sum((part.measure() for part in parts), Measure.zero(p))
+    assert total + inside == cell.measure()
