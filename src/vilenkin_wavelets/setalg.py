@@ -14,6 +14,7 @@ count * p**(-scale); no floating point is involved anywhere.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -85,9 +86,7 @@ class Measure:
         return Measure(0, p, 0)
 
     def as_fraction(self) -> Fraction:
-        if self.scale >= 0:
-            return Fraction(self.count, self.p**self.scale)
-        return Fraction(self.count * self.p ** (-self.scale))
+        return Fraction(*self._terms())
 
     def __float__(self) -> float:
         return float(self.as_fraction())
@@ -101,33 +100,49 @@ class Measure:
         )
         return Measure.make(count, self.p, scale)
 
-    def _coerce(self, other) -> Fraction:
+    def _terms(self) -> tuple[int, int]:
+        """(numerator, denominator) of the value, not necessarily in lowest terms."""
+        if self.scale >= 0:
+            return self.count, self.p**self.scale
+        return self.count * self.p ** (-self.scale), 1
+
+    def _cross(self, other) -> tuple[int, int] | None:
+        """The values of self and of an int, Fraction or Measure other, each
+        times the other's denominator (None for any other type): they
+        compare as the values do."""
         if isinstance(other, Measure):
-            return other.as_fraction()
-        if isinstance(other, (int, Fraction)):
-            return Fraction(other)
-        return NotImplemented
+            num, den = other._terms()
+        elif isinstance(other, int):
+            num, den = other, 1
+        elif isinstance(other, Fraction):
+            num, den = other.numerator, other.denominator
+        else:
+            return None
+        mine, own = self._terms()
+        return mine * den, num * own
 
     def __eq__(self, other) -> bool:
-        coerced = self._coerce(other)
-        if coerced is NotImplemented:
-            return NotImplemented
-        return self.as_fraction() == coerced
+        pair = self._cross(other)
+        return NotImplemented if pair is None else pair[0] == pair[1]
 
     def __hash__(self) -> int:
         return hash(self.as_fraction())
 
     def __lt__(self, other) -> bool:
-        return self.as_fraction() < self._coerce(other)
+        pair = self._cross(other)
+        return NotImplemented if pair is None else pair[0] < pair[1]
 
     def __le__(self, other) -> bool:
-        return self.as_fraction() <= self._coerce(other)
+        pair = self._cross(other)
+        return NotImplemented if pair is None else pair[0] <= pair[1]
 
     def __gt__(self, other) -> bool:
-        return self.as_fraction() > self._coerce(other)
+        pair = self._cross(other)
+        return NotImplemented if pair is None else pair[0] > pair[1]
 
     def __ge__(self, other) -> bool:
-        return self.as_fraction() >= self._coerce(other)
+        pair = self._cross(other)
+        return NotImplemented if pair is None else pair[0] >= pair[1]
 
     def exact_string(self) -> str:
         """Render as e.g. '7*2^-3'; the printed exponent is -scale."""
@@ -285,9 +300,18 @@ class Cylinder:
     @staticmethod
     def from_json(p: int, obj: dict) -> "Cylinder":
         digits = tuple(
-            sorted((int(pos), int(d)) for pos, d in obj.get("digits", {}).items())
+            sorted((int(pos), _json_int(d)) for pos, d in obj.get("digits", {}).items())
         )
-        return Cylinder(p, int(obj["resolution"]), digits)
+        return Cylinder(p, _json_int(obj["resolution"]), digits)
+
+
+def _json_int(value) -> int:
+    """A JSON integer.  int() names what is wrong with a value that is no
+    number at all; a bool, a float or a string is refused, not truncated."""
+    number = int(value)
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return number
 
 
 _new = object.__new__

@@ -25,6 +25,7 @@ from .errors import FamilyArityError, ResolutionCapError
 from .group import GroupElement, check_base, lambda_encode
 from .setalg import (
     MAX_REFINE_CELLS,
+    MAX_RESOLUTION,
     Cylinder,
     DigitMap,
     Measure,
@@ -127,8 +128,8 @@ def check_measure_one(family: WaveletFamily) -> ConditionRecord:
 # -- condition (2): dilation tiling ---------------------------------------------
 
 
-def _least_cell(s: PSet) -> dict:
-    return min(s.cylinders, key=Cylinder.sort_key).to_json()
+def _least_cell(cylinders: Sequence[Cylinder]) -> dict:
+    return min(cylinders, key=Cylinder.sort_key).to_json()
 
 
 def _cover_defects(
@@ -182,6 +183,19 @@ def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> Condit
     identity cylinder -- and that cylinder is rejected up front.  Covering
     is decided on the single shell between the expanded and plain unit
     cells, whose dilates partition everything except the identity.
+
+    Each cylinder c of D meets exactly one dilate of the shell, and lies
+    inside it: the shell pins position 0 to a nonzero digit and all lower
+    positions to zero, so the dilate by k meets the shell iff k = -m for
+    the lowest nonzero position m of c (c pins one, as the identity
+    cylinder is rejected), and then c.dilate(k) has resolution L_c - m >= 0
+    and lies in the shell.  Since w <= m <= L_c <= L, every k lies in
+    [-L, -w], inside the reported shell range; the k of the range that no
+    cylinder takes have empty pieces, which add nothing to the cover.
+    The overlaps of D with its dilates by d are read off one nesting
+    index of D: a cylinder b of the dilate lies inside D iff D covers
+    it, and a cylinder a of D lies strictly inside the dilate iff D
+    covers a's dilate by -d at a resolution below that dilate's own.
     """
     p = family.p
     witnesses: list[dict] = []
@@ -192,7 +206,7 @@ def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> Condit
         overlap = s1.intersect(s2)
         if not overlap.is_empty:
             witnesses.append(
-                {"kind": "set-overlap", "sets": [n1, n2], "cell": _least_cell(overlap)}
+                {"kind": "set-overlap", "sets": [n1, n2], "cell": _least_cell(overlap.cylinders)}
             )
 
     union = family.union()
@@ -200,10 +214,7 @@ def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> Condit
     degenerate = bool(theta_cells)
     if degenerate:
         witnesses.append(
-            {
-                "kind": "contains-identity-neighborhood",
-                "cell": min(theta_cells, key=Cylinder.sort_key).to_json(),
-            }
+            {"kind": "contains-identity-neighborhood", "cell": _least_cell(theta_cells)}
         )
 
     level = union.max_resolution
@@ -212,12 +223,16 @@ def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> Condit
         w_lo = level  # all-zero cylinders only; ranges below are diagnostic
 
     d_hi = max(level - w_lo + extra_range, 1 if degenerate else 0)
+    index = _NestingIndex(union.cylinders)
     for d in range(1, d_hi + 1):
-        overlap = union.intersect(union.dilate(d))
-        if not overlap.is_empty:
-            witnesses.append(
-                {"kind": "dilate-overlap", "d": d, "cell": _least_cell(overlap)}
-            )
+        inside = [b for b in union.dilate(d).cylinders if index.covers(b.digits, b.resolution)]
+        inside.extend(
+            a
+            for a in union.cylinders
+            if index.covers(tuple((pos - d, x) for pos, x in a.digits), a.resolution - d - 1)
+        )
+        if inside:
+            witnesses.append({"kind": "dilate-overlap", "d": d, "cell": _least_cell(inside)})
 
     if degenerate:
         # The finite covering argument needs the identity cylinder excluded;
@@ -229,12 +244,26 @@ def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> Condit
             details={"resolution": level, "degenerate": True},
         )
 
-    shell = annulus(p)
     k_lo, k_hi = -level - extra_range, -w_lo + extra_range
-    pieces = [union.dilate(k).intersect(shell) for k in range(k_lo, k_hi + 1)]
+    if level + k_hi > MAX_RESOLUTION:
+        # The shell range is refused where dilating D by its k would pass
+        # the cap: the first such dilate, in order of k, takes a finest
+        # cylinder one past the cap.  Only L < 0 gets here; otherwise the
+        # overlap loop dilates further and stops first.
+        raise ResolutionCapError(
+            f"resolution {MAX_RESOLUTION + 1} exceeds the cap {MAX_RESOLUTION}"
+        )
+    # Each group is an in-order run of D's cylinders moved by the same k,
+    # so it is canonical.
+    groups: dict[int, list[Cylinder]] = {}
+    for c in union.cylinders:
+        k = -c.digits[0][0]
+        groups.setdefault(k, []).append(c.dilate(k))
+    pieces = [PSet._canonical(p, tuple(group)) for group in groups.values()]
     shell_total = Measure.zero(p)
     for piece in pieces:
         shell_total = shell_total + piece.measure()
+    shell = annulus(p)
     res, defects = _cover_defects(shell, pieces)
     witnesses.extend(
         {"kind": "cover-defect", "cell": Cylinder(p, res, cell).to_json(), "count": got}

@@ -48,6 +48,10 @@ def as_cells(pset, lo=WINDOW_LO, hi=WINDOW_HI):
     return CellSet.from_pset(pset, lo, hi)
 
 
+# (count, p, scale) of Measure.make.
+MEASURE_FIELDS = st.tuples(st.integers(0, 60), st.sampled_from([2, 3, 5, 7]), st.integers(-5, 8))
+
+
 class TestMeasure:
     def test_canonical(self):
         assert Measure.make(4, 2, 3) == Measure(1, 2, 1)
@@ -75,6 +79,43 @@ class TestMeasure:
         for p in (2, 3, 5):
             assert expanded_unit(p, 1).difference(unit_cell(p)).measure() == p - 1
             assert annulus(p).measure() == p - 1
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(
+        MEASURE_FIELDS,
+        st.one_of(
+            MEASURE_FIELDS.map(lambda t: Measure.make(*t)),
+            st.integers(-3, 400),
+            st.fractions(max_denominator=3**8),
+            st.booleans(),
+        ),
+    )
+    def test_comparisons_match_fractions(self, fields, other):
+        count, p, scale = fields
+        m = Measure.make(count, p, scale)
+        value = Fraction(count) / Fraction(p) ** scale
+        ref = other.as_fraction() if isinstance(other, Measure) else Fraction(other)
+        assert (m == other, m != other) == (value == ref, value != ref)
+        assert (m < other, m <= other, m > other, m >= other) == (
+            value < ref, value <= ref, value > ref, value >= ref
+        )
+        assert hash(m) == hash(value)
+        if m == other:
+            assert hash(m) == hash(other)
+
+    def test_values_compare_across_bases(self):
+        assert Measure.make(1, 2, 0) == Measure.make(1, 3, 0) == 1
+        assert Measure.make(9, 3, 2) == Measure.make(1, 2, 0)
+        assert {Measure.make(1, 2, 0), Measure.make(1, 5, 0), 1, Fraction(1)} == {1}
+        assert Measure.make(1, 2, 1) < Measure.make(1, 3, 0) > Measure.make(2, 3, 1)
+
+    def test_other_types_do_not_compare(self):
+        m = Measure.make(1, 2, 1)
+        assert m != 0.5 and not m == "1*2^-1"
+        with pytest.raises(TypeError):
+            m < 0.5
+        with pytest.raises(TypeError):
+            m >= "x"
 
 
 class TestCanonicalization:
@@ -280,6 +321,23 @@ class TestSerialization:
         for p in (2, 3):
             s = random_pset(p)
             assert PSet.from_json(p, s.to_json()) == s
+
+    @pytest.mark.parametrize(
+        "obj,message",
+        [
+            ({"resolution": 0.9, "digits": {"0": 1.7}}, "expected an integer, got 1.7"),
+            ({"resolution": 0, "digits": {"0": 1.0}}, "expected an integer, got 1.0"),
+            ({"resolution": 0, "digits": {"0": True}}, "expected an integer, got true"),
+            ({"resolution": 0, "digits": {"0": "1"}}, 'expected an integer, got "1"'),
+            ({"resolution": 2.0, "digits": {}}, "expected an integer, got 2.0"),
+            ({"resolution": False}, "expected an integer, got false"),
+        ],
+    )
+    def test_from_json_refuses_non_integer_numbers(self, obj, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            Cylinder.from_json(2, obj)
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            PSet.from_json(2, [obj])
 
 
 # -- trusted constructors and the counting merge ------------------------------------

@@ -5,10 +5,20 @@ import random
 
 import pytest
 
-from vilenkin_wavelets.errors import FamilyArityError
+from vilenkin_wavelets.errors import FamilyArityError, ResolutionCapError
+from vilenkin_wavelets.famio import family_from_document
 from vilenkin_wavelets.group import from_digits
-from vilenkin_wavelets.setalg import Cylinder, PSet, _truncate, annulus, theta_ball, unit_cell
+from vilenkin_wavelets.setalg import (
+    Cylinder,
+    Measure,
+    PSet,
+    _truncate,
+    annulus,
+    theta_ball,
+    unit_cell,
+)
 from vilenkin_wavelets.verifier import (
+    ConditionRecord,
     WaveletFamily,
     _comb_upto,
     _cover_defects,
@@ -22,7 +32,7 @@ from vilenkin_wavelets.verifier import (
     shannon_family,
 )
 
-from perfbench import searchref
+from perfbench import gen, searchref
 
 from .mutants import CONGRUENCE, MEASURE, TILING, all_mutants
 from .oracle import CellSet, oracle_is_wavelet_set
@@ -563,3 +573,175 @@ class TestTransversalSearch:
         for budget in (None, 0, 3):
             result = search_wavelet_sets(2, window, budget=budget)
             assert (result.examined, result.exhausted, result.families) == (0, False, [])
+
+
+# -- dilation tiling against the per-k shell intersections -----------------------------
+
+
+def per_k_dilation_tiling(family, extra_range=0):
+    """check_dilation_tiling computed the direct way: every shell piece is
+    the union dilated by k and intersected with the shell, for every k of
+    the shell range, and every overlap is a fresh intersection of the
+    union with its dilate."""
+    p = family.p
+    witnesses = []
+    for (n1, s1), (n2, s2) in itertools.combinations(zip(family.names, family.sets), 2):
+        overlap = s1.intersect(s2)
+        if not overlap.is_empty:
+            witnesses.append({"kind": "set-overlap", "sets": [n1, n2], "cell": least(overlap)})
+    union = family.union()
+    theta_cells = [c for c in union.cylinders if not c.digits]
+    degenerate = bool(theta_cells)
+    if degenerate:
+        witnesses.append({
+            "kind": "contains-identity-neighborhood",
+            "cell": min(theta_cells, key=Cylinder.sort_key).to_json(),
+        })
+    level = union.max_resolution
+    w_lo = union.min_fixed_position
+    w_lo = level if w_lo is None else w_lo
+    d_hi = max(level - w_lo + extra_range, 1 if degenerate else 0)
+    for d in range(1, d_hi + 1):
+        overlap = union.intersect(union.dilate(d))
+        if not overlap.is_empty:
+            witnesses.append({"kind": "dilate-overlap", "d": d, "cell": least(overlap)})
+    if degenerate:
+        return ConditionRecord("dilation-tiling", False, witnesses, {"resolution": level, "degenerate": True})
+    shell = annulus(p)
+    k_lo, k_hi = -level - extra_range, -w_lo + extra_range
+    pieces = [union.dilate(k).intersect(shell) for k in range(k_lo, k_hi + 1)]
+    total = Measure.zero(p)
+    for piece in pieces:
+        total = total + piece.measure()
+    res, defects = _cover_defects(shell, pieces)
+    witnesses.extend(
+        {"kind": "cover-defect", "cell": Cylinder(p, res, cell).to_json(), "count": got}
+        for cell, got in defects
+    )
+    return ConditionRecord("dilation-tiling", not witnesses, witnesses, {
+        "resolution": level,
+        "lowest_fixed_position": w_lo,
+        "dilate_range": [1, d_hi],
+        "shell_range": [k_lo, k_hi],
+        "shell_measure": total.exact_string(),
+    })
+
+
+def least(s):
+    return min(s.cylinders, key=Cylinder.sort_key).to_json()
+
+
+def tiling_outcome(check, family, extra_range):
+    """The record's fields, or the message of the resolution-cap error."""
+    try:
+        record = check(family, extra_range)
+    except ResolutionCapError as exc:
+        return ("cap", str(exc))
+    return (record.name, record.passed, record.witnesses, record.details)
+
+
+def seeded_families(p, strata):
+    """PASS families of the given (R, w, cells) strata and their FAIL mutants."""
+    gen_rng = random.Random(f"tiling:{p}")
+    out = []
+    for R, w, n in strata:
+        base = gen.pass_family(gen_rng, p, R, w, n)
+        fams = [base, gen.shift_mutant(gen_rng, base), gen.group_shift_mutant(gen_rng, base)]
+        if p >= 3:
+            fams.append(gen.dup_mutant(gen_rng, base))
+        out.extend(family_from_document(f.document()) for f in fams if f is not None)
+    return out
+
+
+def random_atom_families(p, count):
+    """Measure-one families of random resolution-2 atoms: most overlap
+    their dilates, cover the shell twice or hold the identity cell."""
+    gen_rng = random.Random(4242 + p)
+    atoms = [
+        tuple((pos, d) for pos, d in zip(range(-1, 3), combo) if d)
+        for combo in itertools.product(range(p), repeat=4)
+    ]
+    names = tuple(f"omega{u}" for u in range(1, p))
+    out = []
+    for _ in range(count):
+        pool = gen_rng.sample(atoms, (p - 1) * p**2)
+        sets = tuple(PSet.from_cells(p, 2, pool[u * p**2 : (u + 1) * p**2]) for u in range(p - 1))
+        out.append(WaveletFamily(p, names, sets))
+    return out
+
+
+def random_mixed_families(p, count):
+    """Families of a few random cylinders of resolutions -1..2, so that a
+    cylinder can lie strictly inside a dilate of a coarser one."""
+    gen_rng = random.Random(777 + p)
+    names = tuple(f"omega{u}" for u in range(1, p))
+    out = []
+    for _ in range(count):
+        sets = []
+        for _ in names:
+            s = PSet(p, (), validate=False)
+            for _ in range(gen_rng.randint(1, 4)):
+                r = gen_rng.randint(-1, 2)
+                digits = tuple((pos, d) for pos in range(-2, r + 1) if (d := gen_rng.randrange(p)))
+                s = s.union(PSet(p, (Cylinder(p, r, digits),)))
+            sets.append(s)
+        out.append(WaveletFamily(p, names, tuple(sets)))
+    return out
+
+
+TILING_STRATA = {
+    2: [(0, 0, 1), (2, -1, 6), (4, -2, 12), (6, -2, 24)],
+    3: [(0, 0, 2), (2, -1, 14), (4, -2, 40)],
+    5: [(0, 0, 4), (2, -1, 48)],
+}
+
+
+class TestShellPieces:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("extra_range", [0, 1, 2])
+    def test_matches_per_k_intersections(self, p, extra_range):
+        families = seeded_families(p, TILING_STRATA[p]) + random_atom_families(p, 12)
+        families += random_mixed_families(p, 20)
+        families += [m.family for m in all_mutants() if m.p == p]
+        verdicts = set()
+        for family in families:
+            want = tiling_outcome(per_k_dilation_tiling, family, extra_range)
+            assert tiling_outcome(check_dilation_tiling, family, extra_range) == want
+            verdicts.add(want[1])
+        assert verdicts == {True, False}
+
+    def test_cylinder_inside_a_coarser_dilate_is_an_overlap(self):
+        # The dilate by 1 of the resolution-0 cylinder is the resolution-1
+        # cylinder pinning 1 at position 0, which holds the other one.
+        coarse, fine = Cylinder(2, 0, ((-1, 1),)), Cylinder(2, 3, ((0, 1), (3, 1)))
+        family = WaveletFamily(2, ("omega1",), (PSet(2, [coarse, fine]),))
+        record = check_dilation_tiling(family)
+        assert record.witnesses[0] == {"kind": "dilate-overlap", "d": 1, "cell": fine.to_json()}
+        assert tiling_outcome(check_dilation_tiling, family, 0) == tiling_outcome(
+            per_k_dilation_tiling, family, 0
+        )
+
+    def test_over_cap_union_keeps_the_dilate_error(self):
+        # Resolutions 20, 26 and 30: the overlap loop's first dilate past
+        # the cap is the resolution-26 cylinder moved to 27.
+        s = PSet(2, [
+            Cylinder(2, 26, ((0, 1), (26, 1))),
+            Cylinder(2, 20, ((0, 1), (1, 1))),
+            Cylinder(2, 30, ((-1, 1),)),
+        ])
+        family = WaveletFamily(2, ("omega1",), (s,))
+        for extra_range in (0, 2):
+            want = ("cap", "resolution 27 exceeds the cap 24")
+            assert tiling_outcome(per_k_dilation_tiling, family, extra_range) == want
+            assert tiling_outcome(check_dilation_tiling, family, extra_range) == want
+
+    @pytest.mark.parametrize("w,extra_range", [(-28, 0), (-24, 3), (-24, 4), (-20, 8)])
+    def test_shell_range_past_cap_keeps_the_dilate_error(self, w, extra_range):
+        # All resolutions below 0: the shell range reaches past the cap
+        # while the overlap loop's dilates stay under it.
+        family = WaveletFamily(2, ("omega1",), (PSet(2, [Cylinder(2, -2, ((w, 1),))]),))
+        union = family.union()
+        assert union.dilate(-2 - w + extra_range).max_resolution <= 24
+        want = ("cap", "resolution 25 exceeds the cap 24")
+        assert tiling_outcome(per_k_dilation_tiling, family, extra_range) == want
+        assert tiling_outcome(check_dilation_tiling, family, extra_range) == want
