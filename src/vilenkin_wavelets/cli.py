@@ -32,13 +32,21 @@ from .mra import (
     check_mra_condition,
     verify_filter_identities,
 )
+from .setalg import MAX_REFINE_CELLS
 from .transform import QuotientGrid, forward, inverse, read_csv, synthesize_wavelet, write_csv
-from .verifier import is_wavelet_set, search_wavelet_sets
+from .verifier import _exceeds, is_wavelet_set, search_wavelet_sets
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line, without the usage text."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vilenkin-wavelets",
         description="Exact wavelet-set verification and construction on Vilenkin groups",
     )
@@ -56,7 +64,8 @@ def _parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="decide the wavelet-set conditions")
     common(v)
     v.add_argument("--extra-range", type=int, default=0,
-                   help="widen the derived finite check ranges (robustness)")
+                   help="widen the reported dilate and shell ranges; "
+                        "the work and the verdict do not change")
 
     m = sub.add_parser("mra", help="verify plus the scaling-spectrum criterion")
     common(m)
@@ -242,13 +251,19 @@ def _cmd_filters(args) -> tuple[dict, int]:
 
 
 def _csv_grid(args) -> QuotientGrid:
-    """The primal grid of a CSV command, checked before any file is opened."""
+    """The primal grid of a CSV command, checked before any file is opened
+    or any array allocated: more than MAX_REFINE_CELLS cells is refused."""
     M, N = args.grid
     try:
         check_text_base(args.p)  # CSV cell labels spell one digit per character
-        return QuotientGrid(args.p, M, N)
+        grid = QuotientGrid(args.p, M, N)
     except (ValueError, DigitError, ParseError) as exc:
         raise SchemaError(f"--p {args.p} --grid {M} {N}: {exc}") from exc
+    if _exceeds(args.p, M + N, MAX_REFINE_CELLS):
+        raise ResolutionCapError(
+            f"--grid {M} {N} holds {args.p}**{M + N} cells, more than the cap {MAX_REFINE_CELLS}"
+        )
+    return grid
 
 
 def _open_csv(path: str, mode: str):

@@ -41,7 +41,9 @@ def load_family_document(path: str) -> dict:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"cannot decode {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Besides malformed JSON: an integer past Python's digit limit, or
+        # nesting past the recursion limit.
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be a JSON object")

@@ -25,12 +25,13 @@ from .errors import FamilyArityError, ResolutionCapError
 from .group import GroupElement, check_base, lambda_encode
 from .setalg import (
     MAX_REFINE_CELLS,
-    MAX_RESOLUTION,
     Cylinder,
     DigitMap,
     Measure,
     PSet,
+    _cylinder,
     _NestingIndex,
+    _truncate,
     annulus,
     unit_cell,
 )
@@ -132,21 +133,34 @@ def _least_cell(cylinders: Sequence[Cylinder]) -> dict:
     return min(cylinders, key=Cylinder.sort_key).to_json()
 
 
-def _cover_defects(
-    target: PSet, pieces: list[PSet]
-) -> tuple[int, list[tuple[DigitMap, int]]]:
-    """Cells of the target that the pieces do not cover exactly once.
+def _check_witness_count(what: str, count: int) -> None:
+    """Refuse, before listing them, more witnesses than MAX_REFINE_CELLS."""
+    if count > MAX_REFINE_CELLS:
+        raise ResolutionCapError(
+            f"{what} could list {count} witnesses, more than the cap {MAX_REFINE_CELLS}"
+        )
 
-    Every piece must lie inside the target.  Returns the cell resolution
-    (the finest one present, at least 0) and the sorted (cell, count)
-    pairs with count != 1 -- what counting every cell of every piece at
-    that resolution would give, decided on cylinders instead: two
-    cylinders are nested or disjoint, so when no piece cylinder lies
-    inside another the pieces cover the target exactly once iff their
-    measures add up to its measure.  Only on failure are cells listed,
-    and only witnesses: the cells of each overlapping cylinder, counted by
-    the pieces that cover them, and the cells of the target's parts
-    outside every piece.
+
+def _cover_defects(target: PSet, pieces: list[PSet]) -> list[dict]:
+    """The parts of the target that the pieces do not cover exactly once.
+
+    Every piece must lie inside the target.  Two cylinders are nested or
+    disjoint, so when no piece cylinder lies inside another the pieces
+    cover the target exactly once iff their measures add up to its
+    measure.  Otherwise, and on a measure deficit, the defects are
+    reported as cylinders, each with the one count that holds on all of
+    it: the target's parts outside every piece, split only toward piece
+    cylinders (count 0), and each overlapping piece cylinder split only
+    toward the finer piece cylinders inside it, the same descent.  Each
+    descent splits only ancestors of piece cylinders, so the list holds
+    at most p entries per piece cylinder and resolution below it, never
+    p**resolution; past MAX_REFINE_CELLS it is refused before the descent.
+
+    Entries are {"cell", "count"}, plus "cells", the number of cells at
+    the cell resolution (the finest one present, at least 0) that the
+    entry spans, when the entry is coarser than that; they are sorted by
+    digits, then resolution.  Expanded to cells, they are exactly the
+    cells that counting every cell of every piece would flag.
     """
     p = target.p
     keys = Counter((c.resolution, c.digits) for piece in pieces for c in piece.cylinders)
@@ -158,44 +172,69 @@ def _cover_defects(
     ]
     covered = sum(m * p ** (res - r) for (r, _), m in keys.items())
     if not overlapping and covered == sum(p ** (res - c.resolution) for c in target.cylinders):
-        return res, []
+        return []
 
-    defects: dict[DigitMap, int] = {}
-    by_piece = [_NestingIndex(piece.cylinders) for piece in pieces] if overlapping else []
+    coarsest = min(c.resolution for c in target.cylinders)
+    _check_witness_count("the cover check", p * sum(r - coarsest + 1 for r, _ in keys))
+    defects = [(r, digits, 0) for r, digits in index.outside(
+        p, [(c.resolution, c.digits) for c in target.cylinders]
+    )]
+    levels = sorted({r for r, _ in keys})
+    outer = _NestingIndex(_cylinder(p, r, digits) for r, digits in overlapping)
     for r, digits in overlapping:
-        for cell in Cylinder(p, r, digits).refine_to(res):
-            if cell.digits not in defects:
-                defects[cell.digits] = sum(ix.covers(cell.digits, res) for ix in by_piece)
+        if outer.covers(digits, r - 1):
+            continue  # split from the coarser overlapping cylinder around it
+        count = sum(keys.get((q, _truncate(digits, q)), 0) for q in levels if q <= r)
+        stack = [(r, digits, count)]
+        while stack:
+            q, node, count = stack.pop()
+            if not index.straddled(q, node):
+                defects.append((q, node, count))
+                continue
+            for child in (node, *(node + ((q + 1, d),) for d in range(1, p))):
+                stack.append((q + 1, child, count + keys.get((q + 1, child), 0)))
 
-    gaps = index.outside(p, [(c.resolution, c.digits) for c in target.cylinders])
-    for r, digits in gaps:
-        for cell in Cylinder(p, r, digits).refine_to(res):
-            defects[cell.digits] = 0
-    return res, sorted(defects.items())
+    defects.sort(key=lambda defect: (defect[1], defect[0]))
+    out = []
+    for r, digits, count in defects:
+        entry = {"cell": _cylinder(p, r, digits).to_json(), "count": count}
+        if r < res:
+            entry["cells"] = p ** (res - r)
+        out.append(entry)
+    return out
 
 
 def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> ConditionRecord:
     """Decide whether the contracting dilates of the family tile the dual group.
 
-    The check is finite: with the union D at uniform resolution L and the
-    coarsest pinned digit at position w, a dilate by d > L - w lands in
-    the resolution-L identity ball, which meets D only through the
-    identity cylinder -- and that cylinder is rejected up front.  Covering
-    is decided on the single shell between the expanded and plain unit
-    cells, whose dilates partition everything except the identity.
+    Covering is decided on the single shell between the expanded and
+    plain unit cells, whose dilates partition everything except the
+    identity.  Each cylinder c of the union D, other than an identity
+    cylinder, meets exactly one dilate of the shell, and lies inside it:
+    the shell pins position 0 to a nonzero digit and all lower positions
+    to zero, so the dilate by k meets the shell iff k = -m_c for the
+    lowest nonzero position m_c of c, and then the shell key
+    K(c) = c.dilate(-m_c) has resolution L_c - m_c >= 0 and lies in the
+    shell.  The keys moved by the same k make up the shell piece of k.
 
-    Each cylinder c of D meets exactly one dilate of the shell, and lies
-    inside it: the shell pins position 0 to a nonzero digit and all lower
-    positions to zero, so the dilate by k meets the shell iff k = -m for
-    the lowest nonzero position m of c (c pins one, as the identity
-    cylinder is rejected), and then c.dilate(k) has resolution L_c - m >= 0
-    and lies in the shell.  Since w <= m <= L_c <= L, every k lies in
-    [-L, -w], inside the reported shell range; the k of the range that no
-    cylinder takes have empty pieces, which add nothing to the cover.
-    The overlaps of D with its dilates by d are read off one nesting
-    index of D: a cylinder b of the dilate lies inside D iff D covers
-    it, and a cylinder a of D lies strictly inside the dilate iff D
-    covers a's dilate by -d at a resolution below that dilate's own.
+    The overlaps of D with its dilates are read off the same keys.  A
+    cylinder a of D meets b.dilate(d), for b in D and d >= 1, iff the two
+    nest; nested cylinders share their lowest nonzero position, so then
+    m_a = m_b + d and moving both by -m_a gives K(a) and K(b).  So D
+    meets its dilate by d exactly where two keys K(x), K(y) nest with
+    |m_x - m_y| = d, and there the overlap is the finer key moved back
+    by max(m_x, m_y).  Distinct cylinders of D are disjoint, so nesting
+    keys have m_x != m_y.  As w <= m_c <= L_c <= L for the lowest pinned
+    position w of D and its finest resolution L, a nesting pair always
+    has 1 <= d <= L - w: the dilates by more never meet D.  extra_range
+    widens only the reported dilate and shell ranges, never the work or
+    the verdict; those depend only on D.
+
+    An identity cylinder t of resolution r rejects the family up front,
+    as the single shell no longer accounts for everything; its overlaps
+    are then reported for every d of the dilate range: t.dilate(d) lies
+    in t, and so does b.dilate(d) for every other cylinder b with
+    m_b + d > r.
     """
     p = family.p
     witnesses: list[dict] = []
@@ -210,31 +249,71 @@ def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> Condit
             )
 
     union = family.union()
-    theta_cells = [c for c in union.cylinders if not c.digits]
-    degenerate = bool(theta_cells)
-    if degenerate:
-        witnesses.append(
-            {"kind": "contains-identity-neighborhood", "cell": _least_cell(theta_cells)}
-        )
-
     level = union.max_resolution
     w_lo = union.min_fixed_position
     if w_lo is None:
         w_lo = level  # all-zero cylinders only; ranges below are diagnostic
 
-    d_hi = max(level - w_lo + extra_range, 1 if degenerate else 0)
-    index = _NestingIndex(union.cylinders)
-    for d in range(1, d_hi + 1):
-        inside = [b for b in union.dilate(d).cylinders if index.covers(b.digits, b.resolution)]
-        inside.extend(
-            a
-            for a in union.cylinders
-            if index.covers(tuple((pos - d, x) for pos, x in a.digits), a.resolution - d - 1)
-        )
-        if inside:
-            witnesses.append({"kind": "dilate-overlap", "d": d, "cell": _least_cell(inside)})
+    # One pass over D: each cylinder's shell key and lowest nonzero position.
+    theta = None
+    shell_keys: list[tuple[int, DigitMap, int]] = []
+    by_key: dict[tuple[int, DigitMap], list[int]] = {}
+    for c in union.cylinders:
+        if not c.digits:
+            theta = c  # D is disjoint, so it holds at most one
+            continue
+        m = c.digits[0][0]
+        key = (c.resolution - m, tuple((pos - m, x) for pos, x in c.digits))
+        shell_keys.append((*key, m))
+        by_key.setdefault(key, []).append(m)
 
-    if degenerate:
+    # Nesting pairs: each key looks up its truncation at every key resolution.
+    overlaps: dict[int, tuple[int, DigitMap]] = {}
+    levels = sorted({r for r, _ in by_key})
+    for r, digits, m in shell_keys:
+        i, n = 0, len(digits)
+        for q in levels:
+            if q > r:
+                break
+            while i < n and digits[i][0] <= q:
+                i += 1
+            for m_y in by_key.get((q, digits[:i]), ()):
+                if m_y != m:
+                    top = max(m, m_y)
+                    cell = (r + top, tuple((pos + top, x) for pos, x in digits))
+                    d = abs(m - m_y)
+                    if d not in overlaps or cell < overlaps[d]:
+                        overlaps[d] = cell
+
+    d_hi = max(level - w_lo + extra_range, 1 if theta else 0)
+    if theta is not None:
+        witnesses.append({"kind": "contains-identity-neighborhood", "cell": theta.to_json()})
+        _check_witness_count(f"the dilate range [1, {d_hi}]", d_hi)
+        # Cylinders coarser than t come before t's dilate in canonical
+        # order; b enters at its least d with m_b + d > r, and the least
+        # entered one stays the least for every larger d.
+        r = theta.resolution
+        entering: dict[int, Cylinder] = {}
+        for c in union.cylinders:
+            if c.digits and c.resolution < r:
+                entering.setdefault(r - c.digits[0][0] + 1, c)
+        least = None
+        for d in range(1, d_hi + 1):
+            b = entering.get(d)
+            if b is not None and (least is None or b.sort_key() < least.sort_key()):
+                least = b
+            b = least or theta
+            cell = (b.resolution + d, tuple((pos + d, x) for pos, x in b.digits))
+            if d in overlaps and overlaps[d] < cell:
+                cell = overlaps[d]
+            overlaps[d] = cell
+
+    for d in sorted(overlaps):
+        witnesses.append(
+            {"kind": "dilate-overlap", "d": d, "cell": _cylinder(p, *overlaps[d]).to_json()}
+        )
+
+    if theta is not None:
         # The finite covering argument needs the identity cylinder excluded;
         # the condition already failed, so skip the shell count.
         return ConditionRecord(
@@ -244,30 +323,17 @@ def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> Condit
             details={"resolution": level, "degenerate": True},
         )
 
-    k_lo, k_hi = -level - extra_range, -w_lo + extra_range
-    if level + k_hi > MAX_RESOLUTION:
-        # The shell range is refused where dilating D by its k would pass
-        # the cap: the first such dilate, in order of k, takes a finest
-        # cylinder one past the cap.  Only L < 0 gets here; otherwise the
-        # overlap loop dilates further and stops first.
-        raise ResolutionCapError(
-            f"resolution {MAX_RESOLUTION + 1} exceeds the cap {MAX_RESOLUTION}"
-        )
     # Each group is an in-order run of D's cylinders moved by the same k,
     # so it is canonical.
     groups: dict[int, list[Cylinder]] = {}
-    for c in union.cylinders:
-        k = -c.digits[0][0]
-        groups.setdefault(k, []).append(c.dilate(k))
+    for r, digits, m in shell_keys:
+        groups.setdefault(m, []).append(_cylinder(p, r, digits))
     pieces = [PSet._canonical(p, tuple(group)) for group in groups.values()]
     shell_total = Measure.zero(p)
     for piece in pieces:
         shell_total = shell_total + piece.measure()
-    shell = annulus(p)
-    res, defects = _cover_defects(shell, pieces)
     witnesses.extend(
-        {"kind": "cover-defect", "cell": Cylinder(p, res, cell).to_json(), "count": got}
-        for cell, got in defects
+        {"kind": "cover-defect", **entry} for entry in _cover_defects(annulus(p), pieces)
     )
 
     return ConditionRecord(
@@ -278,7 +344,7 @@ def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> Condit
             "resolution": level,
             "lowest_fixed_position": w_lo,
             "dilate_range": [1, d_hi],
-            "shell_range": [k_lo, k_hi],
+            "shell_range": [-level - extra_range, -w_lo + extra_range],
             "shell_measure": shell_total.exact_string(),
         },
     )
@@ -309,36 +375,30 @@ def congruence_partition(s: PSet) -> list[tuple[GroupElement, PSet, PSet]]:
     return out
 
 
-def congruence_defects(
-    s: PSet,
-) -> tuple[list[tuple[GroupElement, PSet, PSet]], int, list[tuple[DigitMap, int]]]:
+def congruence_defects(s: PSet) -> tuple[list[tuple[GroupElement, PSet, PSet]], list[dict]]:
     """Decide whether the lattice translates of s cover the unit cell once.
 
-    Returns the congruence partition of s together with the cell
-    resolution and the sorted (cell, count) pairs of the unit cell that
-    the translated pieces do not cover exactly once (none when s is
-    congruent to the unit cell).
+    Returns the congruence partition of s together with the parts of the
+    unit cell that the translated pieces do not cover exactly once, as
+    _cover_defects entries (none when s is congruent to the unit cell).
     """
     parts = congruence_partition(s)
-    res, defects = _cover_defects(unit_cell(s.p), [t for _, _, t in parts])
-    return parts, res, defects
+    return parts, _cover_defects(unit_cell(s.p), [t for _, _, t in parts])
 
 
 def check_translation_congruence(family: WaveletFamily) -> tuple[ConditionRecord, list[dict]]:
-    p = family.p
     witnesses: list[dict] = []
     certificate: list[dict] = []
 
     for name, s in zip(family.names, family.sets):
-        parts, res, defects = congruence_defects(s)
+        parts, defects = congruence_defects(s)
         witnesses.extend(
             {
-                "kind": "translate-overlap" if got > 1 else "cover-gap",
+                "kind": "translate-overlap" if entry["count"] > 1 else "cover-gap",
                 "set": name,
-                "cell": Cylinder(p, res, cell_map).to_json(),
-                "count": got,
+                **entry,
             }
-            for cell_map, got in defects
+            for entry in defects
         )
         certificate.append(
             {

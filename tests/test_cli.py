@@ -1,12 +1,16 @@
 import json
 import pathlib
+import time
+from fractions import Fraction
 
 import pytest
 
 from vilenkin_wavelets.cli import main, run_command
 from vilenkin_wavelets.errors import SchemaError
-from vilenkin_wavelets.famio import emit_report, parse_family_file
+from vilenkin_wavelets.famio import condition_json, emit_report, parse_family_file
 from vilenkin_wavelets.verifier import is_wavelet_set, shannon_family
+
+from .mutants import all_mutants
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -160,30 +164,97 @@ class TestExitCodes:
         assert code == 1 and report["verdict"] == "INCONCLUSIVE"
 
 
+def write_family(path, p, cylinders):
+    path.write_text(json.dumps({"p": p, "family": [{"name": "omega1", "cylinders": cylinders}]}))
+    return str(path)
+
+
+def witness_measure(witnesses, p):
+    """The total measure of witness cylinders, each p**-resolution."""
+    return sum(Fraction(1, p ** w["cell"]["resolution"]) for w in witnesses)
+
+
 class TestResolutionCap:
     def test_verify_names_first_over_cap_dilate(self, tmp_path, capsys):
-        # Resolutions 20, 26 and 30: the first dilate past the cap is the
-        # resolution-26 cylinder moved to 27, first in canonical order.
-        family = tmp_path / "deep.json"
-        family.write_text(
-            json.dumps(
-                {
-                    "p": 2,
-                    "family": [
-                        {"name": "omega1", "cylinders": [
-                            {"resolution": 26, "digits": {"0": 1, "26": 1}},
-                            {"resolution": 20, "digits": {"0": 1, "1": 1}},
-                            {"resolution": 30, "digits": {"-1": 1}},
-                        ]}
-                    ],
-                }
-            )
-        )
+        # Resolutions 20, 26 and 30, where the dilates used to pass the cap
+        # (the first at the resolution-26 cylinder moved to 27): verify now
+        # decides the family.  By hand, omega1 has measure
+        # 2^-20 + 2^-26 + 2^-30; its shell keys (resolutions 20, 26 and 31)
+        # do not nest, so the tiling defects are the shell minus them; its
+        # translates (20, {1}), (26, {26}) and (30, {}) are disjoint, so
+        # the congruence defects are the unit cell minus them.
+        family = write_family(tmp_path / "deep.json", 2, [
+            {"resolution": 26, "digits": {"0": 1, "26": 1}},
+            {"resolution": 20, "digits": {"0": 1, "1": 1}},
+            {"resolution": 30, "digits": {"-1": 1}},
+        ])
         out = tmp_path / "report.json"
-        code = main(["verify", "--p", "2", "--input", str(family), "--output", str(out)])
+        code = main(["verify", "--p", "2", "--input", family, "--output", str(out)])
         assert code == 1
-        assert capsys.readouterr().err == "resolution 27 exceeds the cap 24\n"
-        assert not out.exists()
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "FAIL"
+        measure, tiling, congruence = report["conditions"]
+        omega = Fraction(1, 2**20) + Fraction(1, 2**26) + Fraction(1, 2**30)
+        assert measure["witnesses"] == [{"set": "omega1", "measure": "1041*2^-30"}]
+        assert Fraction(1041, 2**30) == omega
+        assert {w["kind"] for w in tiling["witnesses"]} == {"cover-defect"}
+        assert {w["count"] for w in tiling["witnesses"]} == {0}
+        assert witness_measure(tiling["witnesses"], 2) == 1 - Fraction(2081, 2**31)
+        assert {w["kind"] for w in congruence["witnesses"]} == {"cover-gap"}
+        assert witness_measure(congruence["witnesses"], 2) == 1 - omega
+
+
+class TestBoundedByInput:
+    def test_low_pinned_digit_is_fast_and_small(self, tmp_path):
+        # The one cylinder's shell key is (18, {0}); the shell minus it is
+        # 2**18 - 1 cells at resolution 18, once listed one by one (105 MB),
+        # now as the 18 cylinders (q, {0, q}).
+        family = write_family(tmp_path / "k20.json", 2, [{"resolution": -2, "digits": {"-20": 1}}])
+        out = tmp_path / "report.json"
+        start = time.perf_counter()
+        code = main(["verify", "--p", "2", "--input", family, "--output", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out.stat().st_size < 10_000
+        tiling = json.loads(out.read_text())["conditions"][1]
+        gaps = [w for w in tiling["witnesses"] if w["kind"] == "cover-defect"]
+        assert [w["cell"]["resolution"] for w in gaps] == list(range(1, 19))
+        assert sum(w.get("cells", 1) for w in gaps) == 2**18 - 1
+
+    @pytest.mark.parametrize("path", sorted(str(f.relative_to(ROOT)) for f in (ROOT / "families").glob("*.json")))
+    def test_extra_range_sweep_keeps_file_reports(self, path):
+        p = json.loads((ROOT / path).read_text())["p"]
+        base_code, base = run_command(["verify", "--p", str(p), "--input", path])
+        for extra_range in range(41):
+            code, report = run_command(
+                ["verify", "--p", str(p), "--input", path, "--extra-range", str(extra_range)]
+            )
+            assert code == base_code and report["verdict"] == base["verdict"], extra_range
+            assert_same_witnesses(base["conditions"], report["conditions"])
+
+    def test_extra_range_sweep_keeps_mutant_verdicts(self):
+        for mutant in all_mutants():
+            base = is_wavelet_set(mutant.family)
+            for extra_range in range(41):
+                report = is_wavelet_set(mutant.family, extra_range=extra_range)
+                assert report.overall == base.overall
+                assert_same_witnesses(
+                    [condition_json(c) for c in base.conditions],
+                    [condition_json(c) for c in report.conditions],
+                )
+
+
+def assert_same_witnesses(base, wide):
+    """Equal verdicts and witnesses, but for the overlaps of a degenerate
+    tiling record: it lists one per d of the dilate range, so a wider
+    range lists more, and the ones of the narrower range are unchanged."""
+    assert [c["passed"] for c in wide] == [c["passed"] for c in base]
+    for b, w in zip(base, wide):
+        if b["measures"].get("degenerate"):
+            assert w["witnesses"][: len(b["witnesses"])] == b["witnesses"]
+            assert {x["kind"] for x in w["witnesses"][len(b["witnesses"]):]} <= {"dilate-overlap"}
+        else:
+            assert w["witnesses"] == b["witnesses"]
 
 
 class TestNegativeResolutionMember:

@@ -2,10 +2,11 @@ import functools
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from vilenkin_wavelets.errors import FamilyArityError, ResolutionCapError
+from vilenkin_wavelets.errors import FamilyArityError
 from vilenkin_wavelets.famio import family_from_document
 from vilenkin_wavelets.group import from_digits
 from vilenkin_wavelets.setalg import (
@@ -376,25 +377,64 @@ def refine_calls(monkeypatch):
     return calls
 
 
+def defect_cells(p, entries, res):
+    """The (cell, count) pairs at resolution res under the witness
+    cylinders, sorted; each entry's "cells" must count them, and appear
+    exactly when the entry is coarser than res."""
+    cells = []
+    for entry in entries:
+        cylinder = Cylinder.from_json(p, entry["cell"])
+        under = [c.digits for c in cylinder.refine_to(res)]
+        assert ("cells" in entry) == (cylinder.resolution < res), entry
+        assert entry.get("cells", 1) == len(under), entry
+        cells.extend((cell, entry["count"]) for cell in under)
+    return res, sorted(cells)
+
+
+def assert_defects_match_cells(target, pieces):
+    """_cover_defects against counting every cell: the same cells with the
+    same counts, from disjoint cylinders in (digits, resolution) order."""
+    res, want = brute_cover_defects(target, pieces)
+    entries = _cover_defects(target, pieces)
+    assert defect_cells(target.p, entries, res) == (res, want)
+    keys = [Cylinder.from_json(target.p, e["cell"]) for e in entries]
+    assert [(c.digits, c.resolution) for c in keys] == sorted((c.digits, c.resolution) for c in keys)
+    return entries
+
+
 class TestCoverDefects:
     @pytest.mark.parametrize("p,depth", [(2, 4), (3, 3), (5, 2)])
     def test_random_pieces_match_cell_counting(self, p, depth):
         gen = random.Random(1000 + p)
+        coarser = 0
         for target in (unit_cell(p), annulus(p)):
             for _ in range(80):
                 pieces = [random_piece(gen, target, depth) for _ in range(gen.randint(1, 4))]
-                assert _cover_defects(target, pieces) == brute_cover_defects(target, pieces)
+                entries = assert_defects_match_cells(target, pieces)
+                coarser += sum("cells" in e for e in entries)
+        assert coarser  # the cylinder form is exercised, not only single cells
 
     @pytest.mark.parametrize("mutant", all_mutants(), ids=lambda m: f"p{m.p}-{m.name}")
     def test_mutant_pieces_match_cell_counting(self, mutant):
         family = mutant.family
         for s in family.sets:
             translated = [t for _, _, t in congruence_partition(s)]
-            target = unit_cell(family.p)
-            assert _cover_defects(target, translated) == brute_cover_defects(target, translated)
+            assert_defects_match_cells(unit_cell(family.p), translated)
         if not any(not c.digits for c in family.union().cylinders):
             shell, pieces = tiling_pieces(family)
-            assert _cover_defects(shell, pieces) == brute_cover_defects(shell, pieces)
+            assert_defects_match_cells(shell, pieces)
+
+    def test_overlap_splits_only_toward_finer_pieces(self):
+        # Pieces (0, {0:1}), (1, {0:1}) and (3, {0:1}) of the shell: the
+        # resolution-1 overlap splits along the chain toward the finest
+        # one, so the witnesses are three cylinders, not 2**3 cells.
+        p = 2
+        pieces = [PSet(p, [Cylinder(p, r, ((0, 1),))]) for r in (0, 1, 3)]
+        assert _cover_defects(annulus(p), pieces) == [
+            {"cell": {"resolution": 3, "digits": {"0": 1}}, "count": 3},
+            {"cell": {"resolution": 2, "digits": {"0": 1, "2": 1}}, "count": 2, "cells": 2},
+            {"cell": {"resolution": 3, "digits": {"0": 1, "3": 1}}, "count": 2},
+        ]
 
     def test_congruence_splits_only_coarse_cylinders(self, refine_calls):
         # A 2-adic set congruent to the unit cell with 19 cylinders at
@@ -581,8 +621,10 @@ class TestTransversalSearch:
 def per_k_dilation_tiling(family, extra_range=0):
     """check_dilation_tiling computed the direct way: every shell piece is
     the union dilated by k and intersected with the shell, for every k of
-    the shell range, and every overlap is a fresh intersection of the
-    union with its dilate."""
+    the shell range, every overlap is a fresh intersection of the union
+    with its dilate for every d of the dilate range, and the cover defects
+    are counted cell by cell.  Dilating past MAX_RESOLUTION raises, so
+    this reference holds only below the cap."""
     p = family.p
     witnesses = []
     for (n1, s1), (n2, s2) in itertools.combinations(zip(family.names, family.sets), 2):
@@ -613,7 +655,7 @@ def per_k_dilation_tiling(family, extra_range=0):
     total = Measure.zero(p)
     for piece in pieces:
         total = total + piece.measure()
-    res, defects = _cover_defects(shell, pieces)
+    res, defects = brute_cover_defects(shell, pieces)
     witnesses.extend(
         {"kind": "cover-defect", "cell": Cylinder(p, res, cell).to_json(), "count": got}
         for cell, got in defects
@@ -631,13 +673,43 @@ def least(s):
     return min(s.cylinders, key=Cylinder.sort_key).to_json()
 
 
+def cell_resolution(p, entries):
+    """The cell resolution of _cover_defects entries: an entry spans
+    p**(res - r) cells of it."""
+    res = None
+    for entry in entries:
+        r, cells = entry["cell"]["resolution"], entry.get("cells", 1)
+        while cells > 1:
+            cells //= p
+            r += 1
+        assert res in (None, r), entries
+        res = r
+    return res
+
+
+def expand_cover_defects(p, witnesses):
+    """The witnesses with every cover-defect cylinder expanded into the
+    cells under it, in the cell order of counting every cell."""
+    defects = [w for w in witnesses if w["kind"] == "cover-defect"]
+    if not defects:
+        return witnesses
+    res, cells = defect_cells(p, defects, cell_resolution(p, defects))
+    rest = [w for w in witnesses if w["kind"] != "cover-defect"]
+    return rest + [
+        {"kind": "cover-defect", "cell": Cylinder(p, res, cell).to_json(), "count": got}
+        for cell, got in cells
+    ]
+
+
 def tiling_outcome(check, family, extra_range):
-    """The record's fields, or the message of the resolution-cap error."""
-    try:
-        record = check(family, extra_range)
-    except ResolutionCapError as exc:
-        return ("cap", str(exc))
-    return (record.name, record.passed, record.witnesses, record.details)
+    """The record's fields, cover defects expanded into cells."""
+    record = check(family, extra_range)
+    return (
+        record.name,
+        record.passed,
+        expand_cover_defects(family.p, record.witnesses),
+        record.details,
+    )
 
 
 def seeded_families(p, strata):
@@ -689,6 +761,23 @@ def random_mixed_families(p, count):
     return out
 
 
+def identity_families(p):
+    """Families holding an identity cylinder next to cylinders coarser and
+    finer than it: their dilates fall into it from different d on."""
+    names = tuple(f"omega{u}" for u in range(1, p))
+    out = []
+    for r in (1, 2, 3):
+        cylinders = [
+            Cylinder(p, r, ()),
+            Cylinder(p, 0, ((-1, 1), (0, 1))),
+            Cylinder(p, r + 1, ((0, 1), (r + 1, 1))),
+            Cylinder(p, r - 1, ((-2, 1),)),
+        ]
+        sets = [PSet(p, cylinders)] + [PSet(p, [Cylinder(p, 0, ((-2, u),))]) for u in range(2, p)]
+        out.append(WaveletFamily(p, names, tuple(sets)))
+    return out
+
+
 TILING_STRATA = {
     2: [(0, 0, 1), (2, -1, 6), (4, -2, 12), (6, -2, 24)],
     3: [(0, 0, 2), (2, -1, 14), (4, -2, 40)],
@@ -696,19 +785,31 @@ TILING_STRATA = {
 }
 
 
+def hand_gaps(witnesses):
+    """The shell gaps of a tiling record whose only cover defects are gaps,
+    as (resolution, digits) keys."""
+    defects = [w for w in witnesses if w["kind"] == "cover-defect"]
+    assert defects and all(w["count"] == 0 for w in defects)
+    return sorted(
+        (w["cell"]["resolution"], tuple(sorted((int(k), v) for k, v in w["cell"]["digits"].items())))
+        for w in defects
+    )
+
+
 class TestShellPieces:
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("extra_range", [0, 1, 2])
     def test_matches_per_k_intersections(self, p, extra_range):
         families = seeded_families(p, TILING_STRATA[p]) + random_atom_families(p, 12)
-        families += random_mixed_families(p, 20)
+        families += random_mixed_families(p, 20) + identity_families(p)
         families += [m.family for m in all_mutants() if m.p == p]
-        verdicts = set()
+        verdicts, degenerate = set(), 0
         for family in families:
             want = tiling_outcome(per_k_dilation_tiling, family, extra_range)
             assert tiling_outcome(check_dilation_tiling, family, extra_range) == want
             verdicts.add(want[1])
-        assert verdicts == {True, False}
+            degenerate += want[3].get("degenerate", False)
+        assert verdicts == {True, False} and degenerate >= 4
 
     def test_cylinder_inside_a_coarser_dilate_is_an_overlap(self):
         # The dilate by 1 of the resolution-0 cylinder is the resolution-1
@@ -722,26 +823,43 @@ class TestShellPieces:
         )
 
     def test_over_cap_union_keeps_the_dilate_error(self):
-        # Resolutions 20, 26 and 30: the overlap loop's first dilate past
-        # the cap is the resolution-26 cylinder moved to 27.
+        # Resolutions 20, 26 and 30, which the per-d dilates used to stop
+        # at the cap: the shell keys (20, {0, 1}), (26, {0, 26}) and
+        # (31, {0}) nest nowhere, so there is no dilate overlap, and the
+        # shell minus them is one gap per level of each key's chain.
         s = PSet(2, [
             Cylinder(2, 26, ((0, 1), (26, 1))),
             Cylinder(2, 20, ((0, 1), (1, 1))),
             Cylinder(2, 30, ((-1, 1),)),
         ])
         family = WaveletFamily(2, ("omega1",), (s,))
-        for extra_range in (0, 2):
-            want = ("cap", "resolution 27 exceeds the cap 24")
-            assert tiling_outcome(per_k_dilation_tiling, family, extra_range) == want
-            assert tiling_outcome(check_dilation_tiling, family, extra_range) == want
+        keys = [(20, ((0, 1), (1, 1))), (26, ((0, 1), (26, 1))), (31, ((0, 1),))]
+        gaps = sorted(
+            [(q, ((0, 1), (1, 1), (q, 1))) for q in range(2, 21)]
+            + [(q, ((0, 1), (q, 1))) for q in range(2, 26)]
+            + [(q, ((0, 1), (q, 1))) for q in range(27, 32)]
+        )
+        assert sum(Fraction(1, 2**r) for r, _ in gaps + keys) == 1  # they tile the shell
+        for extra_range in (0, 2, 40):
+            record = check_dilation_tiling(family, extra_range)
+            assert not record.passed
+            assert {w["kind"] for w in record.witnesses} == {"cover-defect"}
+            assert hand_gaps(record.witnesses) == gaps
+            assert record.details["shell_measure"] == "2081*2^-31"  # 2^-20 + 2^-26 + 2^-31
+            assert record.details["dilate_range"] == [1, 31 + extra_range]
 
     @pytest.mark.parametrize("w,extra_range", [(-28, 0), (-24, 3), (-24, 4), (-20, 8)])
     def test_shell_range_past_cap_keeps_the_dilate_error(self, w, extra_range):
-        # All resolutions below 0: the shell range reaches past the cap
-        # while the overlap loop's dilates stay under it.
+        # All resolutions below 0, where the shell range used to reach past
+        # the cap: the one cylinder's shell key is (-2 - w, {0}), and the
+        # shell minus it is the chain of gaps (q, {0, q}) for q up to -2 - w.
         family = WaveletFamily(2, ("omega1",), (PSet(2, [Cylinder(2, -2, ((w, 1),))]),))
-        union = family.union()
-        assert union.dilate(-2 - w + extra_range).max_resolution <= 24
-        want = ("cap", "resolution 25 exceeds the cap 24")
-        assert tiling_outcome(per_k_dilation_tiling, family, extra_range) == want
-        assert tiling_outcome(check_dilation_tiling, family, extra_range) == want
+        record = check_dilation_tiling(family, extra_range)
+        assert not record.passed
+        assert hand_gaps(record.witnesses) == [(q, ((0, 1), (q, 1))) for q in range(1, -1 - w)]
+        assert record.details["shell_measure"] == f"1*2^{2 + w}"
+        assert record.details["shell_range"] == [2 - extra_range, -w + extra_range]
+        congruence, _ = check_translation_congruence(family)
+        assert congruence.witnesses == [
+            {"kind": "translate-overlap", "set": "omega1", "cell": {"resolution": 0, "digits": {}}, "count": 4}
+        ]
