@@ -32,9 +32,9 @@ from .mra import (
     check_mra_condition,
     verify_filter_identities,
 )
-from .setalg import MAX_REFINE_CELLS
+from .setalg import MAX_REFINE_CELLS, _exceeds
 from .transform import QuotientGrid, forward, inverse, read_csv, synthesize_wavelet, write_csv
-from .verifier import _exceeds, is_wavelet_set, search_wavelet_sets
+from .verifier import is_wavelet_set, search_wavelet_sets
 
 
 class _Parser(argparse.ArgumentParser):

@@ -33,6 +33,11 @@ MAX_RESOLUTION = 24
 #: Cap on the number of cells a single refinement may produce.
 MAX_REFINE_CELLS = 2_000_000
 
+
+def _exceeds(base: int, exponent: int, limit: int) -> bool:
+    """base**exponent > limit, without building a huge power."""
+    return base > 1 and (exponent > limit.bit_length() or base**exponent > limit)
+
 DigitMap = tuple[tuple[int, int], ...]
 
 
@@ -574,9 +579,10 @@ class _NestingIndex:
         # filled in per resolution on first use.
         self.inner: dict[int, set[DigitMap]] = {}
 
-    def covers(self, digits: DigitMap, top: int) -> bool:
-        """Whether a stored cylinder of resolution <= top contains the cell
-        with these digits (whose resolution is at least top).
+    def containing(self, digits: DigitMap, top: int) -> Iterator[tuple[int, DigitMap]]:
+        """The stored (resolution, digits) keys of resolution <= top that
+        contain the cell with these digits (whose resolution is at least
+        top), coarsest first.
 
         One pass over the sorted digits yields every truncation.
         """
@@ -587,8 +593,12 @@ class _NestingIndex:
             while i < n and digits[i][0] <= r:
                 i += 1
             if digits[:i] in keys:
-                return True
-        return False
+                yield r, digits[:i]
+
+    def covers(self, digits: DigitMap, top: int) -> bool:
+        """Whether a stored cylinder of resolution <= top contains the cell
+        with these digits (whose resolution is at least top)."""
+        return next(self.containing(digits, top), None) is not None
 
     def straddled(self, q: int, digits: DigitMap) -> bool:
         """Whether the resolution-q cell with these digits strictly contains

@@ -30,6 +30,7 @@ from .setalg import (
     Measure,
     PSet,
     _cylinder,
+    _exceeds,
     _NestingIndex,
     _truncate,
     annulus,
@@ -158,7 +159,9 @@ def _cover_defects(target: PSet, pieces: list[PSet]) -> list[dict]:
 
     Entries are {"cell", "count"}, plus "cells", the number of cells at
     the cell resolution (the finest one present, at least 0) that the
-    entry spans, when the entry is coarser than that; they are sorted by
+    entry spans, when the entry is coarser than that; it is written as
+    the exact power "p^k", k the entry's depth above the cell resolution,
+    so an entry stays small however deep it is.  Entries are sorted by
     digits, then resolution.  Expanded to cells, they are exactly the
     cells that counting every cell of every piece would flag.
     """
@@ -199,7 +202,7 @@ def _cover_defects(target: PSet, pieces: list[PSet]) -> list[dict]:
     for r, digits, count in defects:
         entry = {"cell": _cylinder(p, r, digits).to_json(), "count": count}
         if r < res:
-            entry["cells"] = p ** (res - r)
+            entry["cells"] = f"{p}^{res - r}"
         out.append(entry)
     return out
 
@@ -231,10 +234,11 @@ def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> Condit
     the verdict; those depend only on D.
 
     An identity cylinder t of resolution r rejects the family up front,
-    as the single shell no longer accounts for everything; its overlaps
-    are then reported for every d of the dilate range: t.dilate(d) lies
-    in t, and so does b.dilate(d) for every other cylinder b with
-    m_b + d > r.
+    as the single shell no longer accounts for everything.  D then meets
+    its dilate by every d >= 1 -- t.dilate(d) lies in t, and so does
+    b.dilate(d) for every other cylinder b with m_b + d > r -- and the
+    overlaps are listed for d in [1, max(L - w, 1)], a range read off D
+    alone, so here too extra_range changes nothing.
     """
     p = family.p
     witnesses: list[dict] = []
@@ -256,7 +260,7 @@ def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> Condit
 
     # One pass over D: each cylinder's shell key and lowest nonzero position.
     theta = None
-    shell_keys: list[tuple[int, DigitMap, int]] = []
+    shell_keys: list[tuple[Cylinder, int]] = []
     by_key: dict[tuple[int, DigitMap], list[int]] = {}
     for c in union.cylinders:
         if not c.digits:
@@ -264,30 +268,25 @@ def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> Condit
             continue
         m = c.digits[0][0]
         key = (c.resolution - m, tuple((pos - m, x) for pos, x in c.digits))
-        shell_keys.append((*key, m))
+        shell_keys.append((_cylinder(p, *key), m))
         by_key.setdefault(key, []).append(m)
 
-    # Nesting pairs: each key looks up its truncation at every key resolution.
+    # Nesting pairs: the keys containing each key, by truncated-key lookups.
     overlaps: dict[int, tuple[int, DigitMap]] = {}
-    levels = sorted({r for r, _ in by_key})
-    for r, digits, m in shell_keys:
-        i, n = 0, len(digits)
-        for q in levels:
-            if q > r:
-                break
-            while i < n and digits[i][0] <= q:
-                i += 1
-            for m_y in by_key.get((q, digits[:i]), ()):
+    index = _NestingIndex(x for x, _ in shell_keys)
+    for x, m in shell_keys:
+        for key in index.containing(x.digits, x.resolution):
+            for m_y in by_key[key]:
                 if m_y != m:
                     top = max(m, m_y)
-                    cell = (r + top, tuple((pos + top, x) for pos, x in digits))
+                    cell = (x.resolution + top, tuple((pos + top, v) for pos, v in x.digits))
                     d = abs(m - m_y)
                     if d not in overlaps or cell < overlaps[d]:
                         overlaps[d] = cell
 
-    d_hi = max(level - w_lo + extra_range, 1 if theta else 0)
     if theta is not None:
         witnesses.append({"kind": "contains-identity-neighborhood", "cell": theta.to_json()})
+        d_hi = max(level - w_lo, 1)
         _check_witness_count(f"the dilate range [1, {d_hi}]", d_hi)
         # Cylinders coarser than t come before t's dilate in canonical
         # order; b enters at its least d with m_b + d > r, and the least
@@ -326,8 +325,8 @@ def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> Condit
     # Each group is an in-order run of D's cylinders moved by the same k,
     # so it is canonical.
     groups: dict[int, list[Cylinder]] = {}
-    for r, digits, m in shell_keys:
-        groups.setdefault(m, []).append(_cylinder(p, r, digits))
+    for x, m in shell_keys:
+        groups.setdefault(m, []).append(x)
     pieces = [PSet._canonical(p, tuple(group)) for group in groups.values()]
     shell_total = Measure.zero(p)
     for piece in pieces:
@@ -343,7 +342,7 @@ def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> Condit
         details={
             "resolution": level,
             "lowest_fixed_position": w_lo,
-            "dilate_range": [1, d_hi],
+            "dilate_range": [1, max(level - w_lo + extra_range, 0)],
             "shell_range": [-level - extra_range, -w_lo + extra_range],
             "shell_measure": shell_total.exact_string(),
         },
@@ -531,11 +530,6 @@ def search_wavelet_sets(
         exhausted=budget is not None and total > budget,
         examined=limit,
     )
-
-
-def _exceeds(base: int, exponent: int, limit: int) -> bool:
-    """base**exponent > limit, without building a huge power."""
-    return base > 1 and (exponent > limit.bit_length() or base**exponent > limit)
 
 
 def _comb_upto(n: int, k: int, cap: int | float) -> int:

@@ -174,6 +174,13 @@ def witness_measure(witnesses, p):
     return sum(Fraction(1, p ** w["cell"]["resolution"]) for w in witnesses)
 
 
+def cell_count(p, witness):
+    """The cells a defect witness spans: its "cells" power "p^k", or 1."""
+    base, _, k = witness.get("cells", f"{p}^0").partition("^")
+    assert int(base) == p
+    return p ** int(k)
+
+
 class TestResolutionCap:
     def test_verify_names_first_over_cap_dilate(self, tmp_path, capsys):
         # Resolutions 20, 26 and 30, where the dilates used to pass the cap
@@ -219,7 +226,59 @@ class TestBoundedByInput:
         tiling = json.loads(out.read_text())["conditions"][1]
         gaps = [w for w in tiling["witnesses"] if w["kind"] == "cover-defect"]
         assert [w["cell"]["resolution"] for w in gaps] == list(range(1, 19))
-        assert sum(w.get("cells", 1) for w in gaps) == 2**18 - 1
+        assert sum(cell_count(2, w) for w in gaps) == 2**18 - 1
+
+    def test_deep_cylinder_report_grows_linearly(self, tmp_path, capsys):
+        # One resolution-15000 cylinder, its own shell key: the shell and
+        # the unit cell minus it are 15000 gap cylinders each.  Each entry names its cell
+        # count as a power, so the report holds short entries, not the
+        # counts 2**(15000 - q) written out, which past 4300 digits cannot
+        # be printed at all.
+        R = 15_000
+        family = write_family(tmp_path / "deep.json", 2, [{"resolution": R, "digits": {"0": 1}}])
+        out = tmp_path / "report.json"
+        code = main(["verify", "--p", "2", "--input", family, "--output", str(out)])
+        assert code == 1 and capsys.readouterr().err == ""
+        assert out.stat().st_size < 600 * R
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "FAIL"
+        _, tiling, congruence = report["conditions"]
+        for record in (tiling, congruence):
+            gaps = record["witnesses"]
+            assert {w["count"] for w in gaps} == {0}
+            assert [w["cell"]["resolution"] for w in gaps] == list(range(1, R + 1))
+            assert [cell_count(2, w) for w in gaps[:2]] == [2 ** (R - 1), 2 ** (R - 2)]
+            assert witness_measure(gaps, 2) == 1 - Fraction(1, 2**R)
+
+    def test_deeper_cylinder_fails_without_traceback(self, tmp_path, capsys):
+        # Resolution 10**5, in the text format, which prints the first
+        # witnesses only: still one FAIL report and no error.
+        family = write_family(tmp_path / "deeper.json", 2, [{"resolution": 10**5, "digits": {"0": 1}}])
+        out = tmp_path / "report.txt"
+        code = main(["verify", "--p", "2", "--input", family, "--format", "text", "--output", str(out)])
+        assert code == 1 and capsys.readouterr().err == ""
+        text = out.read_text()
+        assert "verdict: FAIL" in text and '"cells": "2^99999"' in text
+        assert len(text) < 10_000
+
+    def test_identity_family_ignores_extra_range(self, tmp_path):
+        # The identity cylinder (1, {}) meets every dilate of the union;
+        # the overlaps are listed for d up to L - w = 1 - (-2) whatever the
+        # range, so a huge --extra-range neither lists more nor hits a cap.
+        family = write_family(tmp_path / "identity.json", 2, [
+            {"resolution": 1, "digits": {}},
+            {"resolution": 0, "digits": {"-2": 1}},
+        ])
+        base_code, base = run_command(["verify", "--p", "2", "--input", family])
+        start = time.perf_counter()
+        code, wide = run_command(
+            ["verify", "--p", "2", "--input", family, "--extra-range", "1999990"]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == base_code == 1
+        assert wide["conditions"] == base["conditions"]
+        tiling = wide["conditions"][1]
+        assert [w["d"] for w in tiling["witnesses"] if w["kind"] == "dilate-overlap"] == [1, 2, 3]
 
     @pytest.mark.parametrize("path", sorted(str(f.relative_to(ROOT)) for f in (ROOT / "families").glob("*.json")))
     def test_extra_range_sweep_keeps_file_reports(self, path):
@@ -245,16 +304,10 @@ class TestBoundedByInput:
 
 
 def assert_same_witnesses(base, wide):
-    """Equal verdicts and witnesses, but for the overlaps of a degenerate
-    tiling record: it lists one per d of the dilate range, so a wider
-    range lists more, and the ones of the narrower range are unchanged."""
-    assert [c["passed"] for c in wide] == [c["passed"] for c in base]
-    for b, w in zip(base, wide):
-        if b["measures"].get("degenerate"):
-            assert w["witnesses"][: len(b["witnesses"])] == b["witnesses"]
-            assert {x["kind"] for x in w["witnesses"][len(b["witnesses"]):]} <= {"dilate-overlap"}
-        else:
-            assert w["witnesses"] == b["witnesses"]
+    """Equal verdicts and witnesses, degenerate tiling records included."""
+    assert [(c["passed"], c["witnesses"]) for c in wide] == [
+        (c["passed"], c["witnesses"]) for c in base
+    ]
 
 
 class TestNegativeResolutionMember:

@@ -386,7 +386,8 @@ def defect_cells(p, entries, res):
         cylinder = Cylinder.from_json(p, entry["cell"])
         under = [c.digits for c in cylinder.refine_to(res)]
         assert ("cells" in entry) == (cylinder.resolution < res), entry
-        assert entry.get("cells", 1) == len(under), entry
+        base, _, depth = entry.get("cells", f"{p}^0").partition("^")
+        assert (int(base), p ** int(depth)) == (p, len(under)), entry
         cells.extend((cell, entry["count"]) for cell in under)
     return res, sorted(cells)
 
@@ -432,7 +433,7 @@ class TestCoverDefects:
         pieces = [PSet(p, [Cylinder(p, r, ((0, 1),))]) for r in (0, 1, 3)]
         assert _cover_defects(annulus(p), pieces) == [
             {"cell": {"resolution": 3, "digits": {"0": 1}}, "count": 3},
-            {"cell": {"resolution": 2, "digits": {"0": 1, "2": 1}}, "count": 2, "cells": 2},
+            {"cell": {"resolution": 2, "digits": {"0": 1, "2": 1}}, "count": 2, "cells": "2^1"},
             {"cell": {"resolution": 3, "digits": {"0": 1, "3": 1}}, "count": 2},
         ]
 
@@ -642,7 +643,9 @@ def per_k_dilation_tiling(family, extra_range=0):
     level = union.max_resolution
     w_lo = union.min_fixed_position
     w_lo = level if w_lo is None else w_lo
-    d_hi = max(level - w_lo + extra_range, 1 if degenerate else 0)
+    # A degenerate union meets its dilate by every d >= 1; the overlaps
+    # are listed up to L - w whatever the extra range.
+    d_hi = max(level - w_lo, 1) if degenerate else max(level - w_lo + extra_range, 0)
     for d in range(1, d_hi + 1):
         overlap = union.intersect(union.dilate(d))
         if not overlap.is_empty:
@@ -674,14 +677,13 @@ def least(s):
 
 
 def cell_resolution(p, entries):
-    """The cell resolution of _cover_defects entries: an entry spans
-    p**(res - r) cells of it."""
+    """The cell resolution of _cover_defects entries: an entry of
+    resolution r spans "p^(res - r)" cells of it."""
     res = None
     for entry in entries:
-        r, cells = entry["cell"]["resolution"], entry.get("cells", 1)
-        while cells > 1:
-            cells //= p
-            r += 1
+        base, _, depth = entry.get("cells", f"{p}^0").partition("^")
+        assert int(base) == p, entry
+        r = entry["cell"]["resolution"] + int(depth)
         assert res in (None, r), entries
         res = r
     return res
