@@ -62,7 +62,7 @@ two_scale = verify_two_scale(family, sigma, bank)
 print(
     f"refinement equations + depth-{depth} product: "
     f"{'pass' if two_scale.passed else 'FAIL'} "
-    f"({two_scale.checked_cells} cells checked)"
+    f"({two_scale.checked_cells} cylinders decided)"
 )
 
 calderon = verify_calderon(family, sigma)

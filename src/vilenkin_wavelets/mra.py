@@ -29,9 +29,11 @@ from .setalg import (
     DigitMap,
     Measure,
     PSet,
-    _NestingIndex,
+    _cylinder,
     empty_set,
+    expanded_unit,
     theta_ball,
+    unit_cell,
 )
 from .verifier import VerdictReport, WaveletFamily, is_wavelet_set
 
@@ -311,6 +313,17 @@ class FilterTable:
     def is_binary(self) -> bool:
         return all(v in (0, 1) for v in self.values.values())
 
+    def level_set(self, value) -> PSet:
+        """The points of the unit cell where the table takes this value, as
+        cylinders of the table resolution: one period of the lattice-periodic
+        set where its extension does."""
+        r = max(self.resolution, 0)
+        return PSet(
+            self.p,
+            (_cylinder(self.p, r, f) for f, v in self._by_fraction.items() if v == value),
+            validate=False,
+        )
+
 
 @dataclass
 class FilterBank:
@@ -547,28 +560,27 @@ def _conj(v):
 class TwoScaleReport:
     passed: bool
     window: int
-    checked_cells: int
+    checked_cells: int  # cylinders on the two sides of every equation
     failing_cells: list[dict]
-    excluded_mass: Measure
     unresolved_mass: Measure
 
 
-def _membership_index(s: PSet):
-    """Where cells lie relative to s, answered from truncated digit keys.
-
-    Returns a function of a cell: 1 if the cell is inside s (a cylinder
-    of s contains it), None if it straddles s (it strictly contains a
-    cylinder of s and lies inside none), else 0.
-    """
-    index = _NestingIndex(s.cylinders)
-    covers, straddled = index.covers, index.straddled
-
-    def locate(cell: Cylinder) -> int | None:
-        if covers(cell.digits, cell.resolution):
-            return 1
-        return None if straddled(cell.resolution, cell.digits) else 0
-
-    return locate
+def _lift(unit: PSet, m: int) -> PSet:
+    """The lattice-periodic extension of a unit-cell set, inside
+    theta_ball(p, m): for m < 0 one copy per integer part of the ball,
+    p**(-m) of them."""
+    p = unit.p
+    if m >= 0:
+        return unit.intersect(theta_ball(p, m))
+    return PSet(
+        p,
+        (
+            _cylinder(p, c.resolution, integer + c.digits)
+            for integer in _digit_maps(p, range(m + 1, 1))
+            for c in unit.cylinders
+        ),
+        validate=False,
+    )
 
 
 def verify_two_scale(
@@ -579,19 +591,38 @@ def verify_two_scale(
     window: int | None = None,
     product_depth: int | None = None,
 ) -> TwoScaleReport:
-    """Cell-wise refinement equations and the truncated low-pass product.
+    """The refinement equations and the truncated low-pass product, each
+    decided as an equality of two cylinder sets on the resolved spectrum.
 
-    Checks, on the dilation-invariant window, that the spectrum indicator
-    reproduces under the low-pass filter, that each member-set indicator
-    reproduces under its band filter, and that the product of low-pass
-    values along contracting shifts equals the spectrum indicator outside
-    the identity ball.
+    With 0/1 filters every identity compares two indicators.  Write Omega
+    for the spectrum, D_u for the members, sigma^-j for the dilate by -j,
+    Per_v(t) for the points whose digits at positions 1 to the table
+    resolution take the value v in table t, B(k) = theta_ball(p, k),
+    W = B(-window), and Z for the union over j = 1..product_depth of
+    sigma^-j(Per_0(m0) & B(j - window)): the points of W where one of the
+    first product_depth low-pass factors vanishes.  The identities are
 
-    The product runs to the full truncation depth on an exactly resolved
-    spectrum.  On a truncation it runs to window + level: for 0/1 filters
-    a vanishing factor must appear within that many shifts, and deeper
-    factors would only query cells the truncation cannot resolve.
+    - low-pass refinement: sigma^-1(Omega & Per_1(m0)) = Omega;
+    - band refinement: sigma^-1(Omega & Per_1(m1_u)) = D_u;
+    - low-pass product: (W - B(L + J)) - Z = Omega - B(L + J).
+
+    Only intersections, differences and dilates by k <= 0 are taken, so
+    no set needs a dilate past the resolution cap, whatever the depth.
+    A failure is the symmetric difference of the two sides, listed as
+    {"cell", "problems"} entries whose problems name the identity and its
+    "lhs" and "rhs" values at that cell; refinement cells are moved one
+    position back into the frame of the filter argument.  A fraction
+    that some table has no value for counts in unresolved_mass and fails
+    the check.
+
+    A spectrum that is not exactly resolved, or a bank that is not 0/1,
+    raises ValueError.
     """
+    if omega_sigma.resolved is None:
+        raise ValueError("the two-scale check needs an exactly resolved spectrum")
+    tables = bank.all_tables()
+    if not all(t.is_binary() for t in tables):
+        raise ValueError("the two-scale check needs 0/1 filter tables")
     p = family.p
     J = omega_sigma.depth
     L = omega_sigma.level
@@ -605,164 +636,55 @@ def verify_two_scale(
     if window < 1 - w_lo:
         raise ValueError("window does not cover the family's coarse extent")
     if product_depth is None:
-        product_depth = J if omega_sigma.resolved is not None else window + L
+        product_depth = J
     if not 0 < product_depth <= J:
         raise ValueError(f"product depth must lie in [1, {J}]")
 
-    phi = _membership_index(omega_sigma.spectrum())
-    bands = [_membership_index(member) for member in family.sets]
-    if omega_sigma.resolved is None:
-        tail = _membership_index(theta_ball(p, w_lo + J))
-        two_scale_exclusion = tail
-        product_exclusion = tail  # the wider of the two balls
-    else:
-        two_scale_exclusion = _membership_index(empty_set(p))
-        product_exclusion = _membership_index(theta_ball(p, L + J))
+    omega = omega_sigma.resolved
+    levels = [(t.level_set(0), t.level_set(1)) for t in tables]
+    unit = unit_cell(p)
+    unresolved = empty_set(p)
+    for zero, one in levels:
+        unresolved = unresolved.union(unit.difference(zero.union(one)))
 
-    failing: list[dict] = []
+    # (identity, lhs set, rhs set, shift back to the filter argument).
+    # Omega lies in B(w_lo), inside B(1 - window).
+    equations = [
+        (name, lhs, omega.intersect(_lift(one, 1 - window)).dilate(-1), 1)
+        for name, lhs, (_, one) in zip(
+            ["two-scale-m0", *(f"two-scale-m1[{u}]" for u in range(1, p))],
+            [omega, *family.sets],
+            levels,
+        )
+    ]
+    ball = theta_ball(p, L + J)
+    product = expanded_unit(p, window).difference(ball)
+    # From j = window + resolution on, B(j - window) lies in one table
+    # cell, so every later term repeats that one.
+    for j in range(1, min(product_depth, window + bank.resolution) + 1):
+        product = product.difference(_lift(levels[0][0], j - window).dilate(-j))
+    equations.append(("low-pass-product", product, omega.difference(ball), 0))
+
+    problems: dict[tuple[int, DigitMap], list[dict]] = {}
     checked = 0
-    excluded = Measure.zero(p)
-    unresolved = Measure.zero(p)
-
-    def evaluate(table: FilterTable, cell: Cylinder):
-        """(value, hopeless): splitting cannot resolve a lookup that already
-        carries the table's full digit prefix, only one that is coarser."""
-        if cell.resolution < table.resolution:
-            return UNRESOLVED, False
-        value = table.evaluate_cell(cell)
-        return value, value is UNRESOLVED
-
-    stack = [Cylinder(p, -window, ())]
-    while stack:
-        cell = stack.pop()
-        split = False
-        hopeless = False
-
-        # Exclusion handling: skip cells fully inside, split straddlers.
-        exc2 = two_scale_exclusion(cell)
-        excp = product_exclusion(cell)
-        if exc2 is None or excp is None:
-            stack.extend(cell.refine_to(cell.resolution + 1))
-            continue
-
-        up = cell.dilate(-1)
-        phi_here = phi(cell)
-        phi_up = phi(up)
-        problems = []
-
-        if exc2 == 0:
-            m0_here, m0_hopeless = evaluate(bank.m0, cell)
-            # Refinement equation for the scaling spectrum.
-            if phi_here == 0 and phi_up == 0:
-                pass  # 0 = m * 0 regardless of the filter value
-            elif phi_here is None or phi_up is None:
-                split = True
-            elif m0_here is UNRESOLVED:
-                if m0_hopeless:
-                    hopeless = True
-                else:
-                    split = True
-            elif phi_up != m0_here * phi_here:
-                problems.append(
-                    {
-                        "identity": "two-scale-m0",
-                        "lhs": phi_up,
-                        "rhs": _render_value(m0_here * phi_here),
-                    }
+    for name, lhs, rhs, shift in equations:
+        checked += len(lhs.cylinders) + len(rhs.cylinders)
+        for inside, outside, value in ((lhs, rhs, 1), (rhs, lhs, 0)):
+            for c in inside.difference(outside).cylinders:
+                key = (c.resolution + shift, tuple((pos + shift, d) for pos, d in c.digits))
+                problems.setdefault(key, []).append(
+                    {"identity": name, "lhs": value, "rhs": 1 - value}
                 )
-            # Band refinement equations.
-            if not split:
-                for u, (table, band) in enumerate(zip(bank.m1, bands), start=1):
-                    psi_up = band(up)
-                    if phi_here == 0 and psi_up == 0:
-                        continue
-                    m1_here, m1_hopeless = evaluate(table, cell)
-                    if psi_up is None or phi_here is None:
-                        split = True
-                        break
-                    if m1_here is UNRESOLVED:
-                        if m1_hopeless:
-                            hopeless = True
-                            continue
-                        split = True
-                        break
-                    if psi_up != m1_here * phi_here:
-                        problems.append(
-                            {
-                                "identity": f"two-scale-m1[{u}]",
-                                "lhs": psi_up,
-                                "rhs": _render_value(m1_here * phi_here),
-                            }
-                        )
-
-        if excp == 0 and not split:
-            # Truncated product of low-pass values along contracting shifts.
-            product: object = 1
-            product_hopeless = False
-            for j in range(1, product_depth + 1):
-                if cell.resolution + j > MAX_RESOLUTION:
-                    factor, factor_hopeless = UNRESOLVED, True
-                else:
-                    factor, factor_hopeless = evaluate(bank.m0, cell.dilate(j))
-                if factor == 0:
-                    product = 0
-                    break
-                if factor is UNRESOLVED:
-                    product = UNRESOLVED
-                    product_hopeless = factor_hopeless
-                    break
-                product = product * factor
-            if phi_here is None:
-                split = True
-            elif product is UNRESOLVED:
-                if product_hopeless:
-                    hopeless = True
-                else:
-                    split = True
-            elif product != phi_here:
-                problems.append(
-                    {
-                        "identity": "low-pass-product",
-                        "lhs": _render_value(product),
-                        "rhs": phi_here,
-                    }
-                )
-
-        if split:
-            if cell.resolution < MAX_RESOLUTION:
-                stack.extend(cell.refine_to(cell.resolution + 1))
-            else:
-                unresolved = unresolved + cell.measure()
-            continue
-        if hopeless:
-            unresolved = unresolved + cell.measure()
-            continue
-
-        if exc2 == 1 and excp == 1:
-            excluded = excluded + cell.measure()
-            continue
-
-        checked += 1
-        if problems:
-            failing.append({"cell": cell.to_json(), "problems": problems})
-
-    # Truncations leave two kinds of undecidable mass: translated copies
-    # of the unresolved tail in every lattice coset meeting the window,
-    # and the deep shells whose late product factors cross the resolved
-    # depth.  One extra power of p covers their sum.
-    allowance = (
-        Measure.zero(p)
-        if omega_sigma.resolved is not None
-        else Measure.make(1, p, w_lo + J - window - L - 1)
-    )
-    passed = not failing and unresolved <= allowance
+    failing = [
+        {"cell": Cylinder(p, *key).to_json(), "problems": found}
+        for key, found in sorted(problems.items())
+    ]
     return TwoScaleReport(
-        passed=passed,
+        passed=not failing and unresolved.is_empty,
         window=window,
         checked_cells=checked,
         failing_cells=failing,
-        excluded_mass=excluded,
-        unresolved_mass=unresolved,
+        unresolved_mass=unresolved.measure(),
     )
 
 

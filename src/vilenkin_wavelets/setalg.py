@@ -40,6 +40,22 @@ def _exceeds(base: int, exponent: int, limit: int) -> bool:
 
 DigitMap = tuple[tuple[int, int], ...]
 
+#: Decimal digits per chunk of a long count: str() refuses integers of
+#: more digits than sys.get_int_max_str_digits() (4300 by default, 640
+#: at the least).
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """str(n) for a nonnegative integer of any length, in chunks of digits."""
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
 
 def _check_resolution(L: int) -> None:
     if L > MAX_RESOLUTION:
@@ -151,7 +167,7 @@ class Measure:
 
     def exact_string(self) -> str:
         """Render as e.g. '7*2^-3'; the printed exponent is -scale."""
-        return f"{self.count}*{self.p}^{-self.scale}"
+        return f"{_decimal(self.count)}*{self.p}^{-self.scale}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Measure({self.exact_string()})"

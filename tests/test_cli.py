@@ -1,3 +1,4 @@
+import decimal
 import json
 import pathlib
 import time
@@ -260,6 +261,26 @@ class TestBoundedByInput:
         text = out.read_text()
         assert "verdict: FAIL" in text and '"cells": "2^99999"' in text
         assert len(text) < 10_000
+
+    def test_long_measure_fails_without_traceback(self, tmp_path, capsys):
+        # Measure (2^15000 + 1) * 2^-15000: its count has 4516 digits, more
+        # than str() of an int writes by default.
+        R = 15_000
+        family = write_family(tmp_path / "long.json", 2, [
+            {"resolution": 0, "digits": {"0": 1}},
+            {"resolution": R, "digits": {"-3": 1}},
+        ])
+        out = tmp_path / "report.json"
+        code = main(["verify", "--p", "2", "--input", family, "--output", str(out)])
+        assert code == 1 and capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "FAIL"
+        measure = report["conditions"][0]
+        assert not measure["passed"]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5000  # Decimal writes its digits without that limit
+            count = decimal.Decimal(2) ** R + 1
+        assert measure["witnesses"][0]["measure"] == f"{count}*2^-{R}"
 
     def test_identity_family_ignores_extra_range(self, tmp_path):
         # The identity cylinder (1, {}) meets every dilate of the union;

@@ -1,6 +1,8 @@
 import cmath
 import itertools
 import random
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from vilenkin_wavelets.mra import (
     FilterBank,
     FilterIdentityReport,
     FilterTable,
+    _render_value,
     accumulate_omega_sigma,
     build_filters,
     check_mra_condition,
@@ -19,11 +22,28 @@ from vilenkin_wavelets.mra import (
     verify_filter_identities,
     verify_two_scale,
 )
-from vilenkin_wavelets.setalg import Cylinder, Measure, PSet, theta_ball, unit_cell
-from vilenkin_wavelets.verifier import shannon_family
+from vilenkin_wavelets.setalg import (
+    MAX_RESOLUTION,
+    Cylinder,
+    Measure,
+    PSet,
+    _NestingIndex,
+    empty_set,
+    theta_ball,
+    unit_cell,
+)
+from vilenkin_wavelets.verifier import search_wavelet_sets, shannon_family
 
 from .families import three_shell_family
 from .mutants import mutants_for
+
+
+def coset_shuffle_family():
+    """A verified p=3 family that mixes lattice cosets inside each member;
+    its union is still the full unit shell."""
+    families = search_wavelet_sets(3, (0, 1)).families
+    shannon = shannon_family(3)
+    return next(f for f in families if f.sets != shannon.sets)
 
 
 def shannon_pipeline(p, depth=8):
@@ -160,7 +180,7 @@ class TestThreeShellPipeline:
     def test_truncated_filters_and_two_scale(self):
         # Forcing the truncated route end to end: identity checks run at
         # the truncation resolution and skip exactly the tail ball; the
-        # product check self-limits to the shells a truncation resolves.
+        # two-scale check needs the exact spectrum and refuses.
         from .families import three_shell_family
 
         family = three_shell_family()
@@ -176,10 +196,8 @@ class TestThreeShellPipeline:
         assert identities.skipped_cells > 0
         assert identities.skipped_mass <= bank.unresolved_allowance
 
-        two_scale = verify_two_scale(family, sigma, bank)
-        assert two_scale.passed
-        assert not two_scale.failing_cells
-        assert two_scale.unresolved_mass > 0  # honest truncation accounting
+        with pytest.raises(ValueError, match="resolved spectrum"):
+            verify_two_scale(family, sigma, bank)
 
     def test_truncated_path_certifies_with_depth_guard(self):
         # Forcing the truncated route: the family pins a digit at a
@@ -207,17 +225,8 @@ class TestThreeShellPipeline:
 
 
 class TestNonShannonFamilies:
-    def _coset_shuffle(self):
-        # A verified p=3 family that mixes lattice cosets inside each
-        # member; its union is still the full unit shell.
-        from vilenkin_wavelets.verifier import search_wavelet_sets
-
-        families = search_wavelet_sets(3, (0, 1)).families
-        shannon = shannon_family(3)
-        return next(f for f in families if f.sets != shannon.sets)
-
     def test_full_pipeline(self):
-        family = self._coset_shuffle()
+        family = coset_shuffle_family()
         sigma = accumulate_omega_sigma(family, 6)
         assert sigma.self_similar_tail_resolved
         mra = check_mra_condition(sigma)
@@ -230,7 +239,7 @@ class TestNonShannonFamilies:
     def test_row_measures_are_quantized(self):
         # Every reported intersection measure is an integer multiple of
         # p^-(L+J): the scale never exceeds the refinement the data has.
-        family = self._coset_shuffle()
+        family = coset_shuffle_family()
         depth = 5
         sigma = accumulate_omega_sigma(family, depth)
         mra = check_mra_condition(sigma)
@@ -391,6 +400,49 @@ class TestTwoScale:
         family, sigma, _, bank = shannon_pipeline(2, depth=3)
         with pytest.raises(ValueError):
             verify_two_scale(family, sigma, bank, window=5)
+
+    @pytest.mark.parametrize(
+        "name, cap", [("shannon2", 24), ("shannon3", 24), ("shannon5", 24), ("three-shell2", 22)]
+    )
+    def test_passes_at_every_depth_to_the_cap(self, name, cap):
+        # From the first depth where the spectrum resolves to the deepest
+        # one the spectrum and the filters can be built at, the verdict
+        # must not depend on the resolution cap.
+        family = shannon_family(int(name[-1])) if name.startswith("shannon") else three_shell_family()
+        depths = []
+        for J in itertools.count(1):
+            try:
+                sigma = accumulate_omega_sigma(family, J)
+                bank = build_filters(family, sigma) if sigma.resolved is not None else None
+            except ResolutionCapError:
+                break
+            if bank is None or max(2, 1 - sigma.lowest_fixed) + sigma.level > J:
+                continue
+            report = verify_two_scale(family, sigma, bank)
+            assert report.passed and not report.failing_cells, J
+            assert report.unresolved_mass == 0 and report.checked_cells > 0
+            depths.append(J)
+        assert depths == list(range(depths[0], cap + 1)) and depths[0] <= 4
+
+    @pytest.mark.parametrize("name", ["phase-twisted", "shannon2-truncated"])
+    def test_refuses_what_it_cannot_decide(self, name):
+        # A complex bank has no 0/1 level sets, and a truncated spectrum
+        # has no exact equations.
+        p = 2
+        family = shannon_family(p)
+        sigma = accumulate_omega_sigma(family, 3 if "truncated" in name else 8)
+        if "truncated" in name:
+            sigma.resolved = None
+            sigma.self_similar_tail_resolved = False
+        with pytest.raises(ValueError):
+            verify_two_scale(family, sigma, _bank(name))
+
+    def test_level_sets_split_the_unit_cell(self):
+        family, _, _, bank = shannon_pipeline(3)
+        zero, one = bank.m0.level_set(0), bank.m0.level_set(1)
+        assert zero == family.union().dilate(1)
+        assert zero.union(one) == unit_cell(3) and zero.intersect(one).is_empty
+        assert bank.m0.level_set(2).is_empty
 
 
 class TestCalderon:
@@ -630,6 +682,254 @@ def relation_membership(cell, s):
     return None if saw_partial else 0
 
 
+def membership_index(s: PSet):
+    """Where cells lie relative to s, answered from truncated digit keys.
+
+    Returns a function of a cell: 1 if the cell is inside s (a cylinder
+    of s contains it), None if it straddles s (it strictly contains a
+    cylinder of s and lies inside none), else 0.
+    """
+    index = _NestingIndex(s.cylinders)
+    covers, straddled = index.covers, index.straddled
+
+    def locate(cell: Cylinder) -> int | None:
+        if covers(cell.digits, cell.resolution):
+            return 1
+        return None if straddled(cell.resolution, cell.digits) else 0
+
+    return locate
+
+
+@dataclass
+class WalkReport:
+    passed: bool
+    window: int
+    checked_cells: int
+    failing_cells: list[dict]
+    excluded_mass: Measure
+    unresolved_mass: Measure
+
+
+def walk_two_scale(family, omega_sigma, bank, *, window=None, product_depth=None):
+    """The cell walk verify_two_scale used to be: cells of the window are
+    split until each identity's two sides are constant on them, and each
+    cell is checked on its own.  It also takes truncated spectra, with an
+    exclusion ball and an allowance for what they cannot resolve, and
+    gives up on cells whose product factors pass MAX_RESOLUTION."""
+    p = family.p
+    J = omega_sigma.depth
+    L = omega_sigma.level
+    w_lo = omega_sigma.lowest_fixed
+    if window is None:
+        window = max(2, 1 - w_lo)
+    if window + L > J:
+        raise ValueError(f"window {window} too wide for depth {J} at family resolution {L}")
+    if window < 1 - w_lo:
+        raise ValueError("window does not cover the family's coarse extent")
+    if product_depth is None:
+        product_depth = J if omega_sigma.resolved is not None else window + L
+    if not 0 < product_depth <= J:
+        raise ValueError(f"product depth must lie in [1, {J}]")
+
+    phi = membership_index(omega_sigma.spectrum())
+    bands = [membership_index(member) for member in family.sets]
+    if omega_sigma.resolved is None:
+        tail = membership_index(theta_ball(p, w_lo + J))
+        two_scale_exclusion = tail
+        product_exclusion = tail  # the wider of the two balls
+    else:
+        two_scale_exclusion = membership_index(empty_set(p))
+        product_exclusion = membership_index(theta_ball(p, L + J))
+
+    failing: list[dict] = []
+    checked = 0
+    excluded = Measure.zero(p)
+    unresolved = Measure.zero(p)
+
+    def evaluate(table, cell):
+        """(value, hopeless): splitting cannot resolve a lookup that already
+        carries the table's full digit prefix, only one that is coarser."""
+        if cell.resolution < table.resolution:
+            return UNRESOLVED, False
+        value = table.evaluate_cell(cell)
+        return value, value is UNRESOLVED
+
+    stack = [Cylinder(p, -window, ())]
+    while stack:
+        cell = stack.pop()
+        split = False
+        hopeless = False
+
+        exc2 = two_scale_exclusion(cell)
+        excp = product_exclusion(cell)
+        if exc2 is None or excp is None:
+            stack.extend(cell.refine_to(cell.resolution + 1))
+            continue
+
+        up = cell.dilate(-1)
+        phi_here = phi(cell)
+        phi_up = phi(up)
+        problems = []
+
+        if exc2 == 0:
+            m0_here, m0_hopeless = evaluate(bank.m0, cell)
+            if phi_here == 0 and phi_up == 0:
+                pass  # 0 = m * 0 regardless of the filter value
+            elif phi_here is None or phi_up is None:
+                split = True
+            elif m0_here is UNRESOLVED:
+                if m0_hopeless:
+                    hopeless = True
+                else:
+                    split = True
+            elif phi_up != m0_here * phi_here:
+                problems.append(
+                    {"identity": "two-scale-m0", "lhs": phi_up, "rhs": _render_value(m0_here * phi_here)}
+                )
+            if not split:
+                for u, (table, band) in enumerate(zip(bank.m1, bands), start=1):
+                    psi_up = band(up)
+                    if phi_here == 0 and psi_up == 0:
+                        continue
+                    m1_here, m1_hopeless = evaluate(table, cell)
+                    if psi_up is None or phi_here is None:
+                        split = True
+                        break
+                    if m1_here is UNRESOLVED:
+                        if m1_hopeless:
+                            hopeless = True
+                            continue
+                        split = True
+                        break
+                    if psi_up != m1_here * phi_here:
+                        problems.append(
+                            {
+                                "identity": f"two-scale-m1[{u}]",
+                                "lhs": psi_up,
+                                "rhs": _render_value(m1_here * phi_here),
+                            }
+                        )
+
+        if excp == 0 and not split:
+            product = 1
+            product_hopeless = False
+            for j in range(1, product_depth + 1):
+                if cell.resolution + j > MAX_RESOLUTION:
+                    factor, factor_hopeless = UNRESOLVED, True
+                else:
+                    factor, factor_hopeless = evaluate(bank.m0, cell.dilate(j))
+                if factor == 0:
+                    product = 0
+                    break
+                if factor is UNRESOLVED:
+                    product = UNRESOLVED
+                    product_hopeless = factor_hopeless
+                    break
+                product = product * factor
+            if phi_here is None:
+                split = True
+            elif product is UNRESOLVED:
+                if product_hopeless:
+                    hopeless = True
+                else:
+                    split = True
+            elif product != phi_here:
+                problems.append(
+                    {"identity": "low-pass-product", "lhs": _render_value(product), "rhs": phi_here}
+                )
+
+        if split:
+            if cell.resolution < MAX_RESOLUTION:
+                stack.extend(cell.refine_to(cell.resolution + 1))
+            else:
+                unresolved = unresolved + cell.measure()
+            continue
+        if hopeless:
+            unresolved = unresolved + cell.measure()
+            continue
+
+        if exc2 == 1 and excp == 1:
+            excluded = excluded + cell.measure()
+            continue
+
+        checked += 1
+        if problems:
+            failing.append({"cell": cell.to_json(), "problems": problems})
+
+    allowance = (
+        Measure.zero(p)
+        if omega_sigma.resolved is not None
+        else Measure.make(1, p, w_lo + J - window - L - 1)
+    )
+    return WalkReport(
+        passed=not failing and unresolved <= allowance,
+        window=window,
+        checked_cells=checked,
+        failing_cells=failing,
+        excluded_mass=excluded,
+        unresolved_mass=unresolved,
+    )
+
+
+def failure_sets(report, p):
+    """The failing cells of a report, one set per (identity, lhs, rhs).
+
+    Entries of one identity are disjoint in both reports, and two disjoint
+    cylinder lists hold the same cells at a resolution as fine as any of
+    them exactly when their canonical sets are equal, so this compares
+    the reports cell by cell without listing p**resolution cells.
+    """
+    out: dict[tuple, list[Cylinder]] = {}
+    for entry in report.failing_cells:
+        cell = Cylinder.from_json(p, entry["cell"])
+        for problem in entry["problems"]:
+            key = (problem["identity"], problem["lhs"], problem["rhs"])
+            out.setdefault(key, []).append(cell)
+    return {key: PSet(p, cells) for key, cells in out.items()}
+
+
+def _flipped(table):
+    return FilterTable(
+        table.p, table.resolution, {cell: 1 - v for cell, v in table.values.items()}, table.candidates
+    )
+
+
+class TestTwoScaleWalk:
+    FAMILIES = ["shannon2", "shannon3", "shannon5", "three-shell2", "coset-shuffle3"]
+
+    @staticmethod
+    def _family(name):
+        if name.startswith("shannon"):
+            return shannon_family(int(name[-1]))
+        return three_shell_family() if name == "three-shell2" else coset_shuffle_family()
+
+    @pytest.mark.parametrize("variant", ["correct", "m0-flipped", "m1-flipped", "short-product"])
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_failures_match_the_cell_walk(self, name, variant):
+        family = self._family(name)
+        p = family.p
+        decided = 0
+        for J in range(1, 11):
+            sigma = accumulate_omega_sigma(family, J)
+            if sigma.resolved is None or max(2, 1 - sigma.lowest_fixed) + sigma.level > J:
+                continue
+            bank = build_filters(family, sigma)
+            m0, m1 = bank.m0, bank.m1
+            if variant == "m0-flipped":
+                m0 = _flipped(m0)
+            elif variant == "m1-flipped":
+                m1 = (*m1[:-1], _flipped(m1[-1]))
+            bank = FilterBank(p, bank.resolution, m0, m1, bank.unresolved_allowance)
+            depth = 1 if variant == "short-product" else None
+            got = verify_two_scale(family, sigma, bank, product_depth=depth)
+            want = walk_two_scale(family, sigma, bank, product_depth=depth)
+            assert failure_sets(got, p) == failure_sets(want, p), J
+            assert got.passed == want.passed == (variant == "correct"), J
+            assert want.unresolved_mass == 0 == got.unresolved_mass
+            decided += 1
+        assert decided >= 6
+
+
 def _two_scale_inputs(name):
     if name in ("shannon2", "shannon3", "shannon5"):
         family, sigma, _, bank = shannon_pipeline(int(name[-1]))
@@ -646,6 +946,8 @@ def _two_scale_inputs(name):
 
 
 class TestMembershipIndex:
+    """The reference walk's lookups against the pairwise relation scan."""
+
     NAMES = [
         "shannon2", "shannon3", "shannon5", "three-shell2", "three-shell2-truncated",
         "shannon2-truncated",
@@ -655,9 +957,7 @@ class TestMembershipIndex:
     def test_walk_matches_relation_scan(self, name, monkeypatch):
         # Every lookup the two-scale walk makes (spectrum, members,
         # exclusion balls) is checked against the pairwise scan.
-        import vilenkin_wavelets.mra as mra_module
-
-        index = mra_module._membership_index
+        index = membership_index
         seen = []
 
         def checked(s):
@@ -671,22 +971,20 @@ class TestMembershipIndex:
 
             return answer
 
-        monkeypatch.setattr(mra_module, "_membership_index", checked)
+        monkeypatch.setattr(sys.modules[__name__], "membership_index", checked)
         family, sigma, bank = _two_scale_inputs(name)
-        report = verify_two_scale(family, sigma, bank)
+        report = walk_two_scale(family, sigma, bank)
         assert report.passed
         assert set(seen) == {0, 1, None}
 
     @pytest.mark.parametrize("name", NAMES)
     def test_random_cells_match_relation_scan(self, name):
-        from vilenkin_wavelets.mra import _membership_index
-
         family, sigma, _ = _two_scale_inputs(name)
         p = family.p
         gen = random.Random(f"membership-{name}")
         sets = [sigma.spectrum(), *family.sets, theta_ball(p, sigma.level + sigma.depth)]
         for s in sets:
-            locate = _membership_index(s)
+            locate = membership_index(s)
             outcomes = set()
             for _ in range(300):
                 r = gen.randrange(-3, s.max_resolution + 5)

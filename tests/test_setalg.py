@@ -1,3 +1,4 @@
+import decimal
 import random
 from fractions import Fraction
 
@@ -60,6 +61,17 @@ class TestMeasure:
     def test_exact_strings(self):
         assert Measure.make(7, 2, 3).exact_string() == "7*2^-3"
         assert Measure.make(9, 3, -1).exact_string() == "1*3^3"
+
+    def test_exact_strings_of_long_counts(self):
+        # Counts past the interpreter's int-to-str digit limit are written
+        # in chunks; shorter ones keep the bytes str() gives.  Decimal
+        # writes its digits without that limit.
+        counts = [10**k + d for k in (599, 600, 1199, 1200, 4299, 4300) for d in (-1, 1)]
+        counts += [2**15000 + 1, 7**40000 + 3 * 10**600]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50_000
+            wants = [f"{decimal.Decimal(c)}*2^-1" for c in counts]
+        assert [Measure(c, 2, 1).exact_string() for c in counts] == wants
 
     def test_arithmetic(self):
         m = Measure.make(1, 2, 1) + Measure.make(1, 2, 1)
