@@ -29,7 +29,7 @@ family = shannon_family(p)
 sigma = accumulate_omega_sigma(family, depth)
 print(f"truncated spectrum measure: {sigma.truncated.measure().exact_string()}")
 print(f"tail bound: {sigma.tail_bound().exact_string()}")
-print(f"self-similar tail resolved: {sigma.self_similar_tail_resolved}")
+print(f"self-similar tail resolved: {sigma.resolved is not None}")
 print(f"resolved spectrum: {sigma.spectrum().to_json()}")
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,7 @@ def _cmd_mra(args) -> tuple[dict, int]:
                 "depth": sigma.depth,
                 "tail_bound": measure_json(sigma.tail_bound()),
                 "truncated_measure": measure_json(sigma.truncated.measure()),
-                "self_similar_tail_resolved": sigma.self_similar_tail_resolved,
+                "self_similar_tail_resolved": sigma.resolved is not None,
             }
         }
     doc = build_report(

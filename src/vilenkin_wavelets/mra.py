@@ -6,7 +6,7 @@ quantity an exact cylinder set; the untruncated remainder lives inside an
 identity ball of measure p**(-J) and is accounted for explicitly, never
 hidden in a tolerance.  When the truncation plus that ball is literally a
 fixed point of S -> sigma(D) | sigma(S), the spectrum has been resolved
-exactly and every verdict upgrades to certified.
+exactly; every PASS below is decided on that exact spectrum.
 
 Filters are 0/1 cell tables: the low-pass vanishes on the first dilate of
 the family and equals one on the rest of the spectrum; each band filter
@@ -24,7 +24,6 @@ from fractions import Fraction
 from .errors import DigitError, ResolutionCapError, VilenkinError
 from .group import GroupElement, from_digits, lambda_encode
 from .setalg import (
-    MAX_RESOLUTION,
     Cylinder,
     DigitMap,
     Measure,
@@ -73,7 +72,6 @@ class OmegaSigma:
     level: int  # family union resolution
     lowest_fixed: int  # coarsest pinned digit position of the family union
     resolved: PSet | None  # exact spectrum when the tail is self-similar
-    self_similar_tail_resolved: bool
 
     def tail_bound(self) -> Measure:
         return Measure.make(1, self.p, self.depth)
@@ -81,6 +79,17 @@ class OmegaSigma:
     def spectrum(self) -> PSet:
         """Best available cylinder representation of the spectrum."""
         return self.resolved if self.resolved is not None else self.truncated
+
+
+def _dilates(union: PSet, depth: int) -> PSet:
+    """The union of the dilates of a verified family's union by 1 to depth.
+
+    Dilation tiling makes those dilates pairwise disjoint, so their
+    cylinders make one canonical set; the constructor still checks it.
+    """
+    return PSet(
+        union.p, (c.dilate(j) for j in range(1, depth + 1) for c in union.cylinders)
+    )
 
 
 def accumulate_omega_sigma(
@@ -91,44 +100,34 @@ def accumulate_omega_sigma(
 ) -> OmegaSigma:
     """Union of the first `depth` contracting dilates of the family union.
 
-    Also attempts fixed-point detection: if truncation plus the matching
-    identity ball satisfies S == sigma(D) | sigma(S) exactly, the
-    spectrum is self-similar and S represents it exactly (a.e.).
+    Also tests for the fixed point: if the truncation plus the identity
+    ball theta_ball(p, w + depth), w the family's lowest pinned position,
+    satisfies S == sigma(D) | sigma(S) exactly, the spectrum is
+    self-similar and S represents it exactly (a.e.).  The test runs at
+    every depth; check_mra_condition shows it succeeds from depth L - w
+    on, L the family's resolution.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     _require_verified(family, verdict)
     union = family.union()
-    level = union.max_resolution
     w_lo = union.min_fixed_position
     assert w_lo is not None
 
-    truncated = union.dilate(1)
-    for j in range(2, depth + 1):
-        truncated = truncated.union(union.dilate(j))
-
+    truncated = _dilates(union, depth)
     expected = Fraction(1) - Fraction(1, family.p**depth)
     if truncated.measure().as_fraction() != expected:
         raise VilenkinError("truncated spectrum does not telescope to 1 - p^-J")
 
-    resolved = None
-    fixed = False
-    ball_depth = w_lo + depth
-    if ball_depth <= MAX_RESOLUTION:
-        candidate = truncated.union(theta_ball(family.p, ball_depth))
-        image = union.dilate(1).union(candidate.dilate(1))
-        if image == candidate:
-            resolved = candidate
-            fixed = True
-
+    candidate = truncated.union(theta_ball(family.p, w_lo + depth))
+    image = union.dilate(1).union(candidate.dilate(1))
     return OmegaSigma(
         p=family.p,
         depth=depth,
         truncated=truncated,
-        level=level,
+        level=union.max_resolution,
         lowest_fixed=w_lo,
-        resolved=resolved,
-        self_similar_tail_resolved=fixed,
+        resolved=candidate if image == candidate else None,
     )
 
 
@@ -187,10 +186,26 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
 
     The reported table always contains the truncated measures.  A nonzero
     row other than the identity is a certified failure (truncation is a
-    subset, so the true overlap can only be larger).  An all-zero table is
-    certified through the exact fixed point when available, otherwise
-    through a depth threshold; below the threshold the verdict stays
+    subset, so the true overlap can only be larger).  An all-zero table
+    passes only on the exactly resolved spectrum, whose own overlaps are
+    then checked too; on a spectrum that is not resolved it stays
     INCONCLUSIVE rather than guessing.
+
+    Every verified family is resolved from depth L - w on, so no depth
+    threshold is needed to certify a deeper table.  Write U for the family union, L for its
+    finest resolution, w for its lowest pinned position, T_J for the
+    union of sigma^1(U) .. sigma^J(U), B(k) = theta_ball(p, k) (the
+    points whose digits at positions <= k are all 0) and
+    S = T_J | B(w + J).  Then sigma(U) | sigma(S) = T_{J+1} | B(w + J + 1).
+    Each cylinder of U pins a nonzero digit, and its points have their
+    first nonzero digit at its lowest pinned position, which lies in
+    [w, L]; so the points of sigma^k(U) have it in [w + k, L + k].
+    sigma^{J+1}(U) lies in B(w + J), so the image lies in S.  What S has
+    beyond the image lies in the shell B(w + J) - B(w + J + 1) of points
+    whose first nonzero digit is at w + J + 1.  Dilation tiling puts each
+    such point in one sigma^k(U), with w + k <= w + J + 1 <= L + k, that is
+    J + 1 - (L - w) <= k <= J + 1; when J >= L - w every such k is at
+    least 1, the shell lies in T_{J+1}, and S is the fixed point.
     """
     p = omega_sigma.p
     T = omega_sigma.truncated
@@ -199,7 +214,7 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
 
     # The truncation's table, then the overlaps of the exact spectrum when
     # the tail is resolved; identity rows overlap by definition.
-    exact = omega_sigma.resolved if omega_sigma.self_similar_tail_resolved else None
+    exact = omega_sigma.resolved
     passes = [(T, False)] if exact is None else [(T, False), (exact, True)]
     for S, tail in passes:
         for n in _translation_candidates(S, p):
@@ -221,34 +236,17 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
                     witness["tail"] = True
                 witnesses.append(witness)
 
-    certification: str | None = None
-    if exact is not None:
-        certification = "self-similar-fixed-point"
-    else:
-        # 2 p^-J below the family cell measure closes the tolerance band;
-        # families pinned at negative positions need extra depth before a
-        # zero table rules out overlaps hiding past the truncation.
-        threshold = Fraction(2, p**omega_sigma.depth) < Fraction(
-            1, p**omega_sigma.level
-        )
-        sound_depth = omega_sigma.level - 2 * min(omega_sigma.lowest_fixed, 0) + 1
-        if threshold and omega_sigma.depth >= sound_depth:
-            certification = "depth-threshold"
-
     if witnesses:
         status = "FAIL"
-        certified = True
-    elif certification is not None:
+    elif exact is not None:
         status = "PASS"
-        certified = True
     else:
         status = "INCONCLUSIVE"
-        certified = False
 
     return MraReport(
         status=status,
-        certified=certified,
-        certification=certification if status != "INCONCLUSIVE" else None,
+        certified=status != "INCONCLUSIVE",
+        certification="self-similar-fixed-point" if exact is not None else None,
         depth=omega_sigma.depth,
         rows=rows,
         witnesses=witnesses,
@@ -331,7 +329,6 @@ class FilterBank:
     resolution: int
     m0: FilterTable
     m1: tuple[FilterTable, ...]  # indexed by u - 1
-    unresolved_allowance: Measure
 
     def all_tables(self) -> list[FilterTable]:
         return [self.m0, *self.m1]
@@ -370,14 +367,18 @@ def build_filters(
     *,
     mra: MraReport | None = None,
 ) -> FilterBank:
-    """Construct the 0/1 low-pass and band filters on the spectrum cells."""
+    """Construct the 0/1 low-pass and band filters on the cells of the
+    exactly resolved spectrum; a spectrum that is not resolved raises
+    ValueError."""
     if mra is None:
         mra = check_mra_condition(omega_sigma)
     if not mra.passed:
         raise VilenkinError("the intersection-measure criterion did not pass")
+    domain = omega_sigma.resolved
+    if domain is None:
+        raise ValueError("the filters need an exactly resolved spectrum")
 
     p = family.p
-    domain = omega_sigma.spectrum()
     first_dilates = [s.dilate(1) for s in family.sets]
     resolution = max(
         [domain.max_resolution] + [piece.max_resolution for piece in first_dilates]
@@ -404,20 +405,7 @@ def build_filters(
         )
         for cells in band_cells
     )
-    # Unresolved lookups can only land inside the identity ball that holds
-    # the truncation tail, so that ball's measure is the honest allowance.
-    allowance = (
-        Measure.zero(p)
-        if omega_sigma.resolved is not None
-        else Measure.make(1, p, omega_sigma.lowest_fixed + omega_sigma.depth)
-    )
-    return FilterBank(
-        p=p,
-        resolution=resolution,
-        m0=m0,
-        m1=m1,
-        unresolved_allowance=allowance,
-    )
+    return FilterBank(p=p, resolution=resolution, m0=m0, m1=m1)
 
 
 # -- filter identity checks ----------------------------------------------------------
@@ -466,7 +454,9 @@ def verify_filter_identities(
     Every value read depends only on the digits at positions up to the
     table resolution r, so the check runs once per resolution-r cell and
     counts for its p**(level - r) sub-cells; a failing cell lists each of
-    them as a witness.
+    them as a witness.  A cell where some table has no value is skipped,
+    counted in skipped_cells and skipped_mass, and fails the check; the
+    banks build_filters makes skip none.
     """
     p = bank.p
     r = check_identity_level(bank, level)
@@ -535,8 +525,7 @@ def verify_filter_identities(
                 for tail in _digit_maps(p, range(r + 1, level + 1))
             )
 
-    allowance = bank.unresolved_allowance
-    passed = not failing and skipped_mass <= allowance and agree
+    passed = not failing and not skipped and agree
     return FilterIdentityReport(
         level=level,
         passed=passed,
@@ -607,7 +596,7 @@ def verify_two_scale(
     - low-pass product: (W - B(L + J)) - Z = Omega - B(L + J).
 
     Only intersections, differences and dilates by k <= 0 are taken, so
-    no set needs a dilate past the resolution cap, whatever the depth.
+    no set gets finer than the spectrum and the tables, whatever the depth.
     A failure is the symmetric difference of the two sides, listed as
     {"cell", "problems"} entries whose problems name the identity and its
     "lhs" and "rhs" values at that cell; refinement cells are moved one
@@ -711,18 +700,16 @@ def verify_calderon(
 
     For indicator wavelets the identity says the scaling spectrum is the
     disjoint union of all forward contracting dilates of the family.  The
-    truncated union is recomputed independently two levels deeper; the
+    truncated union is recomputed independently two levels deeper, from
+    the dilates of the family union by 1 to J + 2 at any depth J; the
     symmetric difference must not exceed the telescoped tail, and the
-    pieces must be pairwise disjoint (measure additivity certifies this).
+    pieces must be pairwise disjoint (measure additivity over the members'
+    own dilates certifies this).
     """
     _require_verified(family, verdict)
     p = family.p
     J = omega_sigma.depth
-    union = family.union()
-
-    deeper = union.dilate(1)
-    for j in range(2, J + 3):
-        deeper = deeper.union(union.dilate(j))
+    deeper = _dilates(family.union(), J + 2)
 
     T = omega_sigma.truncated
     sym = T.difference(deeper).union(deeper.difference(T))

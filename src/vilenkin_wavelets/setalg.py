@@ -27,7 +27,7 @@ from .errors import (
 )
 from .group import GroupElement, check_base, from_digits
 
-#: Hard cap on cylinder resolutions; refinements past this raise.
+#: Cap on the resolution a refinement into cells may reach.
 MAX_RESOLUTION = 24
 
 #: Cap on the number of cells a single refinement may produce.
@@ -57,18 +57,14 @@ def _decimal(n: int) -> str:
     return "".join(reversed(chunks))
 
 
-def _check_resolution(L: int) -> None:
-    if L > MAX_RESOLUTION:
-        raise ResolutionCapError(f"resolution {L} exceeds the cap {MAX_RESOLUTION}")
-
-
 def _check_refinement(p: int, resolution: int, L: int) -> None:
     """The limits on splitting a resolution-`resolution` cylinder down to L."""
     if L < resolution:
         raise ResolutionCapError(
             f"cannot coarsen a cylinder from resolution {resolution} to {L}"
         )
-    _check_resolution(L)
+    if L > MAX_RESOLUTION:
+        raise ResolutionCapError(f"resolution {L} exceeds the cap {MAX_RESOLUTION}")
     if p ** (L - resolution) > MAX_REFINE_CELLS:
         raise ResolutionCapError(
             f"refining by {L - resolution} positions would produce {p ** (L - resolution)} cells"
@@ -299,7 +295,6 @@ class Cylinder:
 
     def dilate(self, k: int) -> "Cylinder":
         """Apply the contracting shift k times: positions and resolution move by +k."""
-        _check_resolution(self.resolution + k)
         return _cylinder(
             self.p, self.resolution + k, tuple((pos + k, d) for pos, d in self.digits)
         )
@@ -546,9 +541,7 @@ class PSet:
     def dilate(self, k: int) -> "PSet":
         """Apply the contracting shift k times; measure scales by p**(-k).
 
-        Moving every position by k keeps canonical form and order.  Past
-        MAX_RESOLUTION the error names the first cylinder, in that order,
-        whose dilate passes the cap.
+        Moving every position by k keeps canonical form and order.
         """
         return PSet._canonical(self.p, tuple(c.dilate(k) for c in self.cylinders))
 

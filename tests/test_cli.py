@@ -212,6 +212,22 @@ class TestResolutionCap:
         assert {w["kind"] for w in congruence["witnesses"]} == {"cover-gap"}
         assert witness_measure(congruence["witnesses"], 2) == 1 - omega
 
+    @pytest.mark.parametrize("depth", [25, 40])
+    @pytest.mark.parametrize("command", ["mra", "filters"])
+    def test_spectrum_past_the_cap(self, command, depth, tmp_path, capsys):
+        # The truncated spectrum reaches resolution `depth`, past
+        # MAX_RESOLUTION; the verdict is PASS with the exact measure.
+        out = tmp_path / "report.json"
+        argv = [command, "--p", "2", "--input", "families/shannon2.json", "--depth", str(depth)]
+        assert main(argv + ["--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "PASS"
+        rows = report["conditions"][-1 if command == "mra" else -2]["measures"]["rows"]
+        assert rows[0]["measure"]["exact"] == f"{2**depth - 1}*2^-{depth}"
+        if command == "mra":
+            assert report["spectrum"]["self_similar_tail_resolved"] is True
+
 
 class TestBoundedByInput:
     def test_low_pinned_digit_is_fast_and_small(self, tmp_path):

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import pathlib
 import random
 import sys
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ from vilenkin_wavelets.mra import (
     FilterBank,
     FilterIdentityReport,
     FilterTable,
+    _integer_parts,
     _render_value,
     accumulate_omega_sigma,
     build_filters,
@@ -44,6 +46,12 @@ def coset_shuffle_family():
     families = search_wavelet_sets(3, (0, 1)).families
     shannon = shannon_family(3)
     return next(f for f in families if f.sets != shannon.sets)
+
+
+def family_named(name):
+    if name.startswith("shannon"):
+        return shannon_family(int(name[-1]))
+    return three_shell_family() if name == "three-shell2" else coset_shuffle_family()
 
 
 def shannon_pipeline(p, depth=8):
@@ -80,7 +88,6 @@ class TestAccumulation:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_shannon_tail_is_self_similar(self, p):
         sigma = accumulate_omega_sigma(shannon_family(p), 6)
-        assert sigma.self_similar_tail_resolved
         assert sigma.resolved == unit_cell(p)
 
     def test_requires_verified_family(self):
@@ -135,7 +142,7 @@ class TestMraCondition:
         )
         sigma = OmegaSigma(
             p=p, depth=6, truncated=spectrum, level=1, lowest_fixed=0,
-            resolved=None, self_similar_tail_resolved=False,
+            resolved=None,
         )
         mra = check_mra_condition(sigma)
         assert mra.status == "FAIL" and mra.certified
@@ -150,7 +157,7 @@ class TestMraCondition:
         spectrum = PSet(p, [Cylinder(p, 3, ((1, 1),))], validate=False)
         sigma = OmegaSigma(
             p=p, depth=2, truncated=spectrum, level=3, lowest_fixed=1,
-            resolved=None, self_similar_tail_resolved=False,
+            resolved=None,
         )
         mra = check_mra_condition(sigma)
         assert mra.status == "INCONCLUSIVE" and not mra.certified
@@ -166,7 +173,6 @@ class TestThreeShellPipeline:
 
         family = three_shell_family()
         sigma = accumulate_omega_sigma(family, 6)
-        assert sigma.self_similar_tail_resolved
         assert sigma.resolved.measure() == 1
         assert sigma.resolved != unit_cell(2)  # not the Shannon spectrum
 
@@ -178,57 +184,48 @@ class TestThreeShellPipeline:
         assert verify_calderon(family, sigma).passed
 
     def test_truncated_filters_and_two_scale(self):
-        # Forcing the truncated route end to end: identity checks run at
-        # the truncation resolution and skip exactly the tail ball; the
-        # two-scale check needs the exact spectrum and refuses.
-        from .families import three_shell_family
-
+        # A spectrum that is not resolved certifies nothing: the criterion
+        # is INCONCLUSIVE, build_filters refuses it even beside a PASS
+        # report, tables built by hand on the truncation skip the tail
+        # ball and fail the identities, and the two-scale check refuses.
         family = three_shell_family()
         sigma = accumulate_omega_sigma(family, 8)
+        passed = check_mra_condition(sigma)
         sigma.resolved = None
-        sigma.self_similar_tail_resolved = False
         mra = check_mra_condition(sigma)
-        assert mra.status == "PASS"
-        bank = build_filters(family, sigma, mra=mra)
+        assert mra.status == "INCONCLUSIVE" and mra.certification is None
+        with pytest.raises(VilenkinError):
+            build_filters(family, sigma, mra=mra)
+        with pytest.raises(ValueError, match="resolved spectrum"):
+            build_filters(family, sigma, mra=passed)
 
+        bank = _truncated_bank(family, 8)
         identities = verify_filter_identities(bank, bank.resolution)
-        assert identities.passed
+        assert not identities.passed and not identities.failing_cells
         assert identities.skipped_cells > 0
-        assert identities.skipped_mass <= bank.unresolved_allowance
+        assert identities.skipped_mass <= Measure.make(1, 2, sigma.lowest_fixed + 8)
 
         with pytest.raises(ValueError, match="resolved spectrum"):
             verify_two_scale(family, sigma, bank)
 
-    def test_truncated_path_certifies_with_depth_guard(self):
-        # Forcing the truncated route: the family pins a digit at a
-        # negative position, so the depth threshold alone is not enough
-        # and certification needs the extra soundness margin.
-        from .families import three_shell_family
-
+    def test_truncated_spectrum_is_never_certified(self):
+        # The family pins a digit at a negative position.  With the tail
+        # forgotten, an all-zero table stays INCONCLUSIVE at every depth:
+        # no depth threshold certifies without the fixed point.
         family = three_shell_family()
-        statuses = {}
-        for depth in (3, 4, 5, 6, 8):
+        for depth in (3, 4, 5, 6, 8, 30):
             sigma = accumulate_omega_sigma(family, depth)
             sigma.resolved = None
-            sigma.self_similar_tail_resolved = False
-            statuses[depth] = check_mra_condition(sigma).status
-        assert statuses[3] == "INCONCLUSIVE"
-        assert statuses[4] == "INCONCLUSIVE"  # threshold alone insufficient
-        assert statuses[8] == "PASS"
-        # Once certified, deeper never flips the verdict.
-        certified_seen = False
-        for depth in sorted(statuses):
-            if statuses[depth] == "PASS":
-                certified_seen = True
-            if certified_seen:
-                assert statuses[depth] == "PASS"
+            report = check_mra_condition(sigma)
+            assert report.status == "INCONCLUSIVE" and not report.certified, depth
+            assert not report.witnesses and report.certification is None
 
 
 class TestNonShannonFamilies:
     def test_full_pipeline(self):
         family = coset_shuffle_family()
         sigma = accumulate_omega_sigma(family, 6)
-        assert sigma.self_similar_tail_resolved
+        assert sigma.resolved is not None
         mra = check_mra_condition(sigma)
         assert mra.status == "PASS" and mra.certified
         bank = build_filters(family, sigma, mra=mra)
@@ -295,13 +292,16 @@ class TestFilters:
         assert bank.m0.evaluate_point(omega2) == 1
 
     def test_unresolved_outside_domain(self):
+        # build_filters refuses a spectrum with its tail forgotten; tables
+        # built by hand on the truncation have no value in the tail ball.
         p = 2
         family = shannon_family(p)
         sigma = accumulate_omega_sigma(family, 3)
-        # Forget the resolved tail to exercise the truncated lookup path.
         sigma.resolved = None
-        sigma.self_similar_tail_resolved = False
-        bank = build_filters(family, sigma, mra=check_mra_condition(sigma))
+        assert check_mra_condition(sigma).status == "INCONCLUSIVE"
+        with pytest.raises(VilenkinError):
+            build_filters(family, sigma)
+        bank = _truncated_bank(family, 3)
         deep = Cylinder(p, 6, ((6, 1),))  # inside the unresolved tail ball
         assert bank.m0.evaluate_cell(deep) is UNRESOLVED
 
@@ -316,7 +316,7 @@ class TestFilters:
         )
         sigma = OmegaSigma(
             p=p, depth=6, truncated=spectrum, level=1, lowest_fixed=0,
-            resolved=None, self_similar_tail_resolved=False,
+            resolved=None,
         )
         family = shannon_family(p)
         with pytest.raises(VilenkinError):
@@ -343,7 +343,6 @@ class TestFilterIdentities:
         )
         broken = type(bank)(
             p=p, resolution=bank.resolution, m0=ones, m1=bank.m1,
-            unresolved_allowance=bank.unresolved_allowance,
         )
         report = verify_filter_identities(broken, 3)
         assert not report.passed
@@ -364,7 +363,6 @@ class TestFilterIdentities:
         )
         twisted = type(bank)(
             p=p, resolution=bank.resolution, m0=m0, m1=bank.m1,
-            unresolved_allowance=bank.unresolved_allowance,
         )
         report = verify_filter_identities(twisted, 3)
         assert not report.exact
@@ -390,7 +388,6 @@ class TestTwoScale:
         )
         broken = type(bank)(
             p=p, resolution=bank.resolution, m0=flipped, m1=bank.m1,
-            unresolved_allowance=bank.unresolved_allowance,
         )
         report = verify_two_scale(family, sigma, broken)
         assert not report.passed
@@ -401,28 +398,34 @@ class TestTwoScale:
         with pytest.raises(ValueError):
             verify_two_scale(family, sigma, bank, window=5)
 
-    @pytest.mark.parametrize(
-        "name, cap", [("shannon2", 24), ("shannon3", 24), ("shannon5", 24), ("three-shell2", 22)]
-    )
-    def test_passes_at_every_depth_to_the_cap(self, name, cap):
-        # From the first depth where the spectrum resolves to the deepest
-        # one the spectrum and the filters can be built at, the verdict
-        # must not depend on the resolution cap.
-        family = shannon_family(int(name[-1])) if name.startswith("shannon") else three_shell_family()
-        depths = []
-        for J in itertools.count(1):
-            try:
-                sigma = accumulate_omega_sigma(family, J)
-                bank = build_filters(family, sigma) if sigma.resolved is not None else None
-            except ResolutionCapError:
-                break
-            if bank is None or max(2, 1 - sigma.lowest_fixed) + sigma.level > J:
+    @pytest.mark.parametrize("name", ["shannon2", "shannon3", "shannon5", "three-shell2", "coset-shuffle3"])
+    def test_passes_at_every_depth_to_forty(self, name):
+        # From the first depth where the spectrum resolves to J = 40, far
+        # past MAX_RESOLUTION, every verdict holds at every depth.
+        family = family_named(name)
+        p = family.p
+        resolved, two_scale = [], []
+        for J in range(1, 41):
+            sigma = accumulate_omega_sigma(family, J)
+            assert sigma.truncated.measure() == 1 - Fraction(1, p**J)
+            mra = check_mra_condition(sigma)
+            if sigma.resolved is None:
+                assert mra.status == "INCONCLUSIVE", J
                 continue
+            assert mra.status == "PASS" and mra.certification == "self-similar-fixed-point", J
+            bank = build_filters(family, sigma, mra=mra)
+            identities = verify_filter_identities(bank, max(bank.resolution, 4))
+            assert identities.passed and identities.skipped_cells == 0, J
+            assert verify_calderon(family, sigma).passed, J
+            resolved.append(J)
+            if max(2, 1 - sigma.lowest_fixed) + sigma.level > J:
+                continue  # the default window does not fit yet
             report = verify_two_scale(family, sigma, bank)
             assert report.passed and not report.failing_cells, J
             assert report.unresolved_mass == 0 and report.checked_cells > 0
-            depths.append(J)
-        assert depths == list(range(depths[0], cap + 1)) and depths[0] <= 4
+            two_scale.append(J)
+        assert resolved == list(range(resolved[0], 41)) and resolved[0] <= 4
+        assert two_scale == list(range(two_scale[0], 41)) and two_scale[0] <= 4
 
     @pytest.mark.parametrize("name", ["phase-twisted", "shannon2-truncated"])
     def test_refuses_what_it_cannot_decide(self, name):
@@ -433,7 +436,6 @@ class TestTwoScale:
         sigma = accumulate_omega_sigma(family, 3 if "truncated" in name else 8)
         if "truncated" in name:
             sigma.resolved = None
-            sigma.self_similar_tail_resolved = False
         with pytest.raises(ValueError):
             verify_two_scale(family, sigma, _bank(name))
 
@@ -546,7 +548,7 @@ def per_level_identities(bank, level, tolerance=1e-12):
             failing.append({"cell": Cylinder(p, level, cell_map).to_json(), "violations": bad})
     return FilterIdentityReport(
         level=level,
-        passed=not failing and skipped_mass <= bank.unresolved_allowance and agree,
+        passed=not failing and not skipped and agree,
         exact=exact,
         checked_cells=checked,
         failing_cells=failing,
@@ -560,15 +562,22 @@ def _with_m0(bank, values):
     m0 = FilterTable(bank.p, bank.resolution, values, bank.m0.candidates)
     return type(bank)(
         p=bank.p, resolution=bank.resolution, m0=m0, m1=bank.m1,
-        unresolved_allowance=bank.unresolved_allowance,
     )
 
 
 def _truncated_bank(family, depth):
-    sigma = accumulate_omega_sigma(family, depth)
-    sigma.resolved = None
-    sigma.self_similar_tail_resolved = False
-    return build_filters(family, sigma, mra=check_mra_condition(sigma))
+    """Tables built by hand on the depth-J truncation alone, as
+    build_filters builds them on a resolved spectrum: a lookup inside the
+    tail ball finds no value."""
+    p = family.p
+    domain = accumulate_omega_sigma(family, depth).truncated
+    r = max(domain.max_resolution, 1)
+    cells = domain.cells_at(r)
+    bands = [s.dilate(1).cells_at(r) for s in family.sets]
+    candidates = tuple(_integer_parts(domain))
+    m0 = FilterTable(p, r, {c: int(not any(c in b for b in bands)) for c in cells}, candidates)
+    m1 = tuple(FilterTable(p, r, {c: int(c in b) for c in cells}, candidates) for b in bands)
+    return FilterBank(p, r, m0, m1)
 
 
 def _bank(name):
@@ -587,7 +596,7 @@ def _bank(name):
         # position 1 still needs a finer walk.
         p = 2
         ones, zeros = (FilterTable(p, 0, {(): v}, (identity(p),)) for v in (1, 0))
-        return FilterBank(p, 0, ones, (zeros,), Measure.zero(p))
+        return FilterBank(p, 0, ones, (zeros,))
     bank = shannon_pipeline(2)[3]
     if name == "constant-ones":
         return _with_m0(bank, {cell: 1 for cell in bank.m0.values})
@@ -897,16 +906,10 @@ def _flipped(table):
 class TestTwoScaleWalk:
     FAMILIES = ["shannon2", "shannon3", "shannon5", "three-shell2", "coset-shuffle3"]
 
-    @staticmethod
-    def _family(name):
-        if name.startswith("shannon"):
-            return shannon_family(int(name[-1]))
-        return three_shell_family() if name == "three-shell2" else coset_shuffle_family()
-
     @pytest.mark.parametrize("variant", ["correct", "m0-flipped", "m1-flipped", "short-product"])
     @pytest.mark.parametrize("name", FAMILIES)
     def test_failures_match_the_cell_walk(self, name, variant):
-        family = self._family(name)
+        family = family_named(name)
         p = family.p
         decided = 0
         for J in range(1, 11):
@@ -919,7 +922,7 @@ class TestTwoScaleWalk:
                 m0 = _flipped(m0)
             elif variant == "m1-flipped":
                 m1 = (*m1[:-1], _flipped(m1[-1]))
-            bank = FilterBank(p, bank.resolution, m0, m1, bank.unresolved_allowance)
+            bank = FilterBank(p, bank.resolution, m0, m1)
             depth = 1 if variant == "short-product" else None
             got = verify_two_scale(family, sigma, bank, product_depth=depth)
             want = walk_two_scale(family, sigma, bank, product_depth=depth)
@@ -941,8 +944,8 @@ def _two_scale_inputs(name):
     sigma = accumulate_omega_sigma(family, depth)
     if name.endswith("truncated"):
         sigma.resolved = None
-        sigma.self_similar_tail_resolved = False
-    return family, sigma, build_filters(family, sigma, mra=check_mra_condition(sigma))
+        return family, sigma, _truncated_bank(family, depth)
+    return family, sigma, build_filters(family, sigma)
 
 
 class TestMembershipIndex:
@@ -1007,3 +1010,75 @@ class TestMembershipIndex:
                 assert got == relation_membership(cell, s), cell
                 outcomes.add(got)
             assert outcomes >= {0, 1} and (None in outcomes or len(s.cylinders) == 1)
+
+
+# -- the fixed-point depth and the resolution cap ---------------------------------
+
+SHIPPED_PASS = ["shannon2", "shannon3", "shannon5", "three-shell2"]
+SEARCH_WINDOWS = [
+    (2, (0, 1)), (2, (-1, 1)), (2, (0, 2)), (2, (-1, 2)), (2, (-2, 2)), (2, (0, 3)),
+    (2, (-1, 3)), (3, (0, 1)), (3, (-1, 1)),
+]
+
+
+def bound_families():
+    """The shipped PASS families and every family the small searches find."""
+    found = {}
+    for p, window in SEARCH_WINDOWS:
+        for family in search_wavelet_sets(p, window).families:
+            found.setdefault((p, family.sets), family)
+    return [family_named(n) for n in SHIPPED_PASS] + list(found.values())
+
+
+class TestFixedPointBound:
+    def test_resolved_from_l_minus_w(self):
+        # check_mra_condition's docstring proves the spectrum resolved at
+        # every J >= L - w, and only a resolved spectrum can PASS.
+        families = bound_families()
+        assert len(families) >= 30
+        attained = 0
+        for family in families:
+            union = family.union()
+            L, w = union.max_resolution, union.min_fixed_position
+            first = None
+            for J in range(1, L - w + 9):
+                sigma = accumulate_omega_sigma(family, J)
+                if sigma.resolved is not None and first is None:
+                    first = J
+                assert (sigma.resolved is not None) == (first is not None), (family.sets, J)
+                assert first is not None or not check_mra_condition(sigma).passed
+            assert first <= max(L - w, 1), family.sets
+            attained += first == L - w
+        assert attained > 0  # the bound is tight
+
+
+def pipeline_results(family, J):
+    """Every MRA verdict at depth J, as comparable reports."""
+    sigma = accumulate_omega_sigma(family, J)
+    mra = check_mra_condition(sigma)
+    bank = build_filters(family, sigma, mra=mra)
+    return (
+        sigma,
+        mra,
+        bank,
+        verify_filter_identities(bank, 8),
+        verify_calderon(family, sigma),
+        verify_two_scale(family, sigma, bank),
+    )
+
+
+def test_verdicts_do_not_depend_on_the_cap(monkeypatch):
+    # Lowering the cap to 8, below the truncations of depths 8 to 20,
+    # changes no report: spectra, MRA tables, filters and the level-8
+    # identities, Calderon and two-scale at every depth from 6 to 20.
+    from vilenkin_wavelets import setalg
+    from vilenkin_wavelets.famio import parse_family_file
+
+    root = pathlib.Path(__file__).resolve().parent.parent / "families"
+    families = [parse_family_file(str(root / f"{n}.json")) for n in SHIPPED_PASS]
+    depths = range(6, 21)
+    want = [pipeline_results(f, J) for f in families for J in depths]
+    monkeypatch.setattr(setalg, "MAX_RESOLUTION", 8)
+    got = [pipeline_results(f, J) for f in families for J in depths]
+    assert got == want
+    assert all(r[1].passed and r[3].passed and r[4].passed and r[5].passed for r in got)

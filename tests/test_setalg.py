@@ -586,10 +586,19 @@ class TestResolutionCapParity:
                 Cylinder(p, 30, ((-1, 1),)),
             ],
         )
-        with pytest.raises(ResolutionCapError, match=r"^resolution 27 exceeds the cap 24$"):
-            s.dilate(1)
-        with pytest.raises(ResolutionCapError, match=r"^resolution 25 exceeds the cap 24$"):
-            s.dilate(5)
+        # Dilation is exact past MAX_RESOLUTION: every position moves,
+        # and the canonical order is kept.
+        assert s.dilate(1).cylinders == (
+            Cylinder(p, 21, ((1, 1), (2, 1))),
+            Cylinder(p, 27, ((1, 1), (27, 1))),
+            Cylinder(p, 31, ((0, 1),)),
+        )
+        for k in (5, 40, -6):
+            assert s.dilate(k).cylinders == tuple(
+                Cylinder(p, c.resolution + k, tuple((pos + k, d) for pos, d in c.digits))
+                for c in s.cylinders
+            )
+        assert s.dilate(5).max_resolution == 35 and s.dilate(40).dilate(-40) == s
         assert s.dilate(-6).max_resolution == 24
 
     def test_refine_keeps_its_argument_checks(self):
