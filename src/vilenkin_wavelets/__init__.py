@@ -56,7 +56,6 @@ from .verifier import (
     shannon_family,
 )
 from .mra import (
-    UNRESOLVED,
     CalderonReport,
     FilterBank,
     FilterTable,

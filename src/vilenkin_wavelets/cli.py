@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 
@@ -107,6 +108,8 @@ def _check_numbers(args) -> None:
         raise SchemaError(f"--depth must be at least 1, got {args.depth}")
     if getattr(args, "extra_range", 0) < 0:
         raise SchemaError(f"--extra-range must be nonnegative, got {args.extra_range}")
+    if not 0 <= getattr(args, "tolerance", 0) < math.inf:  # also refuses NaN
+        raise SchemaError(f"--tolerance must be finite and nonnegative, got {args.tolerance}")
     if args.command == "search":
         try:
             check_base(args.p)

@@ -20,7 +20,7 @@ from math import inf
 from typing import Any
 
 from .errors import FamilyArityError, OverlapError, SchemaError, VilenkinError
-from .setalg import Cylinder, Measure, PSet
+from .setalg import Cylinder, Measure, PSet, _decimal
 from .verifier import ConditionRecord, VerdictReport, WaveletFamily
 
 TOOL_NAME = "vilenkin-wavelets"
@@ -147,7 +147,10 @@ def _value_text(o, newline: str) -> str:
     (a newline and the current indentation)."""
     scalar = _SCALAR_TEXT.get(type(o))
     if scalar is not None:
-        return scalar(o)
+        try:
+            return scalar(o)
+        except ValueError:  # an int of more digits than sys.get_int_max_str_digits()
+            return "-" + _decimal(-o) if o < 0 else _decimal(o)
     inner = newline + "  "
     if isinstance(o, (list, tuple)):
         if not o:
@@ -169,7 +172,8 @@ def _value_text(o, newline: str) -> str:
 def dumps(o) -> str:
     """The text json.dumps(o, indent=2) gives, for values built of str,
     int, float, bool, None, lists, tuples and dicts with str keys; any
-    other type raises TypeError."""
+    other type raises TypeError.  Integers of any length are written in
+    full, where json.dumps stops at Python's digit limit."""
     return _value_text(o, "\n")
 
 

@@ -21,7 +21,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DigitError, ResolutionCapError, VilenkinError
+import numpy as np
+
+from .errors import ResolutionCapError, VilenkinError
 from .group import GroupElement, from_digits, lambda_encode
 from .setalg import (
     Cylinder,
@@ -35,23 +37,6 @@ from .setalg import (
     unit_cell,
 )
 from .verifier import VerdictReport, WaveletFamily, is_wavelet_set
-
-
-class _Unresolved:
-    """Sentinel for filter evaluations that fall outside the resolved cells."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNRESOLVED"
-
-
-UNRESOLVED = _Unresolved()
 
 
 def _require_verified(family: WaveletFamily, verdict: VerdictReport | None) -> VerdictReport:
@@ -71,7 +56,7 @@ class OmegaSigma:
     truncated: PSet
     level: int  # family union resolution
     lowest_fixed: int  # coarsest pinned digit position of the family union
-    resolved: PSet | None  # exact spectrum when the tail is self-similar
+    resolved: PSet | None  # exact spectrum (a superset of truncated) when the tail is self-similar
 
     def tail_bound(self) -> Measure:
         return Measure.make(1, self.p, self.depth)
@@ -92,6 +77,14 @@ def _dilates(union: PSet, depth: int) -> PSet:
     )
 
 
+def _fixed_point(union: PSet, truncated: PSet, ball: int) -> PSet | None:
+    """truncated | theta_ball(p, ball) when it equals its own image
+    sigma(union) | sigma(itself), else None."""
+    candidate = truncated.union(theta_ball(union.p, ball))
+    image = union.dilate(1).union(candidate.dilate(1))
+    return candidate if image == candidate else None
+
+
 def accumulate_omega_sigma(
     family: WaveletFamily,
     depth: int,
@@ -106,6 +99,13 @@ def accumulate_omega_sigma(
     self-similar and S represents it exactly (a.e.).  The test runs at
     every depth; check_mra_condition shows it succeeds from depth L - w
     on, L the family's resolution.
+
+    So the dilates are built only up to settle = min(depth, max(L - w, 1)).
+    A deeper truncation is read off the fixed point S found there: S is
+    the disjoint union of all the dilates, sigma^depth(S) the union of
+    those past depth, and S - sigma^depth(S) the truncation (clopen sets
+    equal a.e. are equal).  A spectrum that is not the fixed point at
+    settle contradicts that proof and raises VilenkinError.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -114,20 +114,24 @@ def accumulate_omega_sigma(
     w_lo = union.min_fixed_position
     assert w_lo is not None
 
-    truncated = _dilates(union, depth)
+    settle = min(depth, max(union.max_resolution - w_lo, 1))
+    truncated = _dilates(union, settle)
+    if depth > settle:
+        spectrum = _fixed_point(union, truncated, w_lo + settle)
+        if spectrum is None:
+            raise VilenkinError(f"the spectrum is not the fixed point at depth {settle}")
+        truncated = spectrum.difference(spectrum.dilate(depth))
     expected = Fraction(1) - Fraction(1, family.p**depth)
     if truncated.measure().as_fraction() != expected:
         raise VilenkinError("truncated spectrum does not telescope to 1 - p^-J")
 
-    candidate = truncated.union(theta_ball(family.p, w_lo + depth))
-    image = union.dilate(1).union(candidate.dilate(1))
     return OmegaSigma(
         p=family.p,
         depth=depth,
         truncated=truncated,
         level=union.max_resolution,
         lowest_fixed=w_lo,
-        resolved=candidate if image == candidate else None,
+        resolved=_fixed_point(union, truncated, w_lo + depth),
     )
 
 
@@ -189,7 +193,8 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
     subset, so the true overlap can only be larger).  An all-zero table
     passes only on the exactly resolved spectrum, whose own overlaps are
     then checked too; on a spectrum that is not resolved it stays
-    INCONCLUSIVE rather than guessing.
+    INCONCLUSIVE rather than guessing.  Witnesses of the truncation come
+    before those of the exact spectrum, which are marked "tail".
 
     Every verified family is resolved from depth L - w on, so no depth
     threshold is needed to certify a deeper table.  Write U for the family union, L for its
@@ -209,23 +214,19 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
     """
     p = omega_sigma.p
     T = omega_sigma.truncated
-    rows: list[MraRow] = []
-    witnesses: list[dict] = []
-
-    # The truncation's table, then the overlaps of the exact spectrum when
-    # the tail is resolved; identity rows overlap by definition.
     exact = omega_sigma.resolved
-    passes = [(T, False)] if exact is None else [(T, False), (exact, True)]
-    for S, tail in passes:
+
+    def overlaps(S: PSet, tail: bool) -> tuple[list[MraRow], list[dict]]:
+        """The rows and witnesses of S's overlaps with its translates;
+        identity rows overlap by definition."""
+        rows, witnesses = [], []
         for n in _translation_candidates(S, p):
             if n.is_identity:
-                if not tail:
-                    rows.append(MraRow(0, S.measure()))
+                rows.append(MraRow(0, S.measure()))
                 continue
             overlap = S.intersect(S.translate(n))
             m = overlap.measure()
-            if not tail:
-                rows.append(MraRow(lambda_encode(n), m))
+            rows.append(MraRow(lambda_encode(n), m))
             if m > 0:
                 witness = {
                     "lattice_index": lambda_encode(n),
@@ -235,6 +236,21 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
                 if tail:
                     witness["tail"] = True
                 witnesses.append(witness)
+        return rows, witnesses
+
+    # The reported table is the truncation's.  T lies in the exact
+    # spectrum, so when the exact spectrum has no overlap neither has T,
+    # and its table follows without another intersection.
+    tail_witnesses = [] if exact is None else overlaps(exact, True)[1]
+    if exact is not None and not tail_witnesses:
+        rows = [
+            MraRow(0, T.measure()) if n.is_identity else MraRow(lambda_encode(n), Measure.zero(p))
+            for n in _translation_candidates(T, p)
+        ]
+        witnesses = []
+    else:
+        rows, witnesses = overlaps(T, False)
+        witnesses += tail_witnesses
 
     if witnesses:
         status = "FAIL"
@@ -288,25 +304,6 @@ class FilterTable:
             )
             for fraction, value in by_integer.get(integer, {}).items():
                 self._by_fraction.setdefault(fraction, value)
-
-    def _lookup(self, digits) -> object:
-        fraction = tuple((pos, d) for pos, d in digits if 0 < pos <= self.resolution)
-        return self._by_fraction.get(fraction, UNRESOLVED)
-
-    def evaluate_cell(self, cell: Cylinder):
-        """Value on a cell at least as fine as the table, or UNRESOLVED."""
-        if cell.resolution < self.resolution:
-            raise ResolutionCapError(
-                f"query at resolution {cell.resolution} is coarser than the "
-                f"table resolution {self.resolution}"
-            )
-        if cell.resolution < 0:
-            raise DigitError("integer part requires resolution >= 0")
-        return self._lookup(cell.digits)
-
-    def evaluate_point(self, omega: GroupElement):
-        """Value at a single dual point, or UNRESOLVED."""
-        return self._lookup(omega.support())
 
     def is_binary(self) -> bool:
         return all(v in (0, 1) for v in self.values.values())
@@ -440,6 +437,25 @@ def check_identity_level(bank: FilterBank, level: int) -> int:
     return r
 
 
+def _table_cells(table: FilterTable, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The table's values at the p**r fractions of positions 1 to r, as a
+    (p, p**(r - 1)) object array whose first index is the digit at
+    position 1 (so C order is _digit_maps order), and the mask of the
+    fractions it has no value for."""
+    p = table.p
+    if table.resolution > r:
+        raise ResolutionCapError(
+            f"query at resolution {r} is coarser than the table resolution {table.resolution}"
+        )
+    width = max(table.resolution, 0)
+    index = [sum(d * p ** (width - pos) for pos, d in f) for f in table._by_fraction]
+    values = np.zeros((p**width, p ** (r - width)), object)
+    values[index] = np.array(list(table._by_fraction.values()), object)[:, None]
+    unresolved = np.ones((p**width, 1), bool)
+    unresolved[index] = False
+    return values.reshape(p, -1), np.broadcast_to(unresolved, values.shape).reshape(p, -1)
+
+
 def verify_filter_identities(
     bank: FilterBank, level: int, *, tolerance: float = 1e-12
 ) -> FilterIdentityReport:
@@ -457,83 +473,76 @@ def verify_filter_identities(
     them as a witness.  A cell where some table has no value is skipped,
     counted in skipped_cells and skipped_mass, and fails the check; the
     banks build_filters makes skip none.
+
+    The sums run over arrays of all resolution-r cells at once, in the
+    order a walk of one cell adds them: int64 for binary tables,
+    complex128 otherwise.  Only the failing cells are walked, to write
+    each violation's sum from the table values themselves.
     """
     p = bank.p
     r = check_identity_level(bank, level)
     tables = bank.all_tables()
     exact = all(t.is_binary() for t in tables)
     weight = p ** (level - r)
-    cell_mass = Measure.make(1, p, r)
+
+    cells = [_table_cells(t, r) for t in tables]
+    objects = np.stack([values for values, _ in cells])  # (table, position-1 digit, rest)
+    # Binary tables hold values equal to 0 or 1.
+    values = (objects == 1).astype(np.int64) if exact else objects.astype(np.complex128)
+    # A cell is skipped when some table has no value at one of its rotations.
+    unresolved = np.logical_or.reduce([mask for _, mask in cells]).any(axis=0)
+    resolved = np.broadcast_to(~unresolved, values.shape[1:])
+    skipped_cells = p * int(unresolved.sum())
+
+    # rotated[x, c, d] is table c at the cell whose position-1 digit is d + x.
+    rotated = np.stack([np.roll(values, -x, axis=1) for x in range(p)])
+    # Column a against column b over the rotations, and row x against
+    # row y over the columns; sum() starts from 0 as the walk does.
+    columns = sum(R[:, None] * R[None, :].conj() for R in rotated)
+    rows = sum(rotated[:, None, c] * rotated[None, :, c].conj() for c in range(len(tables)))
+    want = np.eye(p, dtype=np.int64)[:, :, None, None]
+
+    def violated(total: np.ndarray) -> np.ndarray:
+        return total != want if exact else ~(np.abs(total - want) <= tolerance)
+
+    column_bad = violated(columns)
+    bad = column_bad.any(axis=(0, 1))
+    agree = not np.any((bad != violated(rows).any(axis=(0, 1))) & resolved)
 
     failing: list[dict] = []
-    skipped = 0
-    skipped_mass = Measure.zero(p)
-    checked = 0
-    agree = True
+    rest_size = p ** (r - 1)
+    for flat in np.flatnonzero(bad & resolved):
+        d, rest = divmod(int(flat), rest_size)
+        walk = [objects[:, (d + x) % p, rest] for x in range(p)]
+        violations = [
+            {
+                "columns": [int(a), int(b)],
+                "sum": _render_value(sum(walk[x][a] * _conj(walk[x][b]) for x in range(p))),
+            }
+            for a, b in zip(*np.nonzero(column_bad[:, :, d, rest]))
+        ]
+        cell_map = tuple(
+            (pos, int(digit))
+            for pos, digit in enumerate(np.unravel_index(flat, (p,) * r), start=1)
+            if digit
+        )
+        failing.extend(
+            {
+                "cell": Cylinder(p, level, cell_map + tail).to_json(),
+                "violations": violations,
+            }
+            for tail in _digit_maps(p, range(r + 1, level + 1))
+        )
 
-    for cell_map in _digit_maps(p, range(1, r + 1)):
-        base = dict(cell_map)
-        rows = []
-        unresolved = False
-        for x in range(p):
-            rotated = dict(base)
-            d = (rotated.get(1, 0) + x) % p
-            rotated.pop(1, None)
-            if d:
-                rotated[1] = d
-            query = Cylinder(p, r, tuple(sorted(rotated.items())))
-            row = [t.evaluate_cell(query) for t in tables]
-            if any(v is UNRESOLVED for v in row):
-                unresolved = True
-                break
-            rows.append(row)
-        if unresolved:
-            skipped += weight
-            skipped_mass = skipped_mass + cell_mass
-            continue
-        checked += weight
-
-        # Column c energy across rotations, and cross-column products.
-        bad = []
-        for a in range(p):
-            for b in range(p):
-                total = sum(
-                    rows[x][a] * _conj(rows[x][b]) for x in range(p)
-                )
-                want = 1 if a == b else 0
-                ok = (total == want) if exact else abs(total - want) <= tolerance
-                if not ok:
-                    bad.append({"columns": [a, b], "sum": _render_value(total)})
-        # Row-based formulation (matrix times adjoint); must agree with the
-        # column identities on square tables.
-        row_bad = False
-        for x in range(p):
-            for y in range(p):
-                total = sum(rows[x][c] * _conj(rows[y][c]) for c in range(p))
-                want = 1 if x == y else 0
-                ok = (total == want) if exact else abs(total - want) <= tolerance
-                if not ok:
-                    row_bad = True
-        if bool(bad) != row_bad:
-            agree = False
-        if bad:
-            failing.extend(
-                {
-                    "cell": Cylinder(p, level, cell_map + tail).to_json(),
-                    "violations": bad,
-                }
-                for tail in _digit_maps(p, range(r + 1, level + 1))
-            )
-
-    passed = not failing and not skipped and agree
+    passed = not failing and not skipped_cells and agree
     return FilterIdentityReport(
         level=level,
         passed=passed,
         exact=exact,
-        checked_cells=checked,
+        checked_cells=weight * (p**r - skipped_cells),
         failing_cells=failing,
-        skipped_cells=skipped,
-        skipped_mass=skipped_mass,
+        skipped_cells=weight * skipped_cells,
+        skipped_mass=Measure.make(skipped_cells, p, r),
         formulations_agree=agree,
     )
 

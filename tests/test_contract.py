@@ -6,6 +6,7 @@ every resource limit exits 1, with one line, before the work starts.
 
 import contextlib
 import copy
+import decimal
 import io
 import json
 import pathlib
@@ -180,6 +181,21 @@ class TestMalformedInputExitsTwo:
         assert_one_line(code, err, 2)
         assert err.startswith(f"{path} is not valid JSON: ")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-12"])
+    @pytest.mark.parametrize("command", ["filters", "transform"])
+    def test_tolerance_outside_its_domain(self, work, command, value):
+        # A NaN tolerance wrote "tolerance": NaN, which is not JSON, into a
+        # filters report, and made every transform FAIL.  Refused before
+        # any file is read, so the CSV input need not exist.
+        argv = {
+            "filters": base_argv("filters", work),
+            "transform": ["transform", "--p", "2", "--grid", "1", "1", "--input",
+                          str(work / "absent.csv"), "--samples", str(work / "out.csv")],
+        }[command]
+        code, out, err = run(argv + [f"--tolerance={value}"])
+        assert_one_line(code, err, 2)
+        assert err.startswith("--tolerance must be finite and nonnegative, got ") and out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [["verify", "--bogus"], ["verify", "--p", "x", "--input", "f"], [], ["nosuch"]],
@@ -293,3 +309,18 @@ class TestResourceLimitsExitOne:
         assert time.perf_counter() - start < 1.0
         assert_one_line(code, err, 1)
         assert err == message and out == ""
+
+
+def test_report_integers_of_any_length(work):
+    # checked_cells is 2**20000 at level 20000; str() refuses integers of
+    # more than 4300 digits, and the report used to end in a ValueError
+    # traceback after the whole check.
+    report = work / "long-count.json"
+    code, _, err = run(
+        ["filters", "--p", "2", "--input", SHANNON2_FILE, "--level", "20000", "--output", str(report)]
+    )
+    assert code == 0 and err == ""
+    with decimal.localcontext() as context:
+        context.prec = 7000
+        count = str(decimal.Decimal(2) ** 20000)
+    assert f'"checked_cells": {count},\n' in report.read_text()

@@ -79,6 +79,14 @@ class TestDumps:
             dumps(value)
         assert str(got.value) == str(want.value)
 
+    def test_integers_past_the_digit_limit(self):
+        # json.dumps and str() refuse integers of more than 4300 digits.
+        big = 10**5000 + 7
+        text = "1" + "0" * 4999 + "7"
+        assert dumps([big, -big, {"n": -(10**4300)}]) == (
+            f'[\n  {text},\n  -{text},\n  {{\n    "n": -1{"0" * 4300}\n  }}\n]'
+        )
+
     @pytest.mark.parametrize("key", [1, 1.5, True, None, (1, 2)])
     def test_non_string_keys_raise(self, key):
         with pytest.raises(TypeError):

@@ -9,14 +9,17 @@ from fractions import Fraction
 import pytest
 
 from vilenkin_wavelets.errors import DigitError, ResolutionCapError, VilenkinError
-from vilenkin_wavelets.group import from_digits, identity, lambda_decode
+from vilenkin_wavelets.group import from_digits, identity, lambda_decode, lambda_encode
 from vilenkin_wavelets.mra import (
-    UNRESOLVED,
     FilterBank,
     FilterIdentityReport,
     FilterTable,
+    MraReport,
+    MraRow,
+    OmegaSigma,
     _integer_parts,
     _render_value,
+    _translation_candidates,
     accumulate_omega_sigma,
     build_filters,
     check_mra_condition,
@@ -273,23 +276,23 @@ class TestFilters:
         _, _, _, bank = shannon_pipeline(2)
         zero_cell = Cylinder(2, 1, ((1, 1),))
         one_cell = Cylinder(2, 1, ())
-        assert bank.m0.evaluate_cell(zero_cell) == 0
-        assert bank.m0.evaluate_cell(one_cell) == 1
+        assert evaluate_cell(bank.m0, zero_cell) == 0
+        assert evaluate_cell(bank.m0, one_cell) == 1
 
     def test_periodicity(self):
         _, _, _, bank = shannon_pipeline(3)
         cell = Cylinder(3, 2, ((1, 2), (2, 1)))
-        base = bank.m0.evaluate_cell(cell)
+        base = evaluate_cell(bank.m0, cell)
         for lam in range(6):
             shifted = cell.translate(lambda_decode(lam, 3))
-            assert bank.m0.evaluate_cell(shifted) == base
+            assert evaluate_cell(bank.m0, shifted) == base
 
     def test_point_evaluation(self):
         _, _, _, bank = shannon_pipeline(2)
         omega = from_digits(2, {1: 1, 5: 1})
-        assert bank.m0.evaluate_point(omega) == 0
+        assert evaluate_point(bank.m0, omega) == 0
         omega2 = from_digits(2, {2: 1})
-        assert bank.m0.evaluate_point(omega2) == 1
+        assert evaluate_point(bank.m0, omega2) == 1
 
     def test_unresolved_outside_domain(self):
         # build_filters refuses a spectrum with its tail forgotten; tables
@@ -303,7 +306,7 @@ class TestFilters:
             build_filters(family, sigma)
         bank = _truncated_bank(family, 3)
         deep = Cylinder(p, 6, ((6, 1),))  # inside the unresolved tail ball
-        assert bank.m0.evaluate_cell(deep) is UNRESOLVED
+        assert evaluate_cell(bank.m0, deep) is UNRESOLVED
 
     def test_build_requires_mra_pass(self):
         from vilenkin_wavelets.mra import OmegaSigma
@@ -469,6 +472,38 @@ class TestCalderon:
 # -- table-resolution walk and fractional-digit lookup vs. the per-level loops --
 
 
+class _Unresolved:
+    def __repr__(self):
+        return "UNRESOLVED"
+
+
+#: What a lookup outside a table's resolved cells returns.
+UNRESOLVED = _Unresolved()
+
+
+def _lookup(table, digits):
+    fraction = tuple((pos, d) for pos, d in digits if 0 < pos <= table.resolution)
+    return table._by_fraction.get(fraction, UNRESOLVED)
+
+
+def evaluate_cell(table, cell):
+    """The table's value on a cell at least as fine as the table, or
+    UNRESOLVED, read from its fractional-digit index."""
+    if cell.resolution < table.resolution:
+        raise ResolutionCapError(
+            f"query at resolution {cell.resolution} is coarser than the "
+            f"table resolution {table.resolution}"
+        )
+    if cell.resolution < 0:
+        raise DigitError("integer part requires resolution >= 0")
+    return _lookup(table, cell.digits)
+
+
+def evaluate_point(table, omega):
+    """The table's value at a single dual point, or UNRESOLVED."""
+    return _lookup(table, omega.support())
+
+
 def _loop_key(pairs, resolution):
     return tuple((pos, d) for pos, d in pairs if pos <= resolution and d)
 
@@ -600,13 +635,15 @@ def _bank(name):
     bank = shannon_pipeline(2)[3]
     if name == "constant-ones":
         return _with_m0(bank, {cell: 1 for cell in bank.m0.values})
-    phase = cmath.exp(0.3j)  # phase-twisted
+    # phase-twisted, or scaled by 2 so that it fails with complex sums
+    phase = cmath.exp(0.3j) * (2 if name == "phase-twisted-doubled" else 1)
     return _with_m0(bank, {cell: phase * v for cell, v in bank.m0.values.items()})
 
 
 BANKS = [
     "shannon2", "shannon3", "shannon5", "three-shell2", "three-shell2-truncated",
-    "shannon2-truncated", "constant-ones", "phase-twisted", "resolution-0",
+    "shannon2-truncated", "constant-ones", "phase-twisted", "phase-twisted-doubled",
+    "resolution-0",
 ]
 
 
@@ -635,6 +672,9 @@ class TestTableResolutionWalk:
         assert reports["three-shell2-truncated"].skipped_cells > 0
         assert reports["shannon2-truncated"].skipped_cells > 0
         assert not reports["phase-twisted"].exact and reports["phase-twisted"].passed
+        doubled = reports["phase-twisted-doubled"]
+        assert not doubled.exact and not doubled.passed
+        assert all(isinstance(v["sum"], list) for c in doubled.failing_cells for v in c["violations"])
 
     @pytest.mark.parametrize("name", BANKS)
     def test_lookup_matches_translate_loop(self, name):
@@ -647,20 +687,20 @@ class TestTableResolutionWalk:
             for level in range(r, r + 4):
                 for fraction in _digit_maps(p, range(1, level + 1)):
                     cell = Cylinder(p, level, gen.choice(integers) + fraction)
-                    value = table.evaluate_cell(cell)
+                    value = evaluate_cell(table, cell)
                     assert value == loop_evaluate_cell(table, cell), cell
                     seen.add(value is UNRESOLVED)
             for _ in range(300):
                 digits = {pos: gen.randrange(p) for pos in range(-3, r + 6)}
                 omega = from_digits(p, digits)
-                assert table.evaluate_point(omega) == loop_evaluate_point(table, omega)
+                assert evaluate_point(table, omega) == loop_evaluate_point(table, omega)
         if "truncated" in name:
             assert seen == {True, False}
 
     def test_lookup_errors_match(self):
         bank = shannon_pipeline(3)[3]
         coarse = Cylinder(3, 0, ((0, 2),))
-        for evaluate in (bank.m0.evaluate_cell, lambda c: loop_evaluate_cell(bank.m0, c)):
+        for evaluate in (lambda c: evaluate_cell(bank.m0, c), lambda c: loop_evaluate_cell(bank.m0, c)):
             with pytest.raises(ResolutionCapError):
                 evaluate(coarse)
         # A table coarser than the integer lattice: a query of resolution
@@ -671,12 +711,12 @@ class TestTableResolutionWalk:
             (from_digits(p, {-1: 1, 0: 1}), identity(p)),
         )
         negative = Cylinder(p, -1, ((-1, 1),))
-        for evaluate in (table.evaluate_cell, lambda c: loop_evaluate_cell(table, c)):
+        for evaluate in (lambda c: evaluate_cell(table, c), lambda c: loop_evaluate_cell(table, c)):
             with pytest.raises(DigitError):
                 evaluate(negative)
         for cell_map in _digit_maps(p, range(-2, 3)):
             cell = Cylinder(p, 2, cell_map)
-            assert table.evaluate_cell(cell) == loop_evaluate_cell(table, cell)
+            assert evaluate_cell(table, cell) == loop_evaluate_cell(table, cell)
 
 
 def relation_membership(cell, s):
@@ -760,7 +800,7 @@ def walk_two_scale(family, omega_sigma, bank, *, window=None, product_depth=None
         carries the table's full digit prefix, only one that is coarser."""
         if cell.resolution < table.resolution:
             return UNRESOLVED, False
-        value = table.evaluate_cell(cell)
+        value = evaluate_cell(table, cell)
         return value, value is UNRESOLVED
 
     stack = [Cylinder(p, -window, ())]
@@ -1082,3 +1122,117 @@ def test_verdicts_do_not_depend_on_the_cap(monkeypatch):
     got = [pipeline_results(f, J) for f in families for J in depths]
     assert got == want
     assert all(r[1].passed and r[3].passed and r[4].passed and r[5].passed for r in got)
+
+
+# -- the depth-J spectrum read off the fixed point vs. the union of dilates -------
+
+
+def union_of_dilates(family, J):
+    """The depth-J truncation as the direct union of the dilates 1..J."""
+    union = family.union()
+    return PSet(family.p, (c.dilate(j) for j in range(1, J + 1) for c in union.cylinders))
+
+
+def two_pass_mra_condition(omega_sigma):
+    """The truncation's table and witnesses, then the exact spectrum's
+    overlaps, each computed by intersecting the set with its translates."""
+    p = omega_sigma.p
+    rows, witnesses = [], []
+    exact = omega_sigma.resolved
+    passes = [(omega_sigma.truncated, False)]
+    if exact is not None:
+        passes.append((exact, True))
+    for S, tail in passes:
+        for n in _translation_candidates(S, p):
+            if n.is_identity:
+                if not tail:
+                    rows.append(MraRow(0, S.measure()))
+                continue
+            overlap = S.intersect(S.translate(n))
+            m = overlap.measure()
+            if not tail:
+                rows.append(MraRow(lambda_encode(n), m))
+            if m > 0:
+                witness = {
+                    "lattice_index": lambda_encode(n),
+                    "measure": m.exact_string(),
+                    "cell": min(overlap.cylinders, key=Cylinder.sort_key).to_json(),
+                }
+                if tail:
+                    witness["tail"] = True
+                witnesses.append(witness)
+    status = "FAIL" if witnesses else "PASS" if exact is not None else "INCONCLUSIVE"
+    return MraReport(
+        status=status,
+        certified=status != "INCONCLUSIVE",
+        certification="self-similar-fixed-point" if exact is not None else None,
+        depth=omega_sigma.depth,
+        rows=rows,
+        witnesses=witnesses,
+    )
+
+
+class TestSpectrumFromTheFixedPoint:
+    @pytest.mark.parametrize("name", SHIPPED_PASS + ["coset-shuffle3"])
+    def test_matches_the_union_of_dilates(self, name):
+        family = family_named(name)
+        p, union = family.p, family.union()
+        w = union.min_fixed_position
+        statuses = set()
+        for J in range(1, 41):
+            sigma = accumulate_omega_sigma(family, J)
+            truncated = union_of_dilates(family, J)
+            assert sigma.truncated == truncated, J
+            candidate = truncated.union(theta_ball(p, w + J))
+            image = union.dilate(1).union(candidate.dilate(1))
+            assert sigma.resolved == (candidate if image == candidate else None), J
+            mra = check_mra_condition(sigma)
+            assert mra == two_pass_mra_condition(sigma), J
+            statuses.add(mra.status)
+        assert "PASS" in statuses
+
+    @pytest.mark.parametrize("resolved", ["none", "same", "wider", "overlapping"])
+    def test_failing_spectrum_matches_two_passes(self, resolved):
+        # The spectrum of test_translate_overlap_fails: two cells a lattice
+        # shift apart.  With an exact spectrum that overlaps too, the
+        # truncation's witnesses come before the "tail" ones.
+        p = 2
+        cells = [Cylinder(p, 1, ()), Cylinder(p, 1, ((0, 1),))]
+        spectrum = PSet(p, cells, validate=False)
+        truncated = spectrum
+        exact = {
+            "none": None,
+            "same": spectrum,
+            "wider": spectrum.union(PSet(p, [Cylinder(p, 2, ((-1, 1), (1, 1)))])),
+            "overlapping": spectrum,
+        }[resolved]
+        if resolved == "overlapping":
+            truncated = PSet(p, cells[:1])  # no overlap of its own
+        sigma = OmegaSigma(
+            p=p, depth=6, truncated=truncated, level=1, lowest_fixed=0, resolved=exact,
+        )
+        got = check_mra_condition(sigma)
+        assert got == two_pass_mra_condition(sigma)
+        assert got.status == "FAIL" and got.witnesses
+        assert any("tail" in w for w in got.witnesses) == (exact is not None)
+        assert any("tail" not in w for w in got.witnesses) == (resolved != "overlapping")
+
+    def test_unresolved_spectrum_matches_two_passes(self):
+        p = 2
+        spectrum = PSet(p, [Cylinder(p, 3, ((1, 1),))], validate=False)
+        sigma = OmegaSigma(
+            p=p, depth=2, truncated=spectrum, level=3, lowest_fixed=1, resolved=None,
+        )
+        got = check_mra_condition(sigma)
+        assert got == two_pass_mra_condition(sigma) and got.status == "INCONCLUSIVE"
+
+    def test_a_spectrum_off_the_fixed_point_is_refused(self, monkeypatch):
+        # The proof in check_mra_condition's docstring rules this out; the
+        # deeper truncation is read off the fixed point only when it is one.
+        from vilenkin_wavelets import mra
+
+        family = shannon_family(2)
+        monkeypatch.setattr(mra, "_fixed_point", lambda *args: None)
+        assert accumulate_omega_sigma(family, 1).resolved is None
+        with pytest.raises(VilenkinError, match="not the fixed point at depth 1"):
+            accumulate_omega_sigma(family, 2)
