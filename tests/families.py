@@ -1,7 +1,7 @@
 """Named wavelet families used across the test modules."""
 
 from vilenkin_wavelets.setalg import Cylinder, PSet
-from vilenkin_wavelets.verifier import WaveletFamily
+from vilenkin_wavelets.verifier import WaveletFamily, search_wavelet_sets, shannon_family
 
 
 def three_shell_family() -> WaveletFamily:
@@ -24,3 +24,18 @@ def three_shell_family() -> WaveletFamily:
         validate=False,
     )
     return WaveletFamily(p, ("omega1",), (omega,))
+
+
+def coset_shuffle_family() -> WaveletFamily:
+    """A verified p=3 family that mixes lattice cosets inside each member;
+    its union is still the full unit shell."""
+    families = search_wavelet_sets(3, (0, 1)).families
+    shannon = shannon_family(3)
+    return next(f for f in families if f.sets != shannon.sets)
+
+
+def family_named(name: str) -> WaveletFamily:
+    """shannon2, shannon3, shannon5, three-shell2 or coset-shuffle3."""
+    if name.startswith("shannon"):
+        return shannon_family(int(name[-1]))
+    return three_shell_family() if name == "three-shell2" else coset_shuffle_family()

@@ -193,3 +193,105 @@ def oracle_is_wavelet_set(
         "congruence": congruence_ok,
         "overall": measures_ok and tiling_ok and congruence_ok,
     }
+
+
+# -- reference filters and quadrature identities -----------------------------------
+#
+# A point of the dual group with finitely many nonzero digits is a dict
+# {position: digit}.
+
+
+def contains(s: CellSet, x: dict) -> bool:
+    """Whether the point x lies in s."""
+    if any(d and pos < s.lo for pos, d in x.items()):
+        return False
+    return tuple(x.get(pos, 0) for pos in range(s.lo, s.hi + 1)) in s.cells
+
+
+def _shifted(x: dict, k: int) -> dict:
+    """The point x with every digit moved by k positions."""
+    return {pos + k: d for pos, d in x.items() if d}
+
+
+def _in_spectrum(union: CellSet, x: dict) -> bool:
+    """Whether x != 0 lies in the dilate of the union by some j >= 1.
+
+    The points of that dilate have their lowest nonzero digit at a
+    position of at least union.lo + j, so j stops there."""
+    lowest = min(pos for pos, d in x.items() if d)
+    return any(contains(union, _shifted(x, -j)) for j in range(1, lowest - union.lo + 1))
+
+
+def _filter_values(p: int, members: list[CellSet], union: CellSet, x: dict):
+    """(m0, (m1_1, ..)) at x, or None off the spectrum: m1_u is the
+    indicator of the first dilate of member u, m0 that of the rest of
+    the spectrum."""
+    if not _in_spectrum(union, x):
+        return None
+    bands = tuple(int(contains(s, _shifted(x, -1))) for s in members)
+    return 1 - sum(bands), bands
+
+
+def oracle_filter_rows(p: int, members: list[CellSet], r: int) -> dict:
+    """The rows of the `filters` report at table resolution r.
+
+    Keys are the digit tuples, at positions lo..r, of the resolution-r
+    cells of the scaling spectrum (the union of the dilates of the
+    family union by every j >= 1); lo = min(union.lo + 1, 1), as every
+    spectrum point has its lowest nonzero digit past union.lo.  Values
+    are (m0, (m1_1, .., m1_{p-1})).  The spectrum and the filters are
+    unions of resolution-r cells, so a cell is decided by its points
+    whose digits past r are a nonzero word at positions r + 1, r + 2,
+    which must all agree.
+    """
+    union = members[0]
+    for s in members[1:]:
+        union = union.union(s)
+    lo = min(union.lo + 1, 1)
+    rows = {}
+    for cell in itertools.product(range(p), repeat=r - lo + 1):
+        pinned = dict(zip(range(lo, r + 1), cell))
+        seen = {
+            _filter_values(p, members, union, {**pinned, r + 1: a, r + 2: b})
+            for a, b in itertools.product(range(p), repeat=2)
+            if a or b
+        }
+        assert len(seen) == 1, f"not constant on the cell {cell}"
+        (values,) = seen
+        if values is not None:
+            rows[cell] = values
+    return rows
+
+
+def oracle_tables(p: int, rows: dict, r: int) -> list[dict]:
+    """The tables m0, m1_1, .. on the unit cell, each a dict from the
+    digit tuple at positions 1..r to 0 or 1: the value of the one
+    spectrum cell with those fractional digits (its lattice translates
+    are disjoint and cover the unit cell)."""
+    tables: list[dict] = [{} for _ in range(p)]
+    for cell, (m0, bands) in rows.items():
+        fraction = cell[len(cell) - r :]
+        for table, value in zip(tables, (m0, *bands)):
+            assert fraction not in table, f"two spectrum cells over {fraction}"
+            table[fraction] = value
+    assert all(len(t) == p**r for t in tables), "the spectrum misses a fraction"
+    return tables
+
+
+def oracle_permutation_test(p: int, tables: list[dict], r: int, level: int) -> dict:
+    """The quadrature identities cell by cell at resolution `level` >= r.
+
+    Keys are the digit tuples at positions 1..level of the unit cell's
+    cells.  At a cell x the p x p matrix M[k][c] holds table c at the
+    cell whose position-1 digit is x's plus k (mod p); the identities
+    hold there iff M is a permutation matrix.  Values are (M is a
+    permutation matrix, column sums, row sums)."""
+    out = {}
+    for cell in itertools.product(range(p), repeat=level):
+        matrix = [
+            [t[((cell[0] + k) % p,) + cell[1:r]] for t in tables] for k in range(p)
+        ]
+        columns = tuple(sum(row[c] for row in matrix) for c in range(p))
+        rows = tuple(sum(row) for row in matrix)
+        out[cell] = (columns == rows == (1,) * p, columns, rows)
+    return out

@@ -1,11 +1,13 @@
 import decimal
 import json
 import pathlib
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from perfbench import gen
 from vilenkin_wavelets.cli import main, run_command
 from vilenkin_wavelets.errors import SchemaError
 from vilenkin_wavelets.famio import condition_json, emit_report, parse_family_file
@@ -229,6 +231,17 @@ class TestResolutionCap:
             assert report["spectrum"]["self_similar_tail_resolved"] is True
 
 
+    def test_filter_rows_past_the_cap(self, tmp_path, capsys):
+        # The library decides this family's filters, identities and
+        # two-scale check (tests/test_mra.py), but the report lists one
+        # row per cell of the spectrum at the table resolution, 25.
+        family = tmp_path / "r24.json"
+        family.write_text(json.dumps(gen.pass_family(random.Random(5), 2, 24, -2, 40).document()))
+        argv = ["filters", "--p", "2", "--input", str(family), "--depth", "28", "--level", "26"]
+        assert main(argv + ["--output", str(tmp_path / "report.json")]) == 1
+        assert capsys.readouterr().err == "resolution 25 exceeds the cap 24\n"
+
+
 class TestBoundedByInput:
     def test_low_pinned_digit_is_fast_and_small(self, tmp_path):
         # The one cylinder's shell key is (18, {0}); the shell minus it is
@@ -244,6 +257,48 @@ class TestBoundedByInput:
         gaps = [w for w in tiling["witnesses"] if w["kind"] == "cover-defect"]
         assert [w["cell"]["resolution"] for w in gaps] == list(range(1, 19))
         assert sum(cell_count(2, w) for w in gaps) == 2**18 - 1
+
+    def test_coarse_member_is_one_piece(self, tmp_path, capsys):
+        # The member (-16, {-17: 1}) spans 2**16 integer parts.  Split to
+        # resolution 0 it made 2**16 certificate entries (35.6 MB in
+        # 6.6 s); now it is one piece whose translate, the unit cell,
+        # counts 2**16 times.
+        family = write_family(tmp_path / "coarse.json", 2, [{"resolution": -16, "digits": {"-17": 1}}])
+        out = tmp_path / "report.json"
+        start = time.perf_counter()
+        code = main(["verify", "--p", "2", "--input", family, "--output", str(out)])
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and capsys.readouterr().err == ""
+        assert out.stat().st_size < 5_000
+        report = json.loads(out.read_text())
+        unit = {"resolution": 0, "digits": {}}
+        assert report["conditions"][2]["witnesses"] == [
+            {"kind": "translate-overlap", "set": "omega1", "cell": unit, "count": 2**16}
+        ]
+        assert report["certificate"][0]["partition"] == [{
+            "lattice_index": 2**17,
+            "piece": [{"resolution": -16, "digits": {"-17": 1}}],
+            "translated": [unit],
+        }]
+
+    def test_deep_identity_level_is_fast(self, tmp_path, capsys):
+        # checked_cells is 2**3000000, 903090 digits, written by binary
+        # splitting instead of one division by 10**600 per chunk.
+        level = 3_000_000
+        out = tmp_path / "report.json"
+        argv = ["filters", "--p", "2", "--input", "families/shannon2.json", "--level", str(level)]
+        start = time.perf_counter()
+        code = main(argv + ["--output", str(out)])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and capsys.readouterr().err == ""
+        text = out.read_text()
+        digits = text.split('"checked_cells": ', 1)[1].split(",", 1)[0]
+        assert len(digits) == 903_090
+        assert digits[-20:] == f"{pow(2, level, 10**20):020d}"
+        with decimal.localcontext() as ctx:
+            ctx.prec = 30
+            lead = (decimal.Decimal(2) ** level).as_tuple().digits[:20]
+        assert digits[:20] == "".join(map(str, lead))
 
     def test_deep_cylinder_report_grows_linearly(self, tmp_path, capsys):
         # One resolution-15000 cylinder, its own shell key: the shell and

@@ -1,24 +1,26 @@
-import cmath
+import dataclasses
+import functools
 import itertools
 import pathlib
 import random
 import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from vilenkin_wavelets.errors import DigitError, ResolutionCapError, VilenkinError
-from vilenkin_wavelets.group import from_digits, identity, lambda_decode, lambda_encode
+from perfbench import gen
+from vilenkin_wavelets.errors import VilenkinError
+from vilenkin_wavelets.famio import family_from_document
+from vilenkin_wavelets.group import from_digits, lambda_decode, lambda_encode
 from vilenkin_wavelets.mra import (
     FilterBank,
-    FilterIdentityReport,
-    FilterTable,
     MraReport,
     MraRow,
     OmegaSigma,
+    _fold,
     _integer_parts,
-    _render_value,
     _translation_candidates,
     accumulate_omega_sigma,
     build_filters,
@@ -39,22 +41,9 @@ from vilenkin_wavelets.setalg import (
 )
 from vilenkin_wavelets.verifier import search_wavelet_sets, shannon_family
 
-from .families import three_shell_family
+from .families import coset_shuffle_family, family_named, three_shell_family
 from .mutants import mutants_for
-
-
-def coset_shuffle_family():
-    """A verified p=3 family that mixes lattice cosets inside each member;
-    its union is still the full unit shell."""
-    families = search_wavelet_sets(3, (0, 1)).families
-    shannon = shannon_family(3)
-    return next(f for f in families if f.sets != shannon.sets)
-
-
-def family_named(name):
-    if name.startswith("shannon"):
-        return shannon_family(int(name[-1]))
-    return three_shell_family() if name == "three-shell2" else coset_shuffle_family()
+from .test_filter_oracle import assert_identities_match
 
 
 def shannon_pipeline(p, depth=8):
@@ -189,8 +178,9 @@ class TestThreeShellPipeline:
     def test_truncated_filters_and_two_scale(self):
         # A spectrum that is not resolved certifies nothing: the criterion
         # is INCONCLUSIVE, build_filters refuses it even beside a PASS
-        # report, tables built by hand on the truncation skip the tail
-        # ball and fail the identities, and the two-scale check refuses.
+        # report, tables built by hand on the truncation are all zero on
+        # the fold of the tail ball and fail the identities there, and the
+        # two-scale check refuses.
         family = three_shell_family()
         sigma = accumulate_omega_sigma(family, 8)
         passed = check_mra_condition(sigma)
@@ -202,11 +192,13 @@ class TestThreeShellPipeline:
         with pytest.raises(ValueError, match="resolved spectrum"):
             build_filters(family, sigma, mra=passed)
 
-        bank = _truncated_bank(family, 8)
+        bank = _bank("three-shell2-truncated")
         identities = verify_filter_identities(bank, bank.resolution)
-        assert not identities.passed and not identities.failing_cells
-        assert identities.skipped_cells > 0
-        assert identities.skipped_mass <= Measure.make(1, 2, sigma.lowest_fixed + 8)
+        assert not identities.passed and identities.formulations_agree
+        gaps = [e for e in identities.failing_cells if e["formulation"] == "rows"]
+        assert gaps and all(e["count"] == 0 for e in gaps)
+        missed = PSet(2, [Cylinder.from_json(2, e["cell"]) for e in gaps])
+        assert missed.measure() == sigma.tail_bound()  # Omega - T folds onto the gap
 
         with pytest.raises(ValueError, match="resolved spectrum"):
             verify_two_scale(family, sigma, bank)
@@ -254,23 +246,32 @@ class TestFilters:
         family, sigma, _, bank = shannon_pipeline(p)
         # Zero exactly on the first dilate of the family, one elsewhere.
         first = family.union().dilate(1)
-        for cell, value in bank.m0.values.items():
-            cyl = Cylinder(p, bank.resolution, cell)
+        rows = bank.to_json()["rows"]
+        assert len(rows) == p**bank.resolution
+        for row in rows:
+            cyl = Cylinder.from_json(p, row["cell"])
             inside = any(cyl.relation(c) != "disjoint" for c in first.cylinders)
-            assert value == (0 if inside else 1)
+            assert row["m0"] == (0 if inside else 1)
+        assert bank.m0 == unit_cell(p).difference(first)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_partition_of_unity_on_spectrum(self, p):
         _, _, _, bank = shannon_pipeline(p)
-        for cell in bank.m0.values:
-            total = bank.m0.values[cell] + sum(t.values[cell] for t in bank.m1)
-            assert total == 1
+        for row in bank.to_json()["rows"]:
+            assert row["m0"] + sum(row["m1"]) == 1
+        total = empty_set(p)
+        for table in bank.all_tables():
+            assert total.intersect(table).is_empty
+            total = total.union(table)
+        assert total == unit_cell(p)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_band_filters_have_disjoint_support(self, p):
         _, _, _, bank = shannon_pipeline(p)
-        for cell in bank.m0.values:
-            assert sum(t.values[cell] for t in bank.m1) <= 1
+        for row in bank.to_json()["rows"]:
+            assert sum(row["m1"]) <= 1
+        for a, b in itertools.combinations(bank.m1, 2):
+            assert a.intersect(b).is_empty
 
     def test_shannon_low_pass_values(self):
         _, _, _, bank = shannon_pipeline(2)
@@ -296,7 +297,7 @@ class TestFilters:
 
     def test_unresolved_outside_domain(self):
         # build_filters refuses a spectrum with its tail forgotten; tables
-        # built by hand on the truncation have no value in the tail ball.
+        # built by hand on the truncation are zero in the tail ball.
         p = 2
         family = shannon_family(p)
         sigma = accumulate_omega_sigma(family, 3)
@@ -304,9 +305,10 @@ class TestFilters:
         assert check_mra_condition(sigma).status == "INCONCLUSIVE"
         with pytest.raises(VilenkinError):
             build_filters(family, sigma)
-        bank = _truncated_bank(family, 3)
+        bank = _bank("shannon2-truncated")
         deep = Cylinder(p, 6, ((6, 1),))  # inside the unresolved tail ball
-        assert evaluate_cell(bank.m0, deep) is UNRESOLVED
+        assert [evaluate_cell(t, deep) for t in bank.all_tables()] == [0, 0]
+        assert evaluate_cell(bank.m0, Cylinder(p, 6, ((2, 1),))) == 1
 
     def test_build_requires_mra_pass(self):
         from vilenkin_wavelets.mra import OmegaSigma
@@ -333,43 +335,27 @@ class TestFilterIdentities:
         report = verify_filter_identities(bank, 4)
         assert report.passed and report.exact
         assert report.checked_cells == p**4
-        assert report.skipped_cells == 0
+        assert not report.failing_cells
         assert report.formulations_agree
 
     def test_constant_filter_fails_everywhere(self):
+        # m0 = 1 everywhere: its column sums to 2 on every cell, and the
+        # rows meet m1 twice on m1's own half.
         p = 2
         _, _, _, bank = shannon_pipeline(p)
-        ones = FilterTable(
-            p, bank.resolution,
-            {cell: 1 for cell in bank.m0.values},
-            bank.m0.candidates,
-        )
-        broken = type(bank)(
-            p=p, resolution=bank.resolution, m0=ones, m1=bank.m1,
-        )
+        broken = dataclasses.replace(bank, m0=unit_cell(p))
         report = verify_filter_identities(broken, 3)
-        assert not report.passed
-        assert len(report.failing_cells) == p**3
-
-    def test_complex_table_near_unitary(self):
-        # An external complex filter pair: the standard two-band split
-        # with unimodular phases still satisfies the identities.
-        import cmath
-
-        p = 2
-        _, _, _, bank = shannon_pipeline(p)
-        phase = cmath.exp(0.3j)
-        m0 = FilterTable(
-            p, bank.resolution,
-            {cell: phase * v for cell, v in bank.m0.values.items()},
-            bank.m0.candidates,
-        )
-        twisted = type(bank)(
-            p=p, resolution=bank.resolution, m0=m0, m1=bank.m1,
-        )
-        report = verify_filter_identities(twisted, 3)
-        assert not report.exact
-        assert report.passed
+        assert not report.passed and report.formulations_agree
+        assert report.failing_cells == [
+            {
+                "formulation": "columns", "table": "m0",
+                "cell": {"resolution": 0, "digits": {}}, "count": 2, "cells": "2^3",
+            },
+            {
+                "formulation": "rows",
+                "cell": {"resolution": 1, "digits": {"1": 1}}, "count": 2, "cells": "2^2",
+            },
+        ]
 
 
 class TestTwoScale:
@@ -379,19 +365,11 @@ class TestTwoScale:
         report = verify_two_scale(family, sigma, bank)
         assert report.passed
         assert not report.failing_cells
-        assert report.unresolved_mass == 0
 
     def test_broken_filter_detected(self):
         p = 2
         family, sigma, _, bank = shannon_pipeline(p)
-        flipped = FilterTable(
-            p, bank.resolution,
-            {cell: 1 - v for cell, v in bank.m0.values.items()},
-            bank.m0.candidates,
-        )
-        broken = type(bank)(
-            p=p, resolution=bank.resolution, m0=flipped, m1=bank.m1,
-        )
+        broken = dataclasses.replace(bank, m0=_flipped(bank.m0))
         report = verify_two_scale(family, sigma, broken)
         assert not report.passed
         assert report.failing_cells
@@ -418,36 +396,35 @@ class TestTwoScale:
             assert mra.status == "PASS" and mra.certification == "self-similar-fixed-point", J
             bank = build_filters(family, sigma, mra=mra)
             identities = verify_filter_identities(bank, max(bank.resolution, 4))
-            assert identities.passed and identities.skipped_cells == 0, J
+            assert identities.passed and not identities.failing_cells, J
             assert verify_calderon(family, sigma).passed, J
             resolved.append(J)
             if max(2, 1 - sigma.lowest_fixed) + sigma.level > J:
                 continue  # the default window does not fit yet
             report = verify_two_scale(family, sigma, bank)
             assert report.passed and not report.failing_cells, J
-            assert report.unresolved_mass == 0 and report.checked_cells > 0
+            assert report.checked_cells > 0
             two_scale.append(J)
         assert resolved == list(range(resolved[0], 41)) and resolved[0] <= 4
         assert two_scale == list(range(two_scale[0], 41)) and two_scale[0] <= 4
 
-    @pytest.mark.parametrize("name", ["phase-twisted", "shannon2-truncated"])
+    @pytest.mark.parametrize("name", ["shannon2-truncated"])
     def test_refuses_what_it_cannot_decide(self, name):
-        # A complex bank has no 0/1 level sets, and a truncated spectrum
-        # has no exact equations.
-        p = 2
-        family = shannon_family(p)
-        sigma = accumulate_omega_sigma(family, 3 if "truncated" in name else 8)
-        if "truncated" in name:
-            sigma.resolved = None
+        # A truncated spectrum has no exact equations.
+        family = shannon_family(2)
+        sigma = accumulate_omega_sigma(family, 3)
+        sigma.resolved = None
         with pytest.raises(ValueError):
             verify_two_scale(family, sigma, _bank(name))
 
     def test_level_sets_split_the_unit_cell(self):
+        # The bands are the first dilates of the members, folded onto the
+        # unit cell, and the low-pass is one on the rest of it.
         family, _, _, bank = shannon_pipeline(3)
-        zero, one = bank.m0.level_set(0), bank.m0.level_set(1)
+        assert list(bank.m1) == [s.dilate(1) for s in family.sets]
+        zero = unit_cell(3).difference(bank.m0)
         assert zero == family.union().dilate(1)
-        assert zero.union(one) == unit_cell(3) and zero.intersect(one).is_empty
-        assert bank.m0.level_set(2).is_empty
+        assert bank.m0.intersect(zero).is_empty
 
 
 class TestCalderon:
@@ -469,67 +446,51 @@ class TestCalderon:
             verify_calderon(mutant.family, sigma)
 
 
-# -- table-resolution walk and fractional-digit lookup vs. the per-level loops --
+# -- level-set lookups and the identities vs. brute-force references --------------
 
 
-class _Unresolved:
-    def __repr__(self):
-        return "UNRESOLVED"
-
-
-#: What a lookup outside a table's resolved cells returns.
-UNRESOLVED = _Unresolved()
-
-
-def _lookup(table, digits):
-    fraction = tuple((pos, d) for pos, d in digits if 0 < pos <= table.resolution)
-    return table._by_fraction.get(fraction, UNRESOLVED)
+@functools.lru_cache(maxsize=None)
+def _index(s):
+    return _NestingIndex(s.cylinders), _integer_parts(s)
 
 
 def evaluate_cell(table, cell):
-    """The table's value on a cell at least as fine as the table, or
-    UNRESOLVED, read from its fractional-digit index."""
-    if cell.resolution < table.resolution:
-        raise ResolutionCapError(
-            f"query at resolution {cell.resolution} is coarser than the "
-            f"table resolution {table.resolution}"
-        )
-    if cell.resolution < 0:
-        raise DigitError("integer part requires resolution >= 0")
-    return _lookup(table, cell.digits)
+    """A level set's value, 0 or 1, on a cell at least as fine as its
+    cylinders, read from the cell's fractional digits."""
+    fraction = tuple((pos, d) for pos, d in cell.digits if pos > 0)
+    return int(_index(table)[0].covers(fraction, cell.resolution))
 
 
 def evaluate_point(table, omega):
-    """The table's value at a single dual point, or UNRESOLVED."""
-    return _lookup(table, omega.support())
+    """A level set's value at a single dual point."""
+    fraction = {pos: d for pos, d in omega.support() if pos > 0}
+    return int(table.contains_point(from_digits(table.p, fraction)))
 
 
-def _loop_key(pairs, resolution):
-    return tuple((pos, d) for pos, d in pairs if pos <= resolution and d)
+def _inside(cell, s):
+    return _index(s)[0].covers(cell.digits, cell.resolution)
 
 
-def loop_evaluate_cell(table, cell):
-    """Shift the cell onto each candidate's integer part in turn and look up
-    the shifted cell; the first resolved one gives the value."""
-    if cell.resolution < table.resolution:
-        raise ResolutionCapError("query coarser than the table")
+def loop_evaluate_cell(spectrum, value, cell):
+    """Shift the cell onto each integer part of the spectrum in turn; the
+    first shifted cell inside the spectrum gives the value, whether it
+    lies in the value set, and a cell no shift moves into the spectrum
+    has value 0.  None means the latter."""
     q_int = cell.integer_part()
-    for base in table.candidates:
+    for base in _index(spectrum)[1]:
         shifted = cell.translate(q_int.subtract(base).negate())
-        key = _loop_key(shifted.digits, table.resolution)
-        if key in table.values:
-            return table.values[key]
-    return UNRESOLVED
+        if _inside(shifted, spectrum):
+            return int(_inside(shifted, value))
+    return None
 
 
-def loop_evaluate_point(table, omega):
-    q_int = from_digits(table.p, {j: d for j, d in omega.support() if j <= 0})
-    for base in table.candidates:
+def loop_evaluate_point(spectrum, value, omega):
+    q_int = from_digits(spectrum.p, {j: d for j, d in omega.support() if j <= 0})
+    for base in _index(spectrum)[1]:
         shifted = omega.subtract(q_int.subtract(base))
-        key = _loop_key(shifted.support(), table.resolution)
-        if key in table.values:
-            return table.values[key]
-    return UNRESOLVED
+        if spectrum.contains_point(shifted):
+            return int(value.contains_point(shifted))
+    return None
 
 
 def _digit_maps(p, positions):
@@ -537,113 +498,44 @@ def _digit_maps(p, positions):
         yield tuple((pos, d) for pos, d in zip(positions, combo) if d)
 
 
-def per_level_identities(bank, level, tolerance=1e-12):
-    """Every resolution-`level` unit cell checked on its own."""
-    p = bank.p
-    tables = bank.all_tables()
-    exact = all(t.is_binary() for t in tables)
-
-    def conj(v):
-        return v.conjugate() if isinstance(v, complex) else v
-
-    def close(total, want):
-        return total == want if exact else abs(total - want) <= tolerance
-
-    failing, skipped, checked, agree = [], 0, 0, True
-    skipped_mass = Measure.zero(p)
-    for cell_map in _digit_maps(p, range(1, level + 1)):
-        rows = []
-        for x in range(p):
-            rotated = dict(cell_map)
-            d = (rotated.pop(1, 0) + x) % p
-            if d:
-                rotated[1] = d
-            query = Cylinder(p, level, tuple(sorted(rotated.items())))
-            rows.append([loop_evaluate_cell(t, query) for t in tables])
-        if any(v is UNRESOLVED for row in rows for v in row):
-            skipped += 1
-            skipped_mass = skipped_mass + Measure.make(1, p, level)
-            continue
-        checked += 1
-        bad = []
-        for a in range(p):
-            for b in range(p):
-                total = sum(rows[x][a] * conj(rows[x][b]) for x in range(p))
-                if not close(total, int(a == b)):
-                    rendered = [total.real, total.imag] if isinstance(total, complex) else total
-                    bad.append({"columns": [a, b], "sum": rendered})
-        row_bad = False
-        for x in range(p):
-            for y in range(p):
-                total = sum(rows[x][c] * conj(rows[y][c]) for c in range(p))
-                row_bad = row_bad or not close(total, int(x == y))
-        if bool(bad) != row_bad:
-            agree = False
-        if bad:
-            failing.append({"cell": Cylinder(p, level, cell_map).to_json(), "violations": bad})
-    return FilterIdentityReport(
-        level=level,
-        passed=not failing and not skipped and agree,
-        exact=exact,
-        checked_cells=checked,
-        failing_cells=failing,
-        skipped_cells=skipped,
-        skipped_mass=skipped_mass,
-        formulations_agree=agree,
-    )
+#: Bank name: (family, depth) of the spectrum its tables are folded from;
+#: a truncated bank uses the depth-J truncation, not the exact spectrum.
+SOURCES = {
+    "shannon2": ("shannon2", 8), "shannon3": ("shannon3", 8), "shannon5": ("shannon5", 8),
+    "three-shell2": ("three-shell2", 6), "three-shell2-truncated": ("three-shell2", 8),
+    "shannon2-truncated": ("shannon2", 3), "constant-ones": ("shannon2", 8),
+}
 
 
-def _with_m0(bank, values):
-    m0 = FilterTable(bank.p, bank.resolution, values, bank.m0.candidates)
-    return type(bank)(
-        p=bank.p, resolution=bank.resolution, m0=m0, m1=bank.m1,
-    )
-
-
-def _truncated_bank(family, depth):
-    """Tables built by hand on the depth-J truncation alone, as
-    build_filters builds them on a resolved spectrum: a lookup inside the
-    tail ball finds no value."""
-    p = family.p
-    domain = accumulate_omega_sigma(family, depth).truncated
-    r = max(domain.max_resolution, 1)
-    cells = domain.cells_at(r)
-    bands = [s.dilate(1).cells_at(r) for s in family.sets]
-    candidates = tuple(_integer_parts(domain))
-    m0 = FilterTable(p, r, {c: int(not any(c in b for b in bands)) for c in cells}, candidates)
-    m1 = tuple(FilterTable(p, r, {c: int(c in b) for c in cells}, candidates) for b in bands)
-    return FilterBank(p, r, m0, m1)
+def _spectrum_values(name):
+    """(p, table resolution, spectrum, the parts of the spectrum where
+    m0, m1_1, .. are one) of a named bank."""
+    if name == "resolution-0":
+        # Constant on resolution-0 cells: the rotation at position 1 still
+        # needs the tables at resolution 1.
+        return 2, 0, unit_cell(2), [unit_cell(2), empty_set(2)]
+    family_name, depth = SOURCES[name]
+    family = family_named(family_name)
+    sigma = accumulate_omega_sigma(family, depth)
+    spectrum = sigma.truncated if name.endswith("truncated") else sigma.resolved
+    first = [s.dilate(1) for s in family.sets]
+    m0 = spectrum if name == "constant-ones" else spectrum.difference(family.union().dilate(1))
+    r = max([1, spectrum.max_resolution] + [s.max_resolution for s in first])
+    return family.p, r, spectrum, [m0, *first]
 
 
 def _bank(name):
-    if name in ("shannon2", "shannon3", "shannon5"):
-        return shannon_pipeline(int(name[-1]))[3]
-    if name == "three-shell2":
-        family = three_shell_family()
-        sigma = accumulate_omega_sigma(family, 6)
-        return build_filters(family, sigma, mra=check_mra_condition(sigma))
-    if name == "three-shell2-truncated":
-        return _truncated_bank(three_shell_family(), 8)
-    if name == "shannon2-truncated":
-        return _truncated_bank(shannon_family(2), 3)
-    if name == "resolution-0":
-        # Hand-built tables constant on resolution-0 cells: the rotation at
-        # position 1 still needs a finer walk.
-        p = 2
-        ones, zeros = (FilterTable(p, 0, {(): v}, (identity(p),)) for v in (1, 0))
-        return FilterBank(p, 0, ones, (zeros,))
-    bank = shannon_pipeline(2)[3]
-    if name == "constant-ones":
-        return _with_m0(bank, {cell: 1 for cell in bank.m0.values})
-    # phase-twisted, or scaled by 2 so that it fails with complex sums
-    phase = cmath.exp(0.3j) * (2 if name == "phase-twisted-doubled" else 1)
-    return _with_m0(bank, {cell: phase * v for cell, v in bank.m0.values.items()})
+    """The named bank: each table folded onto the unit cell from the part
+    of the spectrum where it is one, as build_filters folds it.  Tables
+    folded from a truncation are all zero on the fold of the tail ball."""
+    p, r, spectrum, values = _spectrum_values(name)
+    m0, *m1 = (_fold(v) for v in values)
+    return FilterBank(p, r, spectrum, m0, tuple(m1))
 
 
 BANKS = [
     "shannon2", "shannon3", "shannon5", "three-shell2", "three-shell2-truncated",
-    "shannon2-truncated", "constant-ones", "phase-twisted", "phase-twisted-doubled",
-    "resolution-0",
+    "shannon2-truncated", "constant-ones", "resolution-0",
 ]
 
 
@@ -651,72 +543,46 @@ class TestTableResolutionWalk:
     @pytest.mark.parametrize("extra", [0, 1, 3])
     @pytest.mark.parametrize("name", BANKS)
     def test_report_matches_per_level_walk(self, name, extra):
+        # The oracle walks every resolution-level cell with its p x p matrix.
         bank = _bank(name)
         level = max(bank.resolution, 1) + extra
-        got = verify_filter_identities(bank, level)
-        want = per_level_identities(bank, level)
-        assert got.checked_cells == want.checked_cells
-        assert got.skipped_cells == want.skipped_cells
-        assert got.skipped_mass.exact_string() == want.skipped_mass.exact_string()
-        assert got.failing_cells == want.failing_cells
-        assert got.exact == want.exact
-        assert got.formulations_agree == want.formulations_agree
-        assert got == want
-        assert got.checked_cells + got.skipped_cells == bank.p**level
+        got = assert_identities_match(bank, level)
+        assert got.passed == (name in BANKS[:4])
 
     def test_inputs_cover_every_outcome(self):
-        # The differential inputs reach failing cells, skipped cells and
-        # non-binary tables, so each weighted branch is compared.
-        reports = {name: verify_filter_identities(_bank(name), _bank(name).resolution + 1) for name in BANKS}
-        assert len(reports["constant-ones"].failing_cells) == 2**2
-        assert reports["three-shell2-truncated"].skipped_cells > 0
-        assert reports["shannon2-truncated"].skipped_cells > 0
-        assert not reports["phase-twisted"].exact and reports["phase-twisted"].passed
-        doubled = reports["phase-twisted-doubled"]
-        assert not doubled.exact and not doubled.passed
-        assert all(isinstance(v["sum"], list) for c in doubled.failing_cells for v in c["violations"])
+        # The differential inputs reach passing banks and defects of both
+        # formulations, of counts 0 and above 1, coarser than the level.
+        outcomes = set()
+        for name in BANKS:
+            bank = _bank(name)
+            report = verify_filter_identities(bank, max(bank.resolution, 1) + 1)
+            outcomes |= {
+                (e["formulation"], min(e["count"], 2), "cells" in e) for e in report.failing_cells
+            }
+        assert {("columns", 2, True), ("rows", 0, True), ("rows", 2, True)} <= outcomes
+        assert {count for _, count, _ in outcomes} == {0, 2}
 
     @pytest.mark.parametrize("name", BANKS)
     def test_lookup_matches_translate_loop(self, name):
+        # A level set's value against the shift onto the spectrum it was
+        # folded from.
+        p, r, spectrum, values = _spectrum_values(name)
         bank = _bank(name)
-        p, r = bank.p, bank.resolution
         gen = random.Random(f"lookup-{name}")
         integers = list(_digit_maps(p, range(-1, 1)))
         seen = set()
-        for table in bank.all_tables():
-            for level in range(r, r + 4):
+        for table, value in zip(bank.all_tables(), values):
+            for level in range(max(r, 0), r + 4):
                 for fraction in _digit_maps(p, range(1, level + 1)):
                     cell = Cylinder(p, level, gen.choice(integers) + fraction)
-                    value = evaluate_cell(table, cell)
-                    assert value == loop_evaluate_cell(table, cell), cell
-                    seen.add(value is UNRESOLVED)
+                    want = loop_evaluate_cell(spectrum, value, cell)
+                    assert evaluate_cell(table, cell) == (want or 0), cell
+                    seen.add(want is None)
             for _ in range(300):
                 digits = {pos: gen.randrange(p) for pos in range(-3, r + 6)}
                 omega = from_digits(p, digits)
-                assert evaluate_point(table, omega) == loop_evaluate_point(table, omega)
-        if "truncated" in name:
-            assert seen == {True, False}
-
-    def test_lookup_errors_match(self):
-        bank = shannon_pipeline(3)[3]
-        coarse = Cylinder(3, 0, ((0, 2),))
-        for evaluate in (lambda c: evaluate_cell(bank.m0, c), lambda c: loop_evaluate_cell(bank.m0, c)):
-            with pytest.raises(ResolutionCapError):
-                evaluate(coarse)
-        # A table coarser than the integer lattice: a query of resolution
-        # < 0 has no integer part to shift by.
-        p = 2
-        table = FilterTable(
-            p, -1, {((-1, 1),): 1, (): 0},
-            (from_digits(p, {-1: 1, 0: 1}), identity(p)),
-        )
-        negative = Cylinder(p, -1, ((-1, 1),))
-        for evaluate in (lambda c: evaluate_cell(table, c), lambda c: loop_evaluate_cell(table, c)):
-            with pytest.raises(DigitError):
-                evaluate(negative)
-        for cell_map in _digit_maps(p, range(-2, 3)):
-            cell = Cylinder(p, 2, cell_map)
-            assert evaluate_cell(table, cell) == loop_evaluate_cell(table, cell)
+                assert evaluate_point(table, omega) == (loop_evaluate_point(spectrum, value, omega) or 0)
+        assert seen == ({True, False} if "truncated" in name else {False})
 
 
 def relation_membership(cell, s):
@@ -759,6 +625,15 @@ class WalkReport:
     unresolved_mass: Measure
 
 
+class _Unresolved:
+    def __repr__(self):
+        return "UNRESOLVED"
+
+
+#: What a lookup the walk cannot answer yet returns.
+UNRESOLVED = _Unresolved()
+
+
 def walk_two_scale(family, omega_sigma, bank, *, window=None, product_depth=None):
     """The cell walk verify_two_scale used to be: cells of the window are
     split until each identity's two sides are constant on them, and each
@@ -796,12 +671,10 @@ def walk_two_scale(family, omega_sigma, bank, *, window=None, product_depth=None
     unresolved = Measure.zero(p)
 
     def evaluate(table, cell):
-        """(value, hopeless): splitting cannot resolve a lookup that already
-        carries the table's full digit prefix, only one that is coarser."""
-        if cell.resolution < table.resolution:
+        """(value, hopeless): a cell coarser than the tables needs a split."""
+        if cell.resolution < bank.resolution:
             return UNRESOLVED, False
-        value = evaluate_cell(table, cell)
-        return value, value is UNRESOLVED
+        return evaluate_cell(table, cell), False
 
     stack = [Cylinder(p, -window, ())]
     while stack:
@@ -833,7 +706,7 @@ def walk_two_scale(family, omega_sigma, bank, *, window=None, product_depth=None
                     split = True
             elif phi_up != m0_here * phi_here:
                 problems.append(
-                    {"identity": "two-scale-m0", "lhs": phi_up, "rhs": _render_value(m0_here * phi_here)}
+                    {"identity": "two-scale-m0", "lhs": phi_up, "rhs": m0_here * phi_here}
                 )
             if not split:
                 for u, (table, band) in enumerate(zip(bank.m1, bands), start=1):
@@ -855,7 +728,7 @@ def walk_two_scale(family, omega_sigma, bank, *, window=None, product_depth=None
                             {
                                 "identity": f"two-scale-m1[{u}]",
                                 "lhs": psi_up,
-                                "rhs": _render_value(m1_here * phi_here),
+                                "rhs": m1_here * phi_here,
                             }
                         )
 
@@ -884,7 +757,7 @@ def walk_two_scale(family, omega_sigma, bank, *, window=None, product_depth=None
                     split = True
             elif product != phi_here:
                 problems.append(
-                    {"identity": "low-pass-product", "lhs": _render_value(product), "rhs": phi_here}
+                    {"identity": "low-pass-product", "lhs": product, "rhs": phi_here}
                 )
 
         if split:
@@ -938,9 +811,7 @@ def failure_sets(report, p):
 
 
 def _flipped(table):
-    return FilterTable(
-        table.p, table.resolution, {cell: 1 - v for cell, v in table.values.items()}, table.candidates
-    )
+    return unit_cell(table.p).difference(table)
 
 
 class TestTwoScaleWalk:
@@ -962,13 +833,13 @@ class TestTwoScaleWalk:
                 m0 = _flipped(m0)
             elif variant == "m1-flipped":
                 m1 = (*m1[:-1], _flipped(m1[-1]))
-            bank = FilterBank(p, bank.resolution, m0, m1)
+            bank = dataclasses.replace(bank, m0=m0, m1=m1)
             depth = 1 if variant == "short-product" else None
             got = verify_two_scale(family, sigma, bank, product_depth=depth)
             want = walk_two_scale(family, sigma, bank, product_depth=depth)
             assert failure_sets(got, p) == failure_sets(want, p), J
             assert got.passed == want.passed == (variant == "correct"), J
-            assert want.unresolved_mass == 0 == got.unresolved_mass
+            assert want.unresolved_mass == 0
             decided += 1
         assert decided >= 6
 
@@ -984,7 +855,7 @@ def _two_scale_inputs(name):
     sigma = accumulate_omega_sigma(family, depth)
     if name.endswith("truncated"):
         sigma.resolved = None
-        return family, sigma, _truncated_bank(family, depth)
+        return family, sigma, _bank(name)
     return family, sigma, build_filters(family, sigma)
 
 
@@ -1017,7 +888,8 @@ class TestMembershipIndex:
         monkeypatch.setattr(sys.modules[__name__], "membership_index", checked)
         family, sigma, bank = _two_scale_inputs(name)
         report = walk_two_scale(family, sigma, bank)
-        assert report.passed
+        # Tables folded from a truncation are zero where the tail folds.
+        assert report.passed != name.endswith("truncated")
         assert set(seen) == {0, 1, None}
 
     @pytest.mark.parametrize("name", NAMES)
@@ -1236,3 +1108,51 @@ class TestSpectrumFromTheFixedPoint:
         assert accumulate_omega_sigma(family, 1).resolved is None
         with pytest.raises(VilenkinError, match="not the fixed point at depth 1"):
             accumulate_omega_sigma(family, 2)
+
+
+# -- filters decided without listing cells ----------------------------------------
+
+
+def deep_family(R):
+    """The p = 2 PASS family of resolution R, lowest position -2 and 40
+    cells that perfbench/gen.py draws from seed 5."""
+    return family_from_document(gen.pass_family(random.Random(5), 2, R, -2, 40).document())
+
+
+class TestFiltersWithoutCells:
+    def test_tables_past_the_cap(self):
+        # The R = 24 family at depth 28: its tables have resolution 25,
+        # past MAX_RESOLUTION, where build_filters once listed cells and
+        # raised ResolutionCapError.
+        family = deep_family(24)
+        sigma = accumulate_omega_sigma(family, 28)
+        bank = build_filters(family, sigma)
+        assert bank.resolution == 25 > MAX_RESOLUTION
+        assert verify_filter_identities(bank, 26).passed
+        assert verify_two_scale(family, sigma, bank).passed
+
+    def test_cost_free_of_the_table_resolution(self):
+        # Once 2**21 cells per table at R = 20; about 0.02 s on a 2-core
+        # machine as cylinder sets.
+        family = deep_family(20)
+        sigma = accumulate_omega_sigma(family, 24)
+        start = time.perf_counter()
+        bank = build_filters(family, sigma)
+        identities = verify_filter_identities(bank, bank.resolution + 1)
+        two_scale = verify_two_scale(family, sigma, bank)
+        assert time.perf_counter() - start < 1.0
+        assert identities.passed and two_scale.passed
+
+    def test_no_cell_is_listed(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cells listed")
+
+        monkeypatch.setattr(PSet, "cells_at", refuse)
+        monkeypatch.setattr(Cylinder, "refine_to", refuse)
+        for name in TestTwoScaleWalk.FAMILIES:
+            family = family_named(name)
+            for J in (4, 12, 40):
+                sigma = accumulate_omega_sigma(family, J)
+                bank = build_filters(family, sigma)
+                assert verify_filter_identities(bank, bank.resolution + 2).passed, (name, J)
+                assert verify_two_scale(family, sigma, bank).passed, (name, J)

@@ -1,5 +1,6 @@
 import decimal
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from vilenkin_wavelets.setalg import (
     Cylinder,
     Measure,
     PSet,
+    _decimal,
     _merge_siblings,
     _NestingIndex,
     _truncate,
@@ -64,14 +66,28 @@ class TestMeasure:
 
     def test_exact_strings_of_long_counts(self):
         # Counts past the interpreter's int-to-str digit limit are written
-        # in chunks; shorter ones keep the bytes str() gives.  Decimal
-        # writes its digits without that limit.
+        # by binary splitting; shorter ones keep the bytes str() gives.
+        # Decimal writes its digits without that limit.
         counts = [10**k + d for k in (599, 600, 1199, 1200, 4299, 4300) for d in (-1, 1)]
         counts += [2**15000 + 1, 7**40000 + 3 * 10**600]
         with decimal.localcontext() as ctx:
             ctx.prec = 50_000
             wants = [f"{decimal.Decimal(c)}*2^-1" for c in counts]
         assert [Measure(c, 2, 1).exact_string() for c in counts] == wants
+
+    def test_long_counts_match_str(self):
+        # Random counts on both sides of the str() fast path and of every
+        # split: the digits str() gives once its digit limit is lifted.
+        gen = random.Random("decimal")
+        counts = [gen.getrandbits(b) for b in (1999, 2000, 2001, 4096, 14_000, 60_000) for _ in range(3)]
+        counts += [1 << 2000, (1 << 2000) - 1, 10**5000, 10**5000 - 1]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            wants = [str(c) for c in counts]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert [_decimal(c) for c in counts] == wants
 
     def test_arithmetic(self):
         m = Measure.make(1, 2, 1) + Measure.make(1, 2, 1)

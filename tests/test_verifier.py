@@ -8,13 +8,14 @@ import pytest
 
 from vilenkin_wavelets.errors import FamilyArityError
 from vilenkin_wavelets.famio import family_from_document
-from vilenkin_wavelets.group import from_digits
+from vilenkin_wavelets.group import from_digits, lambda_encode
 from vilenkin_wavelets.setalg import (
     Cylinder,
     Measure,
     PSet,
     _truncate,
     annulus,
+    empty_set,
     theta_ball,
     unit_cell,
 )
@@ -27,6 +28,7 @@ from vilenkin_wavelets.verifier import (
     check_dilation_tiling,
     check_measure_one,
     check_translation_congruence,
+    congruence_defects,
     congruence_partition,
     is_wavelet_set,
     search_wavelet_sets,
@@ -403,6 +405,18 @@ def assert_defects_match_cells(target, pieces):
     return entries
 
 
+def assert_congruence_matches_cells(s):
+    """congruence_defects against counting the cells of every resolution-0
+    split of s, each moved into the unit cell on its own."""
+    p = s.p
+    cells = [cell for c in s.cylinders for cell in (c.refine_to(0) if c.resolution < 0 else (c,))]
+    moved = [PSet(p, (cell.translate(cell.integer_part().negate()),)) for cell in cells]
+    res, want = brute_cover_defects(unit_cell(p), moved)
+    _, entries = congruence_defects(s)
+    assert defect_cells(p, entries, res) == (res, want)
+    return entries
+
+
 class TestCoverDefects:
     @pytest.mark.parametrize("p,depth", [(2, 4), (3, 3), (5, 2)])
     def test_random_pieces_match_cell_counting(self, p, depth):
@@ -421,6 +435,7 @@ class TestCoverDefects:
         for s in family.sets:
             translated = [t for _, _, t in congruence_partition(s)]
             assert_defects_match_cells(unit_cell(family.p), translated)
+            assert_congruence_matches_cells(s)
         if not any(not c.digits for c in family.union().cylinders):
             shell, pieces = tiling_pieces(family)
             assert_defects_match_cells(shell, pieces)
@@ -454,14 +469,37 @@ class TestCoverDefects:
         record, certificate = check_translation_congruence(family)
         assert record.passed and not record.witnesses
         assert len(certificate[0]["partition"]) == R + 1
-        assert all(r < 0 and L == 0 for r, L in refine_calls)
+        assert not refine_calls
 
-    def test_negative_resolution_cylinder_is_split_to_resolution_zero(self, refine_calls):
+    def test_negative_resolution_cylinder_is_one_piece(self, refine_calls):
+        # (-1, {-1: 2}) spans three integer parts: one piece, whose
+        # translated piece, the unit cell, counts three times.
         s = PSet(3, (Cylinder(3, -1, ((-1, 2),)),))
-        parts = congruence_partition(s)
-        assert refine_calls == [(-1, 0)]
-        assert len(parts) == 3
-        assert all(shifted == unit_cell(3) for _, _, shifted in parts)
+        [(n, piece, shifted)] = congruence_partition(s)
+        assert (lambda_encode(n), piece, shifted) == (6, s, unit_cell(3))
+        _, entries = congruence_defects(s)
+        assert entries == [{"cell": {"resolution": 0, "digits": {}}, "count": 3}]
+        assert not refine_calls
+        assert assert_congruence_matches_cells(s) == entries
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_coarse_cylinders_count_their_translates(self, p):
+        # Random sets that mix cylinders coarser than resolution 0 with
+        # finer ones: the defects are those of the resolution-0 split.
+        gen = random.Random(f"coarse-{p}")
+        coarse = 0
+        for _ in range(40):
+            cylinders = []
+            for _ in range(gen.randint(1, 4)):
+                r = gen.randint(-2, 2)
+                digits = tuple((pos, d) for pos in range(-3, r + 1) if (d := gen.randrange(p)))
+                cylinders.append(Cylinder(p, r, digits))
+            s = empty_set(p)
+            for c in cylinders:
+                s = s.union(PSet(p, (c,)))
+            coarse += any(c.resolution < 0 for c in s.cylinders)
+            assert_congruence_matches_cells(s)
+        assert coarse > 10
 
 
 # -- transversal search against the enumeration it replaced ---------------------------
