@@ -60,7 +60,7 @@ print(
 
 two_scale = verify_two_scale(family, sigma, bank)
 print(
-    f"refinement equations + depth-{depth} product: "
+    "refinement equations + low-pass product: "
     f"{'pass' if two_scale.passed else 'FAIL'} "
     f"({two_scale.checked_cells} cylinders decided)"
 )

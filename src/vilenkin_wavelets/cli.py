@@ -37,6 +37,8 @@ from .setalg import MAX_REFINE_CELLS, Measure, _exceeds
 from .transform import QuotientGrid, forward, inverse, read_csv, synthesize_wavelet, write_csv
 from .verifier import is_wavelet_set, search_wavelet_sets
 
+DEFAULT_LEVEL = 4  # filters --level when the tables are no finer
+
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error in one line, without the usage text."""
@@ -75,7 +77,9 @@ def _parser() -> argparse.ArgumentParser:
     f = sub.add_parser("filters", help="construct filters and check their identities")
     common(f)
     f.add_argument("--depth", type=int, default=20)
-    f.add_argument("--level", type=int, default=4, help="identity check resolution")
+    f.add_argument("--level", type=int, default=None,
+                   help="identity check resolution (default: 4, or the filter "
+                        "table resolution when that is finer)")
     f.add_argument("--tolerance", type=float, default=1e-10)
 
     s = sub.add_parser("synthesize", help="sample a wavelet onto a grid as CSV")
@@ -214,7 +218,8 @@ def _cmd_mra(args) -> tuple[dict, int]:
 def _cmd_filters(args) -> tuple[dict, int]:
     params = {
         "p": args.p, "input": args.input, "depth": args.depth,
-        "level": args.level, "tolerance": args.tolerance,
+        "level": DEFAULT_LEVEL if args.level is None else args.level,
+        "tolerance": args.tolerance,
     }
     conditions, family, sigma, mra = _spectrum_stage(args)
     if mra is None or not mra.passed:
@@ -224,11 +229,13 @@ def _cmd_filters(args) -> tuple[dict, int]:
         )
         return doc, 1
     bank = build_filters(family, sigma, mra=mra)
-    try:  # the table resolution is known only now
-        check_identity_level(bank, args.level)
+    if args.level is None:  # the table resolution is known only now
+        params["level"] = max(DEFAULT_LEVEL, bank.resolution)
+    try:
+        check_identity_level(bank, params["level"])
     except ResolutionCapError as exc:
         raise SchemaError(str(exc)) from exc
-    identities = verify_filter_identities(bank, args.level)
+    identities = verify_filter_identities(bank, params["level"])
     conditions.append(
         {
             "name": "filter-identities",

@@ -495,24 +495,29 @@ def verify_two_scale(
     window: int | None = None,
     product_depth: int | None = None,
 ) -> TwoScaleReport:
-    """The refinement equations and the truncated low-pass product, each
-    decided as an equality of two cylinder sets on the resolved spectrum.
+    """The refinement equations and the low-pass product, each decided as
+    an equality of two cylinder sets on the resolved spectrum.
 
     With 0/1 filters every identity compares two indicators.  Write Omega
     for the spectrum, D_u for the members, sigma^-j for the dilate by -j,
     Per_v(t) for the points whose digits at positions 1 to the table
-    resolution take the value v in table t, B(k) = theta_ball(p, k),
+    resolution r take the value v in table t, B(k) = theta_ball(p, k),
     W = B(-window), and Z for the union over j = 1..product_depth of
     sigma^-j(Per_0(m0) & B(j - window)): the points of W where one of the
     first product_depth low-pass factors vanishes.  The identities are
 
     - low-pass refinement: sigma^-1(Omega & Per_1(m0)) = Omega;
     - band refinement: sigma^-1(Omega & Per_1(m1_u)) = D_u;
-    - low-pass product: (W - B(L + J)) - Z = Omega - B(L + J).
+    - low-pass product: W - Z = Omega.
 
-    Only intersections, differences and dilates by k <= 0 are taken, so
-    no set gets finer than the spectrum and the tables, whatever the depth.
-    A failure is the symmetric difference of the two sides, listed as
+    From j = window + r on, B(j - window) lies in the tables' identity
+    cell, so the j-th term is W or empty as m0 is 0 or 1 there, the same
+    for every such j: the product to depth window + r, the default, is
+    the infinite product, and a deeper product_depth changes nothing.
+    No identity involves the truncation depth, and only intersections,
+    differences and dilates by k <= 0 are taken, so no set gets finer
+    than the spectrum and the tables, and the cost is the same at every
+    depth.  A failure is the symmetric difference of the two sides, listed as
     {"cell", "problems"} entries whose problems name the identity and its
     "lhs" and "rhs" values at that cell; refinement cells are moved one
     position back into the frame of the filter argument.  Per_1 of each
@@ -524,21 +529,16 @@ def verify_two_scale(
     if omega_sigma.resolved is None:
         raise ValueError("the two-scale check needs an exactly resolved spectrum")
     p = family.p
-    J = omega_sigma.depth
-    L = omega_sigma.level
     w_lo = omega_sigma.lowest_fixed
     if window is None:
         window = max(2, 1 - w_lo)
-    if window + L > J:
-        raise ValueError(
-            f"window {window} too wide for depth {J} at family resolution {L}"
-        )
     if window < 1 - w_lo:
         raise ValueError("window does not cover the family's coarse extent")
+    repeats = window + bank.resolution  # the first term every later one repeats
     if product_depth is None:
-        product_depth = J
-    if not 0 < product_depth <= J:
-        raise ValueError(f"product depth must lie in [1, {J}]")
+        product_depth = repeats
+    if product_depth < 1:
+        raise ValueError("product depth must be at least 1")
 
     omega = omega_sigma.resolved
     # (identity, lhs set, rhs set, shift back to the filter argument).
@@ -552,13 +552,10 @@ def verify_two_scale(
         )
     ]
     m0_zero = unit_cell(p).difference(bank.m0)
-    ball = theta_ball(p, L + J)
-    product = expanded_unit(p, window).difference(ball)
-    # From j = window + resolution on, B(j - window) lies in one table
-    # cell, so every later term repeats that one.
-    for j in range(1, min(product_depth, window + bank.resolution) + 1):
+    product = expanded_unit(p, window)
+    for j in range(1, min(product_depth, repeats) + 1):
         product = product.difference(_lift(m0_zero, j - window).dilate(-j))
-    equations.append(("low-pass-product", product, omega.difference(ball), 0))
+    equations.append(("low-pass-product", product, omega, 0))
 
     problems: dict[tuple[int, DigitMap], list[dict]] = {}
     checked = 0
@@ -603,36 +600,54 @@ def verify_calderon(
 ) -> CalderonReport:
     """Spectrum-vs-dilates energy identity as an exact set computation.
 
-    For indicator wavelets the identity says the scaling spectrum is the
-    disjoint union of all forward contracting dilates of the family.  The
-    truncated union is recomputed independently two levels deeper, from
-    the dilates of the family union by 1 to J + 2 at any depth J; the
-    symmetric difference must not exceed the telescoped tail, and the
-    pieces must be pairwise disjoint (measure additivity over the members'
-    own dilates certifies this).
+    For indicator wavelets the identity says the scaling spectrum Omega
+    is the disjoint union of all forward contracting dilates sigma^j(D_u),
+    j >= 1, of the family.  Omega is recomputed here without
+    accumulate_omega_sigma: the dilates of the family union U by 1 to
+    s = max(L - w, 1) + 2 (L the family's resolution, w its lowest pinned
+    position) make one set through the validating constructor, which
+    checks them pairwise disjoint, and with the ball theta_ball(p, w + s)
+    they close into the fixed point Omega' = sigma(U) | sigma(Omega')
+    (check_mra_condition's docstring proves it from s >= L - w on; a
+    family that does not close raises VilenkinError).
+
+    - pieces_disjoint: unrolling the fixed point makes Omega' the union
+      of every sigma^j(U), j >= 1, up to the null point 0, and those
+      pieces' measures sum to (p - 1)(p^-1 + p^-2 + ..) = 1.  So Omega'
+      has measure 1 exactly when the pieces are pairwise a.e. disjoint,
+      which needs no dilate past s.
+    - The reported truncation T_J passes when T_J | sigma^J(Omega') =
+      Omega' with the two pieces disjoint, that is T_J = Omega' minus its
+      J-th dilate, the union of the dilates 1 to J.
+
+    The symmetric difference of T_J and the truncation two levels deeper,
+    read off Omega' the same way, and the telescoped tail it equals are
+    reported too.  No set is built from a dilate of U past s, so the cost
+    grows with the family, not with the depth.
     """
     _require_verified(family, verdict)
     p = family.p
     J = omega_sigma.depth
-    deeper = _dilates(family.union(), J + 2)
+    union = family.union()
+    w_lo = union.min_fixed_position
+    settle = max(union.max_resolution - w_lo, 1) + 2
+    omega = _fixed_point(union, _dilates(union, settle), w_lo + settle)
+    if omega is None:
+        raise VilenkinError(f"the dilates 1 to {settle} do not close into the spectrum")
 
     T = omega_sigma.truncated
-    sym = T.difference(deeper).union(deeper.difference(T))
-    sym_measure = sym.measure()
-    allowance = Fraction(1, p**J) - Fraction(1, p ** (J + 2))
-
-    total = Measure.zero(p)
-    for s in family.sets:
-        for j in range(1, J + 1):
-            total = total + s.dilate(j).measure()
-    pieces_disjoint = total == T.measure()
-
-    passed = sym_measure.as_fraction() <= allowance and pieces_disjoint
+    truncation = omega.difference(omega.dilate(J))  # the dilates 1 to J
+    ring = omega.difference(omega.dilate(2)).dilate(J)  # the dilates J + 1 and J + 2
+    deeper = truncation.union(ring)
+    exact = T == truncation
+    # A T that is the truncation lies in deeper, which it misses on the ring.
+    sym = ring.difference(T) if exact else T.difference(deeper).union(deeper.difference(T))
+    pieces_disjoint = omega.measure() == 1
     return CalderonReport(
-        passed=passed,
+        passed=pieces_disjoint and exact,
         truncation_measure=T.measure(),
         recomputed_measure=deeper.measure(),
-        symmetric_difference=sym_measure,
-        tail_allowance=allowance,
+        symmetric_difference=sym.measure(),
+        tail_allowance=Fraction(1, p**J) - Fraction(1, p ** (J + 2)),
         pieces_disjoint=pieces_disjoint,
     )

@@ -295,3 +295,65 @@ def oracle_permutation_test(p: int, tables: list[dict], r: int, level: int) -> d
         rows = tuple(sum(row) for row in matrix)
         out[cell] = (columns == rows == (1,) * p, columns, rows)
     return out
+
+
+# -- reference scaling spectrum and Calderon identity --------------------------------
+
+
+def union_of(sets: list[CellSet]) -> CellSet:
+    out = sets[0]
+    for s in sets[1:]:
+        out = out.union(s)
+    return out
+
+
+def ball_cells(p: int, m: int) -> CellSet:
+    """The points whose digits at positions <= m are all 0."""
+    return CellSet(p, m + 1, m + 1, frozenset((d,) for d in range(p)))
+
+
+def lowest_nonzero(s: CellSet) -> int:
+    """The lowest position at which some cell of s has a nonzero digit."""
+    return s.lo + min(k for cell in s.cells for k, d in enumerate(cell) if d)
+
+
+def oracle_spectrum(members: list[CellSet], J: int) -> CellSet:
+    """The depth-J truncation: the union of the dilates of the family
+    union by 1 to J."""
+    union = union_of(members)
+    return union_of([union.dilate(j) for j in range(1, J + 1)])
+
+
+def oracle_fixed_point(members: list[CellSet], J: int) -> CellSet | None:
+    """The depth-J truncation plus the ball of the points whose digits at
+    positions <= w + J are 0, w the family union's lowest nonzero digit
+    position, when that set S equals its image sigma(U) | sigma(S);
+    else None."""
+    union = union_of(members)
+    p = union.p
+    candidate = oracle_spectrum(members, J).union(ball_cells(p, lowest_nonzero(union) + J))
+    image = union.dilate(1).union(candidate.dilate(1))
+    return candidate if image.equals(candidate) else None
+
+
+def oracle_calderon(members: list[CellSet], truncation: CellSet, J: int) -> dict:
+    """The Calderon identity for a reported depth-J truncation: it passes
+    when the truncation is the union of the dilates 1 to J and those
+    pieces, sigma^j(D_u), are pairwise disjoint (their measures add up to
+    the measure of their union).  Also the measures verify_calderon
+    reports, with the truncation two levels deeper as the reference."""
+    p = members[0].p
+    exact = oracle_spectrum(members, J)
+    deeper = oracle_spectrum(members, J + 2)
+    pieces = sum(s.dilate(j).measure() for s in members for j in range(1, J + 1))
+    disjoint = pieces == exact.measure()
+    return {
+        "passed": disjoint and truncation.equals(exact),
+        "truncation_measure": truncation.measure(),
+        "recomputed_measure": deeper.measure(),
+        "symmetric_difference": truncation.difference(deeper)
+        .union(deeper.difference(truncation))
+        .measure(),
+        "tail_allowance": Fraction(1, p**J) - Fraction(1, p ** (J + 2)),
+        "pieces_disjoint": disjoint,
+    }

@@ -576,6 +576,38 @@ class TestFiltersCommand:
         cond = [c for c in report["conditions"] if c["name"] == "filter-identities"][0]
         assert cond["exact"] and cond["measures"]["checked_cells"] == p**3
 
+    def test_default_level_follows_fine_tables(self, tmp_path, capsys):
+        # Tables of resolution 9: an omitted --level checks the identities
+        # at 9, and the report is the one --level 9 writes.
+        family = tmp_path / "r8.json"
+        family.write_text(json.dumps(gen.pass_family(random.Random(5), 2, 8, -2, 40).document()))
+        argv = ["filters", "--p", "2", "--input", str(family), "--depth", "12"]
+        outputs = []
+        for extra in ([], ["--level", "9"]):
+            out = tmp_path / f"report{len(outputs)}.json"
+            assert main(argv + extra + ["--output", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        report = json.loads(outputs[0])
+        assert report["parameters"]["level"] == report["filters"]["resolution"] == 9
+        cond = [c for c in report["conditions"] if c["name"] == "filter-identities"][0]
+        assert cond["measures"]["level"] == 9 and cond["measures"]["checked_cells"] == 2**9
+
+    @pytest.mark.parametrize(
+        "path", ["families/shannon2.json", "families/three-shell2.json",
+                 "families/mutant-moved-cylinder-p2.json"],
+    )
+    def test_default_level_is_four_for_coarse_tables(self, path, tmp_path):
+        # Where 4 was a valid default, reports keep their bytes, PASS or FAIL.
+        outputs, codes = [], []
+        for extra in ([], ["--level", "4"]):
+            out = tmp_path / f"report{len(outputs)}.json"
+            codes.append(main(["filters", "--p", "2", "--input", path, "--output", str(out)] + extra))
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] and codes[0] == codes[1]
+        assert json.loads(outputs[0])["parameters"]["level"] == 4
+
 
 class TestSignalCommands:
     def test_synthesize_and_transform(self, tmp_path):

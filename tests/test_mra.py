@@ -15,6 +15,7 @@ from vilenkin_wavelets.errors import VilenkinError
 from vilenkin_wavelets.famio import family_from_document
 from vilenkin_wavelets.group import from_digits, lambda_decode, lambda_encode
 from vilenkin_wavelets.mra import (
+    CalderonReport,
     FilterBank,
     MraReport,
     MraRow,
@@ -44,6 +45,10 @@ from vilenkin_wavelets.verifier import search_wavelet_sets, shannon_family
 from .families import coset_shuffle_family, family_named, three_shell_family
 from .mutants import mutants_for
 from .test_filter_oracle import assert_identities_match
+
+
+#: The families of the J = 1..40 sweeps.
+SWEEP = ["shannon2", "shannon3", "shannon5", "three-shell2", "coset-shuffle3"]
 
 
 def shannon_pipeline(p, depth=8):
@@ -375,17 +380,20 @@ class TestTwoScale:
         assert report.failing_cells
 
     def test_window_validation(self):
+        # The window must hold the family; it needs no bound in the depth.
         family, sigma, _, bank = shannon_pipeline(2, depth=3)
-        with pytest.raises(ValueError):
-            verify_two_scale(family, sigma, bank, window=5)
+        with pytest.raises(ValueError, match="coarse extent"):
+            verify_two_scale(family, sigma, bank, window=0)
+        assert verify_two_scale(family, sigma, bank, window=5).passed
 
-    @pytest.mark.parametrize("name", ["shannon2", "shannon3", "shannon5", "three-shell2", "coset-shuffle3"])
+    @pytest.mark.parametrize("name", SWEEP)
     def test_passes_at_every_depth_to_forty(self, name):
         # From the first depth where the spectrum resolves to J = 40, far
-        # past MAX_RESOLUTION, every verdict holds at every depth.
+        # past MAX_RESOLUTION, every verdict holds at every depth,
+        # two-scale included from the first resolved one.
         family = family_named(name)
         p = family.p
-        resolved, two_scale = [], []
+        resolved = []
         for J in range(1, 41):
             sigma = accumulate_omega_sigma(family, J)
             assert sigma.truncated.measure() == 1 - Fraction(1, p**J)
@@ -398,15 +406,33 @@ class TestTwoScale:
             identities = verify_filter_identities(bank, max(bank.resolution, 4))
             assert identities.passed and not identities.failing_cells, J
             assert verify_calderon(family, sigma).passed, J
-            resolved.append(J)
-            if max(2, 1 - sigma.lowest_fixed) + sigma.level > J:
-                continue  # the default window does not fit yet
             report = verify_two_scale(family, sigma, bank)
             assert report.passed and not report.failing_cells, J
             assert report.checked_cells > 0
-            two_scale.append(J)
+            resolved.append(J)
         assert resolved == list(range(resolved[0], 41)) and resolved[0] <= 4
-        assert two_scale == list(range(two_scale[0], 41)) and two_scale[0] <= 4
+
+    @pytest.mark.parametrize("name", SWEEP)
+    def test_same_sets_at_every_depth(self, name):
+        # No identity involves the depth: the reports, and the sets behind
+        # them, are the same at J = 4 and J = 200, and a product deeper
+        # than window + table resolution repeats its last term.
+        family = family_named(name)
+        reports = []
+        for J in (4, 200):
+            sigma = accumulate_omega_sigma(family, J)
+            bank = build_filters(family, sigma)
+            for m0 in (bank.m0, _flipped(bank.m0)):
+                broken = dataclasses.replace(bank, m0=m0)
+                report = verify_two_scale(family, sigma, broken)
+                last = report.window + bank.resolution
+                for depth in (last, last + 1, 1000):
+                    assert verify_two_scale(family, sigma, broken, product_depth=depth) == report
+                reports.append(report)
+            with pytest.raises(ValueError, match="product depth"):
+                verify_two_scale(family, sigma, bank, product_depth=0)
+        assert reports[:2] == reports[2:]
+        assert reports[0].passed and not reports[1].passed
 
     @pytest.mark.parametrize("name", ["shannon2-truncated"])
     def test_refuses_what_it_cannot_decide(self, name):
@@ -444,6 +470,108 @@ class TestCalderon:
         sigma = accumulate_omega_sigma(family, 4)
         with pytest.raises(VilenkinError):
             verify_calderon(mutant.family, sigma)
+
+    @pytest.mark.parametrize("name", SWEEP)
+    def test_reports_match_the_union_of_dilates(self, name):
+        # Every field, at every depth to 40, as the check that unioned the
+        # dilates 1 to J + 2 reported it.
+        family = family_named(name)
+        for J in range(1, 41):
+            sigma = accumulate_omega_sigma(family, J)
+            assert verify_calderon(family, sigma) == dilate_union_calderon(family, sigma), J
+
+    @pytest.mark.parametrize("name", SWEEP)
+    def test_no_dilate_past_the_settle_depth(self, name, monkeypatch):
+        # The dilates of the family are built to max(L - w, 1) + 2 at any
+        # depth, and the set operations that follow dilate the closed
+        # spectrum the same number of times at J = 12 and J = 200.
+        from vilenkin_wavelets import mra
+
+        family = family_named(name)
+        union = family.union()
+        settle = max(union.max_resolution - union.min_fixed_position, 1) + 2
+        sigmas = {J: accumulate_omega_sigma(family, J) for J in (12, 200)}
+        built, calls = [], []
+        dilates, dilate = mra._dilates, Cylinder.dilate
+
+        def counted_dilates(u, depth):
+            built.append(depth)
+            return dilates(u, depth)
+
+        def counted(c, k):
+            calls.append(k)
+            return dilate(c, k)
+
+        monkeypatch.setattr(mra, "_dilates", counted_dilates)
+        monkeypatch.setattr(Cylinder, "dilate", counted)
+        counts = {}
+        for J, sigma in sigmas.items():
+            calls.clear()
+            assert verify_calderon(family, sigma).passed
+            counts[J] = len(calls)
+        assert built == [settle, settle]
+        assert counts[12] == counts[200]
+
+    @pytest.mark.parametrize("name", SWEEP)
+    def test_wrong_truncations_fail(self, name):
+        # One cylinder dropped, the truncation one level short, and one
+        # level too deep (it covers the spectrum with the J-th dilate of
+        # it, but overlaps it): each reported at depth J.
+        family = family_named(name)
+        for J in (2, 7, 40):
+            sigma = accumulate_omega_sigma(family, J)
+            truncated = sigma.truncated
+            for i in range(len(truncated.cylinders)):
+                sigma.truncated = PSet(family.p, truncated.cylinders[:i] + truncated.cylinders[i + 1:])
+                report = verify_calderon(family, sigma)
+                assert not report.passed and report.pieces_disjoint, (J, i)
+                assert report.symmetric_difference > report.tail_allowance, (J, i)
+            for other in (J - 1, J + 1):
+                sigma.truncated = accumulate_omega_sigma(family, other).truncated
+                assert not verify_calderon(family, sigma).passed, (J, other)
+
+    @pytest.mark.parametrize("name", SWEEP)
+    def test_corrupted_fixed_point_never_passes(self, name, monkeypatch):
+        # The closed spectrum with any one of its cylinders dropped.
+        from vilenkin_wavelets import mra
+
+        family = family_named(name)
+        sigmas = [accumulate_omega_sigma(family, J) for J in (1, 4, 12, 40)]
+        closed = mra._fixed_point
+        for i in range(len(sigmas[-1].resolved.cylinders)):  # the spectrum it closes
+            def dropped(*args, i=i):
+                cylinders = closed(*args).cylinders
+                return PSet(family.p, cylinders[:i] + cylinders[i + 1:])
+
+            monkeypatch.setattr(mra, "_fixed_point", dropped)
+            for sigma in sigmas:
+                report = verify_calderon(family, sigma)
+                assert not report.passed and not report.pieces_disjoint, (i, sigma.depth)
+
+
+def dilate_union_calderon(family, omega_sigma):
+    """The Calderon check that recomputed the truncation from the dilates
+    1 to J + 2 and summed the measures of the members' dilates 1 to J."""
+    p = family.p
+    J = omega_sigma.depth
+    union = family.union()
+    deeper = PSet(p, (c.dilate(j) for j in range(1, J + 3) for c in union.cylinders))
+    T = omega_sigma.truncated
+    sym = T.difference(deeper).union(deeper.difference(T)).measure()
+    allowance = Fraction(1, p**J) - Fraction(1, p ** (J + 2))
+    total = Measure.zero(p)
+    for s in family.sets:
+        for j in range(1, J + 1):
+            total = total + s.dilate(j).measure()
+    pieces_disjoint = total == T.measure()
+    return CalderonReport(
+        passed=sym.as_fraction() <= allowance and pieces_disjoint,
+        truncation_measure=T.measure(),
+        recomputed_measure=deeper.measure(),
+        symmetric_difference=sym,
+        tail_allowance=allowance,
+        pieces_disjoint=pieces_disjoint,
+    )
 
 
 # -- level-set lookups and the identities vs. brute-force references --------------
@@ -637,33 +765,36 @@ UNRESOLVED = _Unresolved()
 def walk_two_scale(family, omega_sigma, bank, *, window=None, product_depth=None):
     """The cell walk verify_two_scale used to be: cells of the window are
     split until each identity's two sides are constant on them, and each
-    cell is checked on its own.  It also takes truncated spectra, with an
-    exclusion ball and an allowance for what they cannot resolve, and
-    gives up on cells whose product factors pass MAX_RESOLUTION."""
+    cell is checked on its own.  On a resolved spectrum it checks every
+    cell of the window, with the product to depth window + the table
+    resolution unless told otherwise.  It also takes truncated spectra,
+    with an exclusion ball, a depth bound and an allowance for what they
+    cannot resolve, and gives up on cells whose product factors pass
+    MAX_RESOLUTION."""
     p = family.p
     J = omega_sigma.depth
     L = omega_sigma.level
     w_lo = omega_sigma.lowest_fixed
+    resolved = omega_sigma.resolved is not None
     if window is None:
         window = max(2, 1 - w_lo)
-    if window + L > J:
+    if not resolved and window + L > J:
         raise ValueError(f"window {window} too wide for depth {J} at family resolution {L}")
     if window < 1 - w_lo:
         raise ValueError("window does not cover the family's coarse extent")
     if product_depth is None:
-        product_depth = J if omega_sigma.resolved is not None else window + L
-    if not 0 < product_depth <= J:
+        product_depth = window + bank.resolution if resolved else window + L
+    if product_depth < 1 or not resolved and product_depth > J:
         raise ValueError(f"product depth must lie in [1, {J}]")
 
     phi = membership_index(omega_sigma.spectrum())
     bands = [membership_index(member) for member in family.sets]
-    if omega_sigma.resolved is None:
+    if resolved:
+        two_scale_exclusion = product_exclusion = membership_index(empty_set(p))
+    else:
         tail = membership_index(theta_ball(p, w_lo + J))
         two_scale_exclusion = tail
         product_exclusion = tail  # the wider of the two balls
-    else:
-        two_scale_exclusion = membership_index(empty_set(p))
-        product_exclusion = membership_index(theta_ball(p, L + J))
 
     failing: list[dict] = []
     checked = 0
@@ -778,11 +909,7 @@ def walk_two_scale(family, omega_sigma, bank, *, window=None, product_depth=None
         if problems:
             failing.append({"cell": cell.to_json(), "problems": problems})
 
-    allowance = (
-        Measure.zero(p)
-        if omega_sigma.resolved is not None
-        else Measure.make(1, p, w_lo + J - window - L - 1)
-    )
+    allowance = Measure.zero(p) if resolved else Measure.make(1, p, w_lo + J - window - L - 1)
     return WalkReport(
         passed=not failing and unresolved <= allowance,
         window=window,
@@ -815,9 +942,11 @@ def _flipped(table):
 
 
 class TestTwoScaleWalk:
-    FAMILIES = ["shannon2", "shannon3", "shannon5", "three-shell2", "coset-shuffle3"]
+    FAMILIES = SWEEP
 
-    @pytest.mark.parametrize("variant", ["correct", "m0-flipped", "m1-flipped", "short-product"])
+    @pytest.mark.parametrize(
+        "variant", ["correct", "m0-flipped", "m1-flipped", "short-product", "deep-product"]
+    )
     @pytest.mark.parametrize("name", FAMILIES)
     def test_failures_match_the_cell_walk(self, name, variant):
         family = family_named(name)
@@ -825,20 +954,22 @@ class TestTwoScaleWalk:
         decided = 0
         for J in range(1, 11):
             sigma = accumulate_omega_sigma(family, J)
-            if sigma.resolved is None or max(2, 1 - sigma.lowest_fixed) + sigma.level > J:
+            if sigma.resolved is None:
                 continue
             bank = build_filters(family, sigma)
             m0, m1 = bank.m0, bank.m1
-            if variant == "m0-flipped":
+            if variant in ("m0-flipped", "deep-product"):
                 m0 = _flipped(m0)
             elif variant == "m1-flipped":
                 m1 = (*m1[:-1], _flipped(m1[-1]))
             bank = dataclasses.replace(bank, m0=m0, m1=m1)
-            depth = 1 if variant == "short-product" else None
+            depth = {"short-product": 1, "deep-product": 12}.get(variant)
             got = verify_two_scale(family, sigma, bank, product_depth=depth)
             want = walk_two_scale(family, sigma, bank, product_depth=depth)
             assert failure_sets(got, p) == failure_sets(want, p), J
             assert got.passed == want.passed == (variant == "correct"), J
+            if variant == "deep-product":  # terms past window + resolution repeat
+                assert got == verify_two_scale(family, sigma, bank), J
             assert want.unresolved_mass == 0
             decided += 1
         assert decided >= 6
