@@ -15,13 +15,14 @@ Periodic extension is well defined because the spectrum's lattice
 translates partition the dual group once the intersection-measure
 criterion holds, and each filter is kept as one cylinder set, its level
 set on the unit cell, folded from the spectrum.  The quadrature
-identities, the refinement equations and the low-pass product are
-decided on those sets; only the cell-by-cell report rows of
-FilterBank.to_json list cells."""
+identities are cover checks of those sets.  The refinement equations
+are one refinement step, the dilate by -1 of a set's points where a
+filter is one, unfolded from its level set piece by piece, and the
+low-pass product is that step iterated from an identity ball.  Only
+the cell-by-cell report rows of FilterBank.to_json list cells."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,9 +33,7 @@ from .setalg import (
     DigitMap,
     Measure,
     PSet,
-    _cylinder,
     empty_set,
-    expanded_unit,
     theta_ball,
     unit_cell,
 )
@@ -42,6 +41,7 @@ from .verifier import (
     VerdictReport,
     WaveletFamily,
     _cover_defects,
+    _least_cell,
     congruence_partition,
     is_wavelet_set,
 )
@@ -205,18 +205,19 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
     before those of the exact spectrum, which are marked "tail".
 
     Every verified family is resolved from depth L - w on, so no depth
-    threshold is needed to certify a deeper table.  Write U for the family union, L for its
-    finest resolution, w for its lowest pinned position, T_J for the
-    union of sigma^1(U) .. sigma^J(U), B(k) = theta_ball(p, k) (the
-    points whose digits at positions <= k are all 0) and
-    S = T_J | B(w + J).  Then sigma(U) | sigma(S) = T_{J+1} | B(w + J + 1).
-    Each cylinder of U pins a nonzero digit, and its points have their
-    first nonzero digit at its lowest pinned position, which lies in
-    [w, L]; so the points of sigma^k(U) have it in [w + k, L + k].
-    sigma^{J+1}(U) lies in B(w + J), so the image lies in S.  What S has
-    beyond the image lies in the shell B(w + J) - B(w + J + 1) of points
-    whose first nonzero digit is at w + J + 1.  Dilation tiling puts each
-    such point in one sigma^k(U), with w + k <= w + J + 1 <= L + k, that is
+    threshold is needed to certify a deeper table.  Write U for the
+    family union, L for its finest resolution, w for its lowest pinned
+    position, T_J for the union of sigma^1(U) .. sigma^J(U), B(k) =
+    theta_ball(p, k) (the points whose digits at positions <= k are all
+    0) and S = T_J | B(w + J).  Then sigma(U) | sigma(S) =
+    T_{J+1} | B(w + J + 1).  Each cylinder of U pins a nonzero digit, and
+    its points have their first nonzero digit at its lowest pinned
+    position, which lies in [w, L]; so the points of sigma^k(U) have it
+    in [w + k, L + k].  sigma^{J+1}(U) lies in B(w + J), so the image
+    lies in S.  What S has beyond the image lies in the shell
+    B(w + J) - B(w + J + 1) of points whose first nonzero digit is at
+    w + J + 1.  Dilation tiling puts each such point in one sigma^k(U),
+    with w + k <= w + J + 1 <= L + k, that is
     J + 1 - (L - w) <= k <= J + 1; when J >= L - w every such k is at
     least 1, the shell lies in T_{J+1}, and S is the fixed point.
     """
@@ -239,7 +240,7 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
                 witness = {
                     "lattice_index": lambda_encode(n),
                     "measure": m.exact_string(),
-                    "cell": min(overlap.cylinders, key=Cylinder.sort_key).to_json(),
+                    "cell": _least_cell(overlap.cylinders),
                 }
                 if tail:
                     witness["tail"] = True
@@ -321,6 +322,19 @@ def _fold(s: PSet) -> PSet:
     return PSet(s.p, (c for _, _, t in parts for c in t.cylinders), validate=False)
 
 
+def _unfold(s: PSet, level_set: PSet) -> PSet:
+    """The points of s where the lattice-periodic extension of a unit-cell
+    level set is one: each piece of s's congruence partition meets the
+    level set moved onto it, the inverse of _fold.  A piece coarser than
+    resolution 0 is kept whole when the level set holds all of its fold,
+    the unit cell; it never meets a smaller one here (see verify_two_scale)."""
+    out = []
+    for n, piece, moved in congruence_partition(s):
+        kept = moved.intersect(level_set)
+        out += (piece if kept == moved else kept.translate(n)).cylinders
+    return PSet(s.p, out, validate=False)
+
+
 def build_filters(
     family: WaveletFamily,
     omega_sigma: OmegaSigma,
@@ -369,12 +383,6 @@ class FilterIdentityReport:
     checked_cells: int
     failing_cells: list[dict]
     formulations_agree: bool
-
-
-def _digit_maps(p: int, positions: range):
-    """Every digit map on `positions`, first position most significant."""
-    for combo in itertools.product(range(p), repeat=len(positions)):
-        yield tuple((pos, d) for pos, d in zip(positions, combo) if d)
 
 
 def check_identity_level(bank: FilterBank, level: int) -> None:
@@ -469,60 +477,53 @@ class TwoScaleReport:
     failing_cells: list[dict]
 
 
-def _lift(unit: PSet, m: int) -> PSet:
-    """The lattice-periodic extension of a unit-cell set, inside
-    theta_ball(p, m): for m < 0 one copy per integer part of the ball,
-    p**(-m) of them."""
-    p = unit.p
-    if m >= 0:
-        return unit.intersect(theta_ball(p, m))
-    return PSet(
-        p,
-        (
-            _cylinder(p, c.resolution, integer + c.digits)
-            for integer in _digit_maps(p, range(m + 1, 1))
-            for c in unit.cylinders
-        ),
-        validate=False,
-    )
-
-
 def verify_two_scale(
     family: WaveletFamily,
     omega_sigma: OmegaSigma,
     bank: FilterBank,
     *,
     window: int | None = None,
-    product_depth: int | None = None,
 ) -> TwoScaleReport:
     """The refinement equations and the low-pass product, each decided as
     an equality of two cylinder sets on the resolved spectrum.
 
     With 0/1 filters every identity compares two indicators.  Write Omega
     for the spectrum, D_u for the members, sigma^-j for the dilate by -j,
-    Per_v(t) for the points whose digits at positions 1 to the table
-    resolution r take the value v in table t, B(k) = theta_ball(p, k),
-    W = B(-window), and Z for the union over j = 1..product_depth of
-    sigma^-j(Per_0(m0) & B(j - window)): the points of W where one of the
-    first product_depth low-pass factors vanishes.  The identities are
+    Per_1(t) for the points whose digits at positions 1 to the table
+    resolution r make table t one (the bank's own set, extended lattice
+    periodically), B(k) = theta_ball(p, k) and F_t(S) =
+    sigma^-1(S & Per_1(t)), one refinement step.  The identities are
 
-    - low-pass refinement: sigma^-1(Omega & Per_1(m0)) = Omega;
-    - band refinement: sigma^-1(Omega & Per_1(m1_u)) = D_u;
-    - low-pass product: W - Z = Omega.
+    - low-pass refinement: F_m0(Omega) = Omega;
+    - band refinement: F_m1_u(Omega) = D_u;
+    - low-pass product: P = Omega, P the points x of B(-window) at which
+      every factor m0(sigma^j x), j >= 1, is one.
 
-    From j = window + r on, B(j - window) lies in the tables' identity
-    cell, so the j-th term is W or empty as m0 is 0 or 1 there, the same
-    for every such j: the product to depth window + r, the default, is
-    the infinite product, and a deeper product_depth changes nothing.
-    No identity involves the truncation depth, and only intersections,
-    differences and dilates by k <= 0 are taken, so no set gets finer
-    than the spectrum and the tables, and the cost is the same at every
-    depth.  A failure is the symmetric difference of the two sides, listed as
-    {"cell", "problems"} entries whose problems name the identity and its
-    "lhs" and "rhs" values at that cell; refinement cells are moved one
-    position back into the frame of the filter argument.  Per_1 of each
-    table is the bank's own set, and Per_0(m0) its complement in the
-    unit cell.
+    Write P_k(v) for the points of B(-v) whose first k factors are one.
+    The first factor is m0 at sigma(x), a point of B(1 - v), and the
+    others are the first k - 1 factors at sigma(x), so
+
+        P_0(v) = B(-v),  P_k(v) = F_m0(P_{k-1}(v - 1)),
+
+    and P_k(window) is F_m0 applied k times to B(k - window).  From
+    j = window + r on, sigma^j(x) lies in B(r), where m0 takes its value
+    at the zero fraction, the same for every such j: P is
+    P_{window + r}(window), F_m0 applied window + r times to B(r).
+
+    F_t meets a set with Per_1(t) piece by piece over its congruence
+    partition (_unfold), so no lattice copy of a table is listed.  The
+    spectrum has measure 1, so none of its pieces is coarser than
+    resolution 0.  A piece of F_m0(S) coarser than that is the dilate of
+    a part of S & Per_1(m0) that holds a whole lattice translate of the
+    unit cell, so m0 is one on all of the unit cell and _unfold keeps
+    every piece whole.  No identity involves the truncation depth, and
+    only intersections, translates and dilates by -1 are taken, so no set
+    gets finer than the spectrum and the tables, and the cost is the same
+    at every depth.  A failure is the symmetric difference of the two
+    sides, listed as {"cell", "problems"} entries whose problems name the
+    identity and its "lhs" and "rhs" values at that cell; refinement
+    cells are moved one position back into the frame of the filter
+    argument.
 
     A spectrum that is not exactly resolved raises ValueError.
     """
@@ -534,27 +535,20 @@ def verify_two_scale(
         window = max(2, 1 - w_lo)
     if window < 1 - w_lo:
         raise ValueError("window does not cover the family's coarse extent")
-    repeats = window + bank.resolution  # the first term every later one repeats
-    if product_depth is None:
-        product_depth = repeats
-    if product_depth < 1:
-        raise ValueError("product depth must be at least 1")
 
     omega = omega_sigma.resolved
     # (identity, lhs set, rhs set, shift back to the filter argument).
-    # Omega lies in B(w_lo), inside B(1 - window).
     equations = [
-        (name, lhs, omega.intersect(_lift(one, 1 - window)).dilate(-1), 1)
+        (name, lhs, _unfold(omega, one).dilate(-1), 1)
         for name, lhs, one in zip(
             ["two-scale-m0", *(f"two-scale-m1[{u}]" for u in range(1, p))],
             [omega, *family.sets],
             bank.all_tables(),
         )
     ]
-    m0_zero = unit_cell(p).difference(bank.m0)
-    product = expanded_unit(p, window)
-    for j in range(1, min(product_depth, repeats) + 1):
-        product = product.difference(_lift(m0_zero, j - window).dilate(-j))
+    product = theta_ball(p, bank.resolution)
+    for _ in range(window + bank.resolution):
+        product = _unfold(product, bank.m0).dilate(-1)
     equations.append(("low-pass-product", product, omega, 0))
 
     problems: dict[tuple[int, DigitMap], list[dict]] = {}

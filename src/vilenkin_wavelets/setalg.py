@@ -433,6 +433,7 @@ class PSet:
         raise AttributeError("PSet is immutable")
 
     def __eq__(self, other) -> bool:
+        """Canonical form makes a.e. equality of cylinder sets equality."""
         return (
             isinstance(other, PSet)
             and self.p == other.p
@@ -546,13 +547,6 @@ class PSet:
             self.p, [(c.resolution, c.digits) for c in self.cylinders]
         )
         return PSet(self.p, (_cylinder(self.p, r, d) for r, d in parts), validate=False)
-
-    def is_subset_ae(self, other: "PSet") -> bool:
-        return self.difference(other).is_empty
-
-    def ae_equal(self, other: "PSet") -> bool:
-        """Cylinder sets are closed under the algebra, so a.e. equality is equality."""
-        return self == other
 
     # -- group actions ----------------------------------------------------------------
 

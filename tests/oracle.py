@@ -357,3 +357,63 @@ def oracle_calderon(members: list[CellSet], truncation: CellSet, J: int) -> dict
         "tail_allowance": Fraction(1, p**J) - Fraction(1, p ** (J + 2)),
         "pieces_disjoint": disjoint,
     }
+
+
+# -- reference refinement equations and low-pass product ----------------------------
+
+
+def _table_value(table: dict, x: dict, r: int, j: int = 0) -> int:
+    """A lattice-periodic filter at p^j x: its table at x's digits
+    1 - j .. r - j."""
+    return table[tuple(x.get(pos, 0) for pos in range(1 - j, r + 1 - j))]
+
+
+def oracle_two_scale(
+    members: list[CellSet], tables: list[dict], r: int, window: int
+) -> dict[str, dict]:
+    """The two refinement equations and the low-pass product, point by point.
+
+    The window is the cells at positions 1 - window .. r + 1, keyed by
+    their digit tuples there; r is the tables' resolution.  Each cell is
+    decided by its points whose only digit past r + 1 is a nonzero one
+    at position r + 2, which must all agree.  At a point x, with
+    Omega the scaling spectrum, x/p the point with every digit moved one
+    position down and m0, m1_u the tables extended periodically:
+
+    - "two-scale-m0": lhs Omega(x/p), rhs m0(x) Omega(x);
+    - "two-scale-m1[u]": lhs D_u(x/p), rhs m1_u(x) Omega(x);
+    - "low-pass-product": lhs the infinite product of m0(p^j x) over
+      j >= 1, p^j x the point with every digit moved j positions up, and
+      rhs Omega(x).  Once x's lowest nonzero digit moves past position r
+      every factor is m0 at the zero fraction, so the product ends with
+      that factor repeated forever.
+
+    Returns one dict per identity from cell to (lhs, rhs)."""
+    p = members[0].p
+    union = union_of(members)
+    m0 = tables[0]
+    names = ["two-scale-m0", *(f"two-scale-m1[{u}]" for u in range(1, p))]
+    limit = m0[(0,) * r]
+
+    def values(x: dict) -> dict:
+        omega = int(_in_spectrum(union, x))
+        down = _shifted(x, -1)
+        lhs = [int(_in_spectrum(union, down)), *(int(contains(s, down)) for s in members)]
+        factors = [_table_value(t, x, r) for t in tables]
+        out = {name: (a, m * omega) for name, a, m in zip(names, lhs, factors)}
+        lowest = min(pos for pos, d in x.items() if d)
+        product = limit
+        for j in range(1, r - lowest + 1):
+            product *= _table_value(m0, x, r, j)
+        out["low-pass-product"] = (product, omega)
+        return out
+
+    lo, hi = 1 - window, r + 1
+    found: dict[str, dict] = {name: {} for name in [*names, "low-pass-product"]}
+    for cell in itertools.product(range(p), repeat=hi - lo + 1):
+        pinned = dict(zip(range(lo, hi + 1), cell))
+        seen = [values({**pinned, hi + 1: d}) for d in range(1, p)]
+        assert all(v == seen[0] for v in seen), f"not constant on the cell {cell}"
+        for name, value in seen[0].items():
+            found[name][cell] = value
+    return found

@@ -131,7 +131,7 @@ def test_criterion_3_oracle_equivalence():
                 oa.difference(ob)
             )
             assert a.measure().as_fraction() == oa.measure()
-            assert a.ae_equal(b) == oa.equals(ob)
+            assert (a == b) == oa.equals(ob)
             pairs += 1
     assert pairs >= 10_000
 

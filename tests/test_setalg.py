@@ -318,7 +318,7 @@ class TestAeEquality:
     def test_reflexive(self):
         for p in (2, 3):
             s = random_pset(p)
-            assert s.ae_equal(s)
+            assert s == PSet(p, reversed(s.cylinders))
 
     def test_children_equal_parent(self):
         p = 3
@@ -326,18 +326,18 @@ class TestAeEquality:
             p,
             [Cylinder(p, 1, ((1, d),)) if d else Cylinder(p, 1, ()) for d in range(p)],
         )
-        assert children.ae_equal(unit_cell(p))
+        assert children == unit_cell(p)
 
     def test_nesting(self):
         for p in (2, 3):
-            assert theta_ball(p, 1).is_subset_ae(unit_cell(p))
-            assert not unit_cell(p).is_subset_ae(theta_ball(p, 1))
+            assert theta_ball(p, 1).difference(unit_cell(p)).is_empty
+            assert not unit_cell(p).difference(theta_ball(p, 1)).is_empty
 
     def test_equivalence_relation(self):
         for p in (2, 3):
             a = random_pset(p)
             b = PSet(p, a.cylinders, validate=False)
-            assert a.ae_equal(b) and b.ae_equal(a)
+            assert a == b and b == a
 
 
 class TestSerialization:
