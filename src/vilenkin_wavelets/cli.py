@@ -321,7 +321,7 @@ def _cmd_transform(args) -> tuple[dict, int]:
     with _open_csv(args.samples, "w") as handle:
         write_csv(result, handle)
     round_trip = inverse(result) if args.direction == "forward" else forward(result)
-    drift = float(max(abs(round_trip.values - signal.values)))
+    drift = float(abs(round_trip.values - signal.values).max())
     passed = drift <= args.tolerance
     doc = build_report(
         version=__version__, command="transform",

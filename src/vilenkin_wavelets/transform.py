@@ -16,10 +16,11 @@ duality pairing matches position j with dual position 1 - j.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -37,6 +38,8 @@ from .setalg import PSet
 from .verifier import WaveletFamily, congruence_defects
 
 _NORM_RTOL = 1e-9
+_LABEL_TABLE = 1 << 8  # most label ends `labels` holds
+_CSV_CHUNK_ROWS = 1 << 16  # most rows `write_csv` and `read_csv` hold at once
 
 
 @dataclass(frozen=True)
@@ -100,17 +103,36 @@ class QuotientGrid:
         return from_digits(self.p, digits)
 
     def labels(self) -> Iterator[str]:
-        """Canonical radix-point label of every cell, in index order."""
+        """Canonical radix-point label of every cell, in index order.
+
+        The label ends over the last k positions (p**k <= _LABEL_TABLE of
+        them) are built once, and each label is one of them behind a
+        prefix from the leading digits, so what is held does not grow
+        with the grid.
+        """
         check_text_base(self.p)
-        alphabet = _ALPHABET[: self.p]
-        lefts = (
-            "".join(d).lstrip("0") + "."
-            for d in itertools.product(alphabet, repeat=self.M)
-        )
-        return (
-            left + "".join(d).rstrip("0")
-            for left in lefts
-            for d in itertools.product(alphabet, repeat=self.N)
+        p, M, N = self.p, self.M, self.N
+        alphabet = _ALPHABET[:p]
+        k = 1
+        while k < M + N and p ** (k + 1) <= _LABEL_TABLE:
+            k += 1
+        heads = map("".join, itertools.product(alphabet, repeat=M + N - k))
+        tails = ["".join(d) for d in itertools.product(alphabet, repeat=k)]
+        if k <= N:
+            # Fraction digits only: the all-zero end strips the head's
+            # trailing zeros (up to the point), any other end keeps them.
+            ends = [t.rstrip("0") for t in tails[1:]]
+            prefixes = (h[:M].lstrip("0") + "." + h[M:] for h in heads)
+            return itertools.chain.from_iterable(
+                itertools.chain((x.rstrip("0"),), map(x.__add__, ends)) for x in prefixes
+            )
+        # The point lies in the table; only the all-zero head, the first,
+        # leaves the table's own leading zeros to strip.
+        ends = [t[: k - N] + "." + t[k - N :].rstrip("0") for t in tails]
+        next(heads)
+        return itertools.chain(
+            [e.lstrip("0") for e in ends],
+            itertools.chain.from_iterable(map(h.lstrip("0").__add__, ends) for h in heads),
         )
 
     def index_of_element(self, x: GroupElement) -> int:
@@ -154,11 +176,16 @@ class GridSignal:
 
 
 def _kernel(p: int, conjugate: bool) -> np.ndarray:
-    # One primitive p-th root drives every stage so the tensor factors agree.
-    sign = -1.0 if conjugate else 1.0
-    root = np.exp(sign * 2j * np.pi / p)
+    # Each entry is exp(2 pi i m / p) of its reduced exponent m = jk mod p,
+    # so every stage uses the same values and the two kernels are exact
+    # conjugates; quarter turns are exact, which makes the p = 2 kernel
+    # the Walsh-Hadamard [[1, 1], [1, -1]].
     a = np.arange(p)
-    return root ** np.outer(a, a % p)
+    m = np.outer(a, a) % p
+    kernel = np.exp(2j * np.pi * m / p)
+    quarter = 4 * m % p == 0
+    kernel[quarter] = np.array([1, 1j, -1, -1j])[4 * m[quarter] // p]
+    return kernel.conj() if conjugate else kernel
 
 
 def _tensor_apply(values: np.ndarray, p: int, num: int, kernel: np.ndarray) -> np.ndarray:
@@ -490,34 +517,86 @@ def v0_residual(
 # -- CSV interchange ---------------------------------------------------------------
 
 
+def _reprs(x: np.ndarray) -> list[str]:
+    """``repr`` of every float in ``x``, formatted in C by the list's ``str``."""
+    return str(x.tolist())[1:-1].split(", ")
+
+
 def write_csv(signal: GridSignal, stream: TextIO) -> None:
     labels = signal.grid.labels()  # rejects bases above 36 before any write
     stream.write("cell,re,im\n")
-    for label, v in zip(labels, signal.values):
-        v = complex(v)
-        stream.write(f"{label},{v.real!r},{v.imag!r}\n")
+    for start in range(0, signal.grid.size, _CSV_CHUNK_ROWS):
+        chunk = signal.values[start : start + _CSV_CHUNK_ROWS]
+        cells = itertools.islice(labels, chunk.size)
+        rows = map(",".join, zip(cells, _reprs(chunk.real), _reprs(chunk.imag)))
+        stream.write("\n".join(rows) + "\n")
 
 
-def _decoded_lines(stream: TextIO):
-    """The stream's lines; bytes the stream cannot decode are a schema error."""
+def _read_lines(stream: TextIO, count: int) -> list[str]:
+    """Up to ``count`` more lines; bytes the stream cannot decode are a schema error."""
     try:
-        yield from stream
+        return list(itertools.islice(stream, count))
     except UnicodeDecodeError as exc:
         raise SchemaError(f"cannot decode the CSV input: {exc}") from exc
 
 
+def _canonical_rows(lines: list[str], cells: list[str]) -> np.ndarray | None:
+    """Samples of rows that hold ``cells`` in order, three fields each, as
+    write_csv writes them; None if any row is otherwise or not finite."""
+    n = len(lines)
+    if len(cells) != n or list(map(str.count, lines, itertools.repeat(","))) != [2] * n:
+        return None
+    fields = ",".join(lines).split(",")
+    if fields[0::3] != cells:
+        return None
+    out = np.empty(n, dtype=np.complex128)
+    try:
+        # float() ignores the line ending left on the last field.
+        out.real = np.fromiter(map(float, fields[1::3]), np.float64, n)
+        out.imag = np.fromiter(map(float, fields[2::3]), np.float64, n)
+    except ValueError:
+        return None
+    return out if np.isfinite(out).all() else None
+
+
 def read_csv(grid: QuotientGrid, stream: TextIO) -> GridSignal:
-    lines = _decoded_lines(stream)
-    header = next(lines, "").strip()
+    header = "".join(_read_lines(stream, 1)).strip()
     if header != "cell,re,im":
         raise SchemaError(f"expected header 'cell,re,im', got {header!r}")
     values = np.zeros(grid.size, dtype=np.complex128)
+    labels = grid.labels()
+    chunks = iter(functools.partial(_read_lines, stream, _CSV_CHUNK_ROWS), [])
+    # Rows as write_csv writes them are read a chunk at a time; from the
+    # first chunk that holds any other row, the row loop below reads on.
+    start = 0
+    for chunk in chunks:
+        cells = list(itertools.islice(labels, len(chunk)))
+        rows = _canonical_rows(chunk, cells)
+        if rows is None:
+            lines = itertools.chain(chunk, itertools.chain.from_iterable(chunks))
+            _read_rows(grid, values, lines, start, itertools.chain(cells, labels))
+            break
+        values[start : start + len(chunk)] = rows
+        start += len(chunk)
+    return GridSignal(grid, values)
+
+
+def _read_rows(
+    grid: QuotientGrid,
+    values: np.ndarray,
+    lines: Iterable[str],
+    start: int,
+    labels: Iterable[str],
+) -> None:
+    """Rows in any order and spelling, from row ``start`` on; the only
+    place a row is rejected, with its line number."""
     seen = np.zeros(grid.size, dtype=bool)
-    # Rows written by write_csv come in index order with canonical labels;
-    # any other row is parsed and located.
-    expected = enumerate(grid.labels())
-    next_idx, next_label = next(expected)
-    for lineno, line in enumerate(lines, start=2):
+    seen[:start] = True
+    # Rows in index order with canonical labels are placed without parsing
+    # the label; any other row is parsed and located.
+    expected = enumerate(labels, start)
+    next_idx, next_label = next(expected, (None, None))
+    for lineno, line in enumerate(lines, start=2 + start):
         line = line.strip()
         if not line:
             continue
@@ -530,11 +609,13 @@ def read_csv(grid: QuotientGrid, stream: TextIO) -> GridSignal:
                 next_idx, next_label = next(expected, (None, None))
             else:
                 idx = grid.index_of_element(parse_element(parts[0], grid.p))
-            value = complex(float(parts[1]), float(parts[2]))
+            re, im = float(parts[1]), float(parts[2])
         except (ValueError, AliasingError, ParseError) as exc:
             raise SchemaError(f"line {lineno}: {exc}") from exc
+        for text, x in ((parts[1], re), (parts[2], im)):
+            if not math.isfinite(x):
+                raise SchemaError(f"line {lineno}: non-finite value {text!r}")
         if seen[idx]:
             raise SchemaError(f"line {lineno}: duplicate cell {parts[0]!r}")
         seen[idx] = True
-        values[idx] = value
-    return GridSignal(grid, values)
+        values[idx] = complex(re, im)

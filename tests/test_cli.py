@@ -1,5 +1,6 @@
 import decimal
 import json
+import math
 import pathlib
 import random
 import time
@@ -654,6 +655,22 @@ class TestSignalCommands:
             b = read_csv(grid, f2)
         assert np.max(np.abs(a.values - b.values)) < 1e-12
 
+    @pytest.mark.filterwarnings(
+        "ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning"
+    )
+    def test_round_trip_error_keeps_nan_past_the_first_cell(self, tmp_path):
+        # 1e308 in cell 3 overflows the forward sums, so the round trip
+        # holds NaN in other cells; the error must read NaN, not the
+        # largest finite drift.
+        samples = tmp_path / "big.csv"
+        samples.write_text("cell,re,im\n.,0.0,0.0\n.01,0.0,0.0\n.1,0.0,0.0\n.11,1e308,0.0\n")
+        code, report = run_command(
+            ["transform", "--p", "2", "--grid", "1", "2", "--direction", "forward",
+             "--input", str(samples), "--samples", str(tmp_path / "spec.csv")]
+        )
+        assert code == 1 and report["verdict"] == "FAIL"
+        assert math.isnan(report["conditions"][0]["measures"]["round_trip_error"])
+
 
 class TestCsvCommandInputErrors:
     """Grid and CSV input errors exit 2 with a one-line message."""
@@ -743,6 +760,19 @@ class TestCsvCommandInputErrors:
             "line 2: digit '2' in '.2' is >= base 2",
         )
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_non_finite_csv_sample(self, value, row, tmp_path, capsys):
+        rows = [".,0.0,0.0", ".1,1.0,0.0", "1.,0.0,1.0", "1.1,0.5,0.5"]
+        rows[row] = rows[row].replace("0.0", value, 1)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("cell,re,im\n" + "\n".join(rows) + "\n")
+        self._fails_with(
+            capsys,
+            ["transform", "--p", "2", "--grid", "1", "1",
+             "--input", str(bad), "--samples", str(tmp_path / "out.csv")],
+            f"line {row + 2}: non-finite value {value!r}",
+        )
 
     def test_non_utf8_csv_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

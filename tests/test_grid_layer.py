@@ -2,7 +2,8 @@
 
 The references below compute indicators, the dilation-translation action
 and CSV labels from flat cell indices, digit by digit, the way the grid
-layer did before it worked on the (p,)*(M+N) tensor view.  The library
+layer did before it worked on the (p,)*(M+N) tensor view.  The CSV reader
+is compared with the row-at-a-time reader it replaced.  The library
 must agree with them exactly: equal arrays and CSV bytes, or the same
 exception type and message.
 """
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 
 from vilenkin_wavelets.errors import AliasingError, ParseError, SchemaError
-from vilenkin_wavelets.group import format_element, from_digits, lambda_decode
+from vilenkin_wavelets import transform
+from vilenkin_wavelets.group import format_element, from_digits, lambda_decode, parse_element
 from vilenkin_wavelets.setalg import (
     Cylinder,
     PSet,
@@ -146,6 +148,38 @@ def reference_write_csv(signal, stream):
         stream.write(f"{label},{v.real!r},{v.imag!r}\n")
 
 
+def reference_read_csv(grid, stream):
+    lines = iter(stream)
+    header = next(lines, "").strip()
+    if header != "cell,re,im":
+        raise SchemaError(f"expected header 'cell,re,im', got {header!r}")
+    values = np.zeros(grid.size, dtype=np.complex128)
+    seen = np.zeros(grid.size, dtype=bool)
+    expected = ((i, format_element(grid.cell_element(i))) for i in range(grid.size))
+    next_idx, next_label = next(expected)
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise SchemaError(f"line {lineno}: expected 'cell,re,im'")
+        try:
+            if parts[0] == next_label:
+                idx = next_idx
+                next_idx, next_label = next(expected, (None, None))
+            else:
+                idx = grid.index_of_element(parse_element(parts[0], grid.p))
+            value = complex(float(parts[1]), float(parts[2]))
+        except (ValueError, AliasingError, ParseError) as exc:
+            raise SchemaError(f"line {lineno}: {exc}") from exc
+        if seen[idx]:
+            raise SchemaError(f"line {lineno}: duplicate cell {parts[0]!r}")
+        seen[idx] = True
+        values[idx] = value
+    return GridSignal(grid, values)
+
+
 def outcome(fn, *args):
     """('ok', value) or ('raise', exception type, message)."""
     try:
@@ -275,6 +309,18 @@ LABEL_GRIDS = GRIDS + [(11, 1, 1), (11, 0, 2), (36, 1, 1), (36, 1, 0)]
 
 @pytest.mark.parametrize("p,M,N", LABEL_GRIDS)
 def test_labels_and_csv_bytes_match_format_element(p, M, N):
+    check_labels_and_csv_bytes(p, M, N)
+
+
+@pytest.mark.parametrize("p,M,N", LABEL_GRIDS)
+def test_labels_and_csv_bytes_across_small_chunks(p, M, N, monkeypatch):
+    # Small enough that every grid spans several chunks and label tables.
+    monkeypatch.setattr(transform, "_CSV_CHUNK_ROWS", 3)
+    monkeypatch.setattr(transform, "_LABEL_TABLE", 4)
+    check_labels_and_csv_bytes(p, M, N)
+
+
+def check_labels_and_csv_bytes(p, M, N):
     grid = QuotientGrid(p, M, N)
     assert list(grid.labels()) == [
         format_element(grid.cell_element(i)) for i in range(grid.size)
@@ -383,3 +429,76 @@ def test_read_csv_error_messages():
         with pytest.raises(SchemaError) as info:
             read_csv(grid, io.StringIO(text))
         assert str(info.value) == message
+
+
+# -- the chunked reader against the row-at-a-time reader ---------------------------
+
+
+def csv_text(grid, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
+    out = io.StringIO()
+    reference_write_csv(GridSignal(grid, values), out)
+    return out.getvalue()
+
+
+def edit_row(text, k, edit):
+    """The CSV with data row k (0-based) replaced by edit(row, rows)."""
+    header, *rows = text.split("\n")
+    rows[k] = edit(rows[k], rows)
+    return "\n".join([header, *rows])
+
+
+def reader_cases(grid, chunk):
+    text = csv_text(grid, seed=grid.size)
+    rows = text.splitlines()[1:]
+    cases = {"canonical": text, "crlf": text.replace("\n", "\r\n"), "no-final-newline": text[:-1]}
+    # A 2-field row then a 4-field row keep the comma count at 2 per row;
+    # the second makes the fields after the split line up with the labels.
+    two = f"{rows[1].split(',')[0]},0"
+    four = f"5,{rows[2].split(',')[0]},0,0"
+    cases["2-and-4-fields"] = edit_row(edit_row(text, 1, lambda r, _: two), 2, lambda r, _: four)
+    cases["spaces"] = edit_row(text, 2, lambda r, _: " " + r.replace(",", " , ") + " ")
+    cases["blank-line"] = edit_row(text, 2, lambda r, _: "\n" + r)
+    for k in (chunk - 1, chunk, chunk + 1):
+        cases[f"respelled-{k}"] = edit_row(text, k, lambda r, _: "0" + r)
+        cases[f"swapped-{k}"] = edit_row(text, k, lambda r, rs: rs[k + 1])
+        cases[f"bad-float-{k}"] = edit_row(text, k, lambda r, _: r.split(",")[0] + ",1.0,x")
+        cases[f"blank-{k}"] = edit_row(text, k, lambda r, _: "")
+    # A canonical run, then one of its cells again with a leading zero
+    # (".1" then "0.1").
+    cases["respelled-duplicate"] = text + "0" + rows[2 * chunk + 1] + "\n"
+    cases["too-many-rows"] = text + rows[0] + "\n"
+    cases["header-only"] = "cell,re,im\n"
+    return cases
+
+
+@pytest.mark.parametrize("p,M,N", [(2, 2, 2), (3, 1, 2)])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+def test_chunked_reader_matches_row_reader(p, M, N, chunk, monkeypatch):
+    monkeypatch.setattr(transform, "_CSV_CHUNK_ROWS", chunk)
+    grid = QuotientGrid(p, M, N)
+    for name, text in reader_cases(grid, chunk).items():
+        assert_same(
+            outcome(read_csv, grid, io.StringIO(text)),
+            outcome(reference_read_csv, grid, io.StringIO(text)),
+            name,
+        )
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("row", [0, 4])
+@pytest.mark.parametrize("part", [1, 2])
+def test_read_csv_rejects_non_finite_samples(value, row, part, monkeypatch):
+    monkeypatch.setattr(transform, "_CSV_CHUNK_ROWS", 3)
+    grid = QuotientGrid(2, 2, 2)
+
+    def poison(r, _):
+        fields = r.split(",")
+        fields[part] = value
+        return ",".join(fields)
+
+    text = edit_row(csv_text(grid, seed=1), row, poison)
+    with pytest.raises(SchemaError) as info:
+        read_csv(grid, io.StringIO(text))
+    assert str(info.value) == f"line {row + 2}: non-finite value {value!r}"

@@ -1,10 +1,12 @@
 import io
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from vilenkin_wavelets.errors import AliasingError, SchemaError
+from vilenkin_wavelets.famio import parse_family_file
 from vilenkin_wavelets.group import (
     character_exponent,
     from_digits,
@@ -34,6 +36,7 @@ from vilenkin_wavelets.transform import (
 from vilenkin_wavelets.verifier import shannon_family
 
 rng = np.random.default_rng(61803)
+FAMILIES = pathlib.Path(__file__).resolve().parents[1] / "families"
 
 
 def random_signal(grid):
@@ -97,6 +100,51 @@ class TestTransformPair:
         values[grid.index_of({})] = 1.0
         spectrum = forward(GridSignal(grid, values))
         assert np.max(np.abs(spectrum.values - grid.cell_measure)) < 1e-14
+
+
+class TestExactness:
+    """The kernel entries of quarter turns are exact, so for p = 2 the
+    transform is a Walsh-Hadamard transform, exact on dyadic samples."""
+
+    @staticmethod
+    def kernel_rows(p):
+        # On the one-position grid of cell measure 1, forward maps the
+        # delta at cell j to row j of the character-conjugated kernel.
+        grid = QuotientGrid(p, 1, 0)
+        return np.array([forward(GridSignal(grid, np.eye(p)[j])).values for j in range(p)])
+
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_quarter_turn_entries_are_exact(self, p):
+        kernel = self.kernel_rows(p)
+        exact = {0: 1, 1: -1j, 2: -1, 3: 1j}  # exp(-2 pi i q / 4)
+        quarters = [(j, k) for j in range(p) for k in range(p) if 4 * j * k % p == 0]
+        assert len(quarters) > p
+        for j, k in quarters:
+            assert kernel[j, k] == exact[4 * j * k // p % 4], (j, k)
+        if p == 2:
+            assert np.array_equal(kernel, [[1, 1], [1, -1]])
+            assert not kernel.imag.any()
+
+    @pytest.mark.parametrize("p", range(2, 37))
+    def test_kernel_is_orthogonal(self, p):
+        kernel = self.kernel_rows(p)
+        assert np.max(np.abs(kernel @ kernel.conj().T - p * np.eye(p))) < 1e-13
+
+    @pytest.mark.parametrize("name", ["shannon2.json", "three-shell2.json"])
+    def test_walsh_synthesis_is_exact(self, name):
+        grid = QuotientGrid(2, 4, 4)
+        for s in parse_family_file(str(FAMILIES / name)).sets:
+            psi = synthesize_wavelet(s, grid)
+            spectrum = forward(psi)
+            assert not psi.values.imag.any() and not spectrum.values.imag.any()
+            assert np.array_equal(spectrum.values, indicator_on_grid(s, grid.dual()))
+
+    def test_walsh_round_trip_is_exact_on_dyadics(self):
+        grid = QuotientGrid(2, 3, 4)
+        gen = np.random.default_rng(5)
+        values = (gen.integers(-64, 64, grid.size) + 1j * gen.integers(-64, 64, grid.size)) / 8
+        f = GridSignal(grid, values)
+        assert np.array_equal(inverse(forward(f)).values, f.values)
 
 
 class TestSynthesis:
