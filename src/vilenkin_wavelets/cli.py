@@ -15,6 +15,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .errors import DigitError, ParseError, ResolutionCapError, SchemaError, VilenkinError
 from .famio import (
@@ -317,11 +319,21 @@ def _cmd_transform(args) -> tuple[dict, int]:
     in_grid = primal if args.direction == "forward" else primal.dual()
     with _open_csv(args.input, "r") as handle:
         signal = read_csv(in_grid, handle)
-    result = forward(signal) if args.direction == "forward" else inverse(signal)
+    # Finite samples can still overflow float64 in the transform's sums,
+    # its round trip or the norms; that is refused before any sample is
+    # written.  A finite drift implies a finite round trip, and finite
+    # norms finite samples.
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = forward(signal) if args.direction == "forward" else inverse(signal)
+        round_trip = inverse(result) if args.direction == "forward" else forward(result)
+        drift = float(abs(round_trip.values - signal.values).max())
+        input_norm, output_norm = signal.norm(), result.norm()
+    if not all(map(math.isfinite, (drift, input_norm, output_norm))):
+        raise SchemaError(
+            f"{args.input}: the {args.direction} transform of these samples overflows float64"
+        )
     with _open_csv(args.samples, "w") as handle:
         write_csv(result, handle)
-    round_trip = inverse(result) if args.direction == "forward" else forward(result)
-    drift = float(abs(round_trip.values - signal.values).max())
     passed = drift <= args.tolerance
     doc = build_report(
         version=__version__, command="transform",
@@ -338,8 +350,8 @@ def _cmd_transform(args) -> tuple[dict, int]:
                 "exact": False,
                 "witnesses": [],
                 "measures": {
-                    "input_norm": signal.norm(),
-                    "output_norm": result.norm(),
+                    "input_norm": input_norm,
+                    "output_norm": output_norm,
                     "round_trip_error": drift,
                 },
             }

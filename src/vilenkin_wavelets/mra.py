@@ -114,6 +114,13 @@ def accumulate_omega_sigma(
     those past depth, and S - sigma^depth(S) the truncation (clopen sets
     equal a.e. are equal).  A spectrum that is not the fixed point at
     settle contradicts that proof and raises VilenkinError.
+
+    The fixed-point test at depth would find S again, so it is not run.
+    The union is zero below w and S is made of its dilates by 1 and more,
+    so S lies in the ball B(w) = theta_ball(p, w); then sigma^depth(S)
+    lies in B(w + depth), which lies in B(w + settle), which lies in S.
+    So the truncation plus B(w + depth),
+    (S - sigma^depth(S)) | B(w + depth), is S itself.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -125,10 +132,12 @@ def accumulate_omega_sigma(
     settle = min(depth, max(union.max_resolution - w_lo, 1))
     truncated = _dilates(union, settle)
     if depth > settle:
-        spectrum = _fixed_point(union, truncated, w_lo + settle)
-        if spectrum is None:
+        resolved = _fixed_point(union, truncated, w_lo + settle)
+        if resolved is None:
             raise VilenkinError(f"the spectrum is not the fixed point at depth {settle}")
-        truncated = spectrum.difference(spectrum.dilate(depth))
+        truncated = resolved.difference(resolved.dilate(depth))
+    else:
+        resolved = _fixed_point(union, truncated, w_lo + depth)
     expected = Fraction(1) - Fraction(1, family.p**depth)
     if truncated.measure().as_fraction() != expected:
         raise VilenkinError("truncated spectrum does not telescope to 1 - p^-J")
@@ -139,7 +148,7 @@ def accumulate_omega_sigma(
         truncated=truncated,
         level=union.max_resolution,
         lowest_fixed=w_lo,
-        resolved=_fixed_point(union, truncated, w_lo + depth),
+        resolved=resolved,
     )
 
 

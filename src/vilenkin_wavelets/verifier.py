@@ -15,6 +15,7 @@ return the partition certificate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from collections.abc import Sequence
@@ -87,10 +88,8 @@ class WaveletFamily:
                 raise FamilyArityError("member sets must be nonempty")
 
     def union(self) -> PSet:
-        out = self.sets[0]
-        for s in self.sets[1:]:
-            out = out.union(s)
-        return out
+        """The union of the members, merged once (see _overlaps_and_union)."""
+        return _overlaps_and_union(self.sets)[1]
 
     def replace(self, u: int, new_set: PSet) -> "WaveletFamily":
         """Family with the u-th member (1-based) swapped out."""
@@ -125,6 +124,69 @@ def check_measure_one(family: WaveletFamily) -> ConditionRecord:
         witnesses=witnesses,
         details={"measures": measures},
     )
+
+
+# -- constant sets ------------------------------------------------------------------
+
+
+@functools.cache
+def _unit_cell(p: int) -> PSet:
+    """unit_cell(p), built once per base: a PSet is immutable, and there
+    are at most MAX_BASE bases."""
+    return unit_cell(p)
+
+
+@functools.cache
+def _annulus(p: int) -> PSet:
+    """annulus(p), built once per base, as _unit_cell."""
+    return annulus(p)
+
+
+# -- the members as one index ---------------------------------------------------------
+
+
+def _overlaps_and_union(
+    sets: Sequence[PSet],
+) -> tuple[dict[tuple[int, int], tuple[int, DigitMap]], PSet]:
+    """The least overlap cell of each pair of member sets, and their union.
+
+    Two cylinders are nested or disjoint, so the intersection of two
+    canonical sets is the finer cylinder of each nested pair across them:
+    a cylinder b of member j lies in the overlap of members i and j
+    exactly when a cylinder of member i contains it (an equal one
+    included).  One _NestingIndex over all members' cylinders, with the
+    members that own each key, finds those containers by the truncated
+    lookups of b.  The pair (i, j), i < j, maps to the least such cell
+    as a (resolution, digits) key: the least cylinder of
+    s_i.intersect(s_j), the witness of their overlap.  A pair that does
+    not overlap is absent.
+
+    A member's own cylinders are disjoint, so the union is the cylinders
+    that no strictly coarser cylinder of another member contains, one of
+    each equal group, merged once into canonical form.
+    """
+    owners: dict[tuple[int, DigitMap], list[int]] = {}
+    for i, s in enumerate(sets):
+        for c in s.cylinders:
+            owners.setdefault((c.resolution, c.digits), []).append(i)
+    index = _NestingIndex(c for s in sets for c in s.cylinders)
+    least: dict[tuple[int, int], tuple[int, DigitMap]] = {}
+    kept: list[Cylinder] = []
+    for j, s in enumerate(sets):
+        for b in s.cylinders:
+            cell = (b.resolution, b.digits)
+            inside = False
+            for key in index.containing(b.digits, b.resolution):
+                for i in owners[key]:
+                    if i != j:
+                        pair = (i, j) if i < j else (j, i)
+                        if pair not in least or cell < least[pair]:
+                            least[pair] = cell
+                inside = inside or key[0] < b.resolution
+            if not inside:
+                kept.append(b)
+    # The constructor keeps one of equal cylinders and merges siblings.
+    return least, PSet(sets[0].p, kept, validate=False)
 
 
 # -- condition (2): dilation tiling ---------------------------------------------
@@ -174,26 +236,34 @@ def _cover_defects(
     cell of every piece would flag.
     """
     p = target.p
-    keys: Counter = Counter()
+    keys: dict[tuple[int, DigitMap], int] = {}
     for piece, k in zip(pieces, copies or itertools.repeat(1)):
         for c in piece.cylinders:
-            keys[c.resolution, c.digits] += k
-    index = _NestingIndex(c for piece in pieces for c in piece.cylinders)
-    res = max([0, target.max_resolution] + [r for r, _ in keys])
+            key = c.resolution, c.digits
+            keys[key] = keys.get(key, 0) + k
+    levels = sorted({r for r, _ in keys})
+    res = max([0, target.max_resolution] + levels[-1:])
 
+    # A key lies inside a coarser one only if the keys span two
+    # resolutions; the index is built only then, or for the descent.
+    index = None
+    if len(levels) > 1:
+        index = _NestingIndex(c for piece in pieces for c in piece.cylinders)
     overlapping = [
-        (r, digits) for (r, digits), m in keys.items() if m > 1 or index.covers(digits, r - 1)
+        (r, digits)
+        for (r, digits), m in keys.items()
+        if m > 1 or index and index.covers(digits, r - 1)
     ]
     covered = sum(m * p ** (res - r) for (r, _), m in keys.items())
     if not overlapping and covered == sum(p ** (res - c.resolution) for c in target.cylinders):
         return []
 
+    index = index or _NestingIndex(c for piece in pieces for c in piece.cylinders)
     coarsest = min(c.resolution for c in target.cylinders)
     _check_witness_count("the cover check", p * sum(r - coarsest + 1 for r, _ in keys))
     defects = [(r, digits, 0) for r, digits in index.outside(
         p, [(c.resolution, c.digits) for c in target.cylinders]
     )]
-    levels = sorted({r for r, _ in keys})
     outer = _NestingIndex(_cylinder(p, r, digits) for r, digits in overlapping)
     for r, digits in overlapping:
         if outer.covers(digits, r - 1):
@@ -253,18 +323,13 @@ def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> Condit
     alone, so here too extra_range changes nothing.
     """
     p = family.p
-    witnesses: list[dict] = []
+    names = family.names
+    shared, union = _overlaps_and_union(family.sets)
+    witnesses: list[dict] = [
+        {"kind": "set-overlap", "sets": [names[i], names[j]], "cell": _cylinder(p, *cell).to_json()}
+        for (i, j), cell in sorted(shared.items())
+    ]
 
-    for (n1, s1), (n2, s2) in itertools.combinations(
-        zip(family.names, family.sets), 2
-    ):
-        overlap = s1.intersect(s2)
-        if not overlap.is_empty:
-            witnesses.append(
-                {"kind": "set-overlap", "sets": [n1, n2], "cell": _least_cell(overlap.cylinders)}
-            )
-
-    union = family.union()
     level = union.max_resolution
     w_lo = union.min_fixed_position
     if w_lo is None:
@@ -340,11 +405,10 @@ def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> Condit
     for x, m in shell_keys:
         groups.setdefault(m, []).append(x)
     pieces = [PSet._canonical(p, tuple(group)) for group in groups.values()]
-    shell_total = Measure.zero(p)
-    for piece in pieces:
-        shell_total = shell_total + piece.measure()
+    top = max(x.resolution for x, _ in shell_keys)
+    shell_total = Measure.make(sum(p ** (top - x.resolution) for x, _ in shell_keys), p, top)
     witnesses.extend(
-        {"kind": "cover-defect", **entry} for entry in _cover_defects(annulus(p), pieces)
+        {"kind": "cover-defect", **entry} for entry in _cover_defects(_annulus(p), pieces)
     )
 
     return ConditionRecord(
@@ -367,26 +431,42 @@ def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> Condit
 def congruence_partition(s: PSet) -> list[tuple[GroupElement, PSet, PSet]]:
     """Split a set by the integer part of its cells.
 
-    Returns (n, piece, piece translated by -n) triples; every translated
-    piece lies inside the unit cell by construction.  A cylinder coarser
-    than resolution 0 pins only integer positions and spans p**-r
-    integer parts, r its resolution: it is a piece of its own, n its
-    pinned digits, and its translated piece is the unit cell, which its
-    p**-r lattice translates each cover once, so it is never split.
+    Returns (n, piece, piece translated by -n) triples, ordered by the
+    lattice index of n; every translated piece lies inside the unit cell
+    by construction.  The integer part of a cylinder of resolution >= 0
+    is its leading digits, those at positions <= 0, and translating by -n
+    strips exactly them: the translated piece is read off the digit maps,
+    with no group arithmetic.  A cylinder coarser than resolution 0 pins
+    only integer positions and spans p**-r integer parts, r its
+    resolution: it is a piece of its own, n its pinned digits, and its
+    translated piece is the unit cell, which its p**-r lattice translates
+    each cover once, so it is never split.
     """
     p = s.p
-    groups: dict[GroupElement, list] = {}
+    # Keyed by n's digits: a cylinder's digits at positions <= 0.  No
+    # other cylinder of s has a coarse cylinder's integer part, as it
+    # would lie inside it.
+    groups: dict[DigitMap, tuple[list[Cylinder], list[Cylinder]]] = {}
     for c in s.cylinders:
-        n = c.integer_part() if c.resolution >= 0 else from_digits(p, dict(c.digits))
-        groups.setdefault(n, []).append(c)
-    # A group is one coarse cylinder (no other cylinder of s has its
-    # integer part, as it would lie inside it) or an in-order run of
-    # cylinders of s, so it is already canonical.
+        prefix = _truncate(c.digits, 0)
+        if prefix not in groups:
+            groups[prefix] = ([], [])
+        piece, moved = groups[prefix]
+        piece.append(c)
+        if c.resolution >= 0:
+            moved.append(_cylinder(p, c.resolution, c.digits[len(prefix):]))
+    # A group is one coarse cylinder or an in-order run of cylinders of s
+    # that share their leading digits, so it is canonical before and
+    # after they are stripped.
+    ordered = sorted(groups, key=lambda prefix: sum(d * p**-pos for pos, d in prefix))
     out = []
-    for n in sorted(groups, key=lambda g: lambda_encode(g)):
-        piece = PSet._canonical(p, tuple(groups[n]))
-        coarse = piece.cylinders[0].resolution < 0
-        out.append((n, piece, unit_cell(p) if coarse else piece.translate(n.negate())))
+    for prefix in ordered:
+        piece, moved = groups[prefix]
+        out.append((
+            from_digits(p, dict(prefix)),
+            PSet._canonical(p, tuple(piece)),
+            PSet._canonical(p, tuple(moved)) if moved else _unit_cell(p),
+        ))
     return out
 
 
@@ -400,7 +480,7 @@ def congruence_defects(s: PSet) -> tuple[list[tuple[GroupElement, PSet, PSet]], 
     """
     parts = congruence_partition(s)
     copies = [s.p ** max(-piece.cylinders[0].resolution, 0) for _, piece, _ in parts]
-    return parts, _cover_defects(unit_cell(s.p), [t for _, _, t in parts], copies)
+    return parts, _cover_defects(_unit_cell(s.p), [t for _, _, t in parts], copies)
 
 
 def check_translation_congruence(family: WaveletFamily) -> tuple[ConditionRecord, list[dict]]:

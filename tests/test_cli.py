@@ -1,9 +1,9 @@
 import decimal
 import json
-import math
 import pathlib
 import random
 import time
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -655,21 +655,6 @@ class TestSignalCommands:
             b = read_csv(grid, f2)
         assert np.max(np.abs(a.values - b.values)) < 1e-12
 
-    @pytest.mark.filterwarnings(
-        "ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning"
-    )
-    def test_round_trip_error_keeps_nan_past_the_first_cell(self, tmp_path):
-        # 1e308 in cell 3 overflows the forward sums, so the round trip
-        # holds NaN in other cells; the error must read NaN, not the
-        # largest finite drift.
-        samples = tmp_path / "big.csv"
-        samples.write_text("cell,re,im\n.,0.0,0.0\n.01,0.0,0.0\n.1,0.0,0.0\n.11,1e308,0.0\n")
-        code, report = run_command(
-            ["transform", "--p", "2", "--grid", "1", "2", "--direction", "forward",
-             "--input", str(samples), "--samples", str(tmp_path / "spec.csv")]
-        )
-        assert code == 1 and report["verdict"] == "FAIL"
-        assert math.isnan(report["conditions"][0]["measures"]["round_trip_error"])
 
 
 class TestCsvCommandInputErrors:
@@ -773,6 +758,32 @@ class TestCsvCommandInputErrors:
              "--input", str(bad), "--samples", str(tmp_path / "out.csv")],
             f"line {row + 2}: non-finite value {value!r}",
         )
+
+    @pytest.mark.parametrize(
+        "direction, cell, value",
+        [
+            # The forward samples are finite; their round trip overflows.
+            ("forward", ".11", "1e308"),
+            # Every sample is finite; the norm of the input overflows.
+            ("forward", ".11", "1e200"),
+            ("inverse", "1.", "-1e308"),
+        ],
+    )
+    def test_finite_samples_whose_transform_overflows(
+        self, direction, cell, value, tmp_path, capsys
+    ):
+        samples = tmp_path / "big.csv"
+        samples.write_text(f"cell,re,im\n{cell},{value},0.0\n")
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            self._fails_with(
+                capsys,
+                ["transform", "--p", "2", "--grid", "1", "2", "--direction", direction,
+                 "--input", str(samples), "--samples", str(out)],
+                f"{samples}: the {direction} transform of these samples overflows float64",
+            )
+        assert not out.exists()
 
     def test_non_utf8_csv_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

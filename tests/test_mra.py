@@ -9,6 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfbench import gen
 from vilenkin_wavelets.errors import VilenkinError
@@ -20,6 +22,7 @@ from vilenkin_wavelets.mra import (
     MraReport,
     MraRow,
     OmegaSigma,
+    _fixed_point,
     _fold,
     _integer_parts,
     _translation_candidates,
@@ -1190,6 +1193,16 @@ def two_pass_mra_condition(omega_sigma):
     )
 
 
+def assert_resolved_is_the_fixed_point(family, depths):
+    """Past the settle depth, accumulate_omega_sigma reuses the fixed point
+    it found there; the fixed-point test at depth J must find it again."""
+    union = family.union()
+    w = union.min_fixed_position
+    for J in depths:
+        sigma = accumulate_omega_sigma(family, J)
+        assert _fixed_point(union, sigma.truncated, w + J) == sigma.resolved, J
+
+
 class TestSpectrumFromTheFixedPoint:
     @pytest.mark.parametrize("name", SHIPPED_PASS + ["coset-shuffle3"])
     def test_matches_the_union_of_dilates(self, name):
@@ -1243,6 +1256,20 @@ class TestSpectrumFromTheFixedPoint:
         )
         got = check_mra_condition(sigma)
         assert got == two_pass_mra_condition(sigma) and got.status == "INCONCLUSIVE"
+
+    @pytest.mark.parametrize("name", SWEEP)
+    def test_resolved_is_the_fixed_point_at_every_depth(self, name):
+        assert_resolved_is_the_fixed_point(family_named(name), range(1, 41))
+
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(
+        stratum=st.sampled_from([(2, 2, -1, 6), (2, 4, -2, 12), (3, 2, -1, 14), (5, 2, -1, 48)]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_resolved_is_the_fixed_point_on_drawn_families(self, stratum, seed):
+        p, R, w, n = stratum
+        family = family_from_document(gen.pass_family(random.Random(seed), p, R, w, n).document())
+        assert_resolved_is_the_fixed_point(family, range(1, 41))
 
     def test_a_spectrum_off_the_fixed_point_is_refused(self, monkeypatch):
         # The proof in check_mra_condition's docstring rules this out; the
