@@ -3,7 +3,11 @@
 Candidates are unions of resolution-2 cells whose pinned digits sit at
 positions 0..2, one measure-one set per family member.  For p = 2 that
 is a 70-candidate search: the walk skips the candidates that provably
-fail, counting them, and the verifier decides the rest.
+fail, counting them, and decides the rest itself -- each member a
+transversal of the fractional digit classes (measure one, congruence),
+no identity cell, and shell keys that do not nest and fill the shell
+(tiling).  Each family found is verified again below as an independent
+check.
 """
 
 from vilenkin_wavelets import is_wavelet_set, search_wavelet_sets, shannon_family

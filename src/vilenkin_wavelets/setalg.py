@@ -243,48 +243,6 @@ class Cylinder:
     def sort_key(self) -> tuple:
         return (self.resolution, self.digits)
 
-    # -- set relations ---------------------------------------------------------
-
-    def relation(self, other: "Cylinder") -> str:
-        """One of 'disjoint', 'equal', 'contains', 'within'.
-
-        Cylinders intersect iff their pinned digits agree on the common
-        pinned positions, in which case the coarser contains the finer.
-        """
-        a, b = (self, other) if self.resolution <= other.resolution else (other, self)
-        da, db = a.digits, b.digits
-        ra = a.resolution
-        ia = ib = 0
-        na, nb = len(da), len(db)
-        while ia < na or ib < nb:
-            pa = da[ia][0] if ia < na else None
-            pb = db[ib][0] if ib < nb else None
-            if pa is None or (pb is not None and pb < pa):
-                # b pins a nonzero digit where a pins zero (if within range).
-                if pb > ra:
-                    break  # remaining b digits are in a's free tail
-                return "disjoint"
-            if pb is None or pa < pb:
-                return "disjoint"  # a pins nonzero where b pins zero
-            if da[ia][1] != db[ib][1]:
-                return "disjoint"
-            ia += 1
-            ib += 1
-        if self.resolution == other.resolution:
-            return "equal"
-        return "contains" if a is self else "within"
-
-    def contains_point(self, x: GroupElement) -> bool:
-        if x.p != self.p:
-            raise BaseMismatchError("point and cylinder bases differ")
-        for pos, d in self.digits:
-            if x.digit(pos) != d:
-                return False
-        for pos, d in x.support():
-            if pos <= self.resolution and self.digit(pos) != d:
-                return False
-        return True
-
     # -- transformations --------------------------------------------------------
 
     def refine_to(self, L: int) -> Iterator["Cylinder"]:
@@ -467,9 +425,6 @@ class PSet:
         ]
         return min(positions) if positions else None
 
-    def contains_point(self, x: GroupElement) -> bool:
-        return any(c.contains_point(x) for c in self.cylinders)
-
     def measure(self) -> Measure:
         if self.is_empty:
             return Measure.zero(self.p)
@@ -506,13 +461,6 @@ class PSet:
             for piece in c.refine_to(L):
                 maps.add(piece.digits)
         return frozenset(maps)
-
-    @staticmethod
-    def from_cells(p: int, L: int, maps: Iterable[DigitMap]) -> "PSet":
-        """Rebuild a set from resolution-L digit maps (trusted disjoint)."""
-        return PSet(
-            p, (Cylinder(p, L, m) for m in maps), validate=False
-        )
 
     # -- boolean algebra -------------------------------------------------------------
     #

@@ -30,7 +30,6 @@ from .group import (
     GroupElement,
     check_base,
     check_text_base,
-    from_digits,
     lambda_decode,
     parse_element,
 )
@@ -93,14 +92,6 @@ class QuotientGrid:
                 continue
             total += d * self.weight(pos)
         return total
-
-    def cell_element(self, index: int) -> GroupElement:
-        digits = {}
-        for pos in self.positions:
-            d = (index // self.weight(pos)) % self.p
-            if d:
-                digits[pos] = d
-        return from_digits(self.p, digits)
 
     def labels(self) -> Iterator[str]:
         """Canonical radix-point label of every cell, in index order.

@@ -557,7 +557,7 @@ def search_wavelet_sets(
     budget: int | None = None,
 ) -> SearchResult:
     """Enumerate measure-one disjoint families inside a digit window and
-    keep those that verify.
+    keep those that are wavelet sets.
 
     Atoms are the resolution-R cells whose pinned digits sit inside the
     window; each member set takes p**R of them.  Candidates are ranked in
@@ -566,17 +566,35 @@ def search_wavelet_sets(
     The budget bounds how many candidates are examined; hitting it flags
     the result as exhausted.
 
-    Most candidates are rejected without being built.  A lattice shift
-    rewrites only positions <= 0, so a member is congruent to the unit
-    cell exactly when its atoms' fractional digits (positions 1..R) hit
-    each of the p**R classes once.  Dilating an atom by minus its lowest
-    nonzero position gives its shell key, a cylinder of the shell between
-    the expanded and plain unit cells; two dilates of the union overlap
-    exactly when two shell keys nest.  The walk drops a partial family
-    on the zero atom, a class repeated within a member or nesting keys,
-    and adds the size of each dropped subtree to the rank in closed form.
-    A complete candidate without nesting keys tiles exactly when its keys
-    fill the shell; only those are built, and is_wavelet_set decides them.
+    The walk decides every candidate; no family is built to be verified.
+    Dilating an atom by minus its lowest nonzero position m gives its
+    shell key, a cylinder of resolution R - m in the shell between the
+    expanded and plain unit cells.  The walk drops a partial family on
+    the zero atom (an identity neighbourhood, so tiling fails), a
+    fractional class repeated within a member (two atoms translate onto
+    one cell, so congruence fails) or two nesting shell keys (a dilate
+    overlap, so tiling fails), and adds the size of each dropped subtree
+    to the rank in closed form.  A complete candidate that survives is a
+    wavelet set exactly when its keys' weights fill the shell, by the
+    three conditions of is_wavelet_set:
+
+    * Measure one.  Each member is p**R distinct atoms of resolution R,
+      each of measure p**-R.
+    * Congruence.  A lattice shift rewrites only positions <= 0, so it
+      moves an atom onto the unit-cell cell with the same fractional
+      digits (positions 1..R).  The atoms' fractional classes hit each of
+      the p**R classes once, so the translates cover the unit cell once.
+    * Tiling, by the shell-key argument of check_dilation_tiling.
+      - No atom is the zero atom, so the union holds no identity
+        cylinder and the single shell accounts for all but the identity.
+      - The members are disjoint: each draws from the atoms the earlier
+        members left, and distinct atoms of one resolution are disjoint.
+      - No two shell keys nest (equal keys included), so no dilate of the
+        union by d >= 1 meets the union.
+      - Keys that do not nest are disjoint cylinders of the shell, so
+        they cover it once exactly when their measures add up to its
+        measure p - 1.  Key measure p**(m - R) is weight p**(m - lo)
+        over p**(R - lo), so that is a weight sum of (p - 1)*p**(R - lo).
 
     A window of more than MAX_REFINE_CELLS atoms is refused before any
     atom is listed; without a budget, so is a window with more families
@@ -668,9 +686,10 @@ def _walk_transversals(
     limit: int,
     found: list[WaveletFamily],
 ) -> None:
-    """Visit the candidates of rank below `limit` in order, appending those
-    that verify to `found` (see search_wavelet_sets).  Subtree sizes are
-    counted up to `cap`, which exceeds `limit`."""
+    """Visit the candidates of rank below `limit` in order, appending to
+    `found` every complete candidate whose keys fill the shell
+    (search_wavelet_sets proves each one a wavelet set).  Subtree sizes
+    are counted up to `cap`, which exceeds `limit`."""
     shell_weight = (p - 1) * p ** (hi - lo)
     names = tuple(f"omega{u}" for u in range(1, p))
     seen: dict[int, tuple] = {}
@@ -721,13 +740,12 @@ def _walk_transversals(
 
     def examine() -> None:
         if weight == shell_weight:
-            family = WaveletFamily(
-                p,
-                names,
-                tuple(PSet.from_cells(p, hi, [atom(i)[0] for i in m]) for m in members),
+            # Atoms are cells of the window, so the constructor only merges.
+            sets = (
+                PSet(p, [_cylinder(p, hi, atom(i)[0]) for i in m], validate=False)
+                for m in members
             )
-            if is_wavelet_set(family).overall:
-                found.append(family)
+            found.append(WaveletFamily(p, names, tuple(sets)))
 
     def walk(k: int, pool: Sequence[int]) -> bool:
         """Member k's choices from pool; False once the rank hits the limit."""

@@ -1,7 +1,14 @@
 """Named wavelet families used across the test modules."""
 
-from vilenkin_wavelets.setalg import Cylinder, PSet
+from collections.abc import Iterable
+
+from vilenkin_wavelets.setalg import Cylinder, DigitMap, PSet
 from vilenkin_wavelets.verifier import WaveletFamily, search_wavelet_sets, shannon_family
+
+
+def cells_set(p: int, L: int, maps: Iterable[DigitMap]) -> PSet:
+    """The set of the resolution-L cells with these digit maps (disjoint)."""
+    return PSet(p, (Cylinder(p, L, m) for m in maps), validate=False)
 
 
 def three_shell_family() -> WaveletFamily:

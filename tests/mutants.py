@@ -14,6 +14,8 @@ from vilenkin_wavelets.group import lambda_decode
 from vilenkin_wavelets.setalg import Cylinder, PSet, annulus, theta_ball, unit_cell
 from vilenkin_wavelets.verifier import WaveletFamily, shannon_family
 
+from .families import cells_set
+
 MEASURE = "measure-one"
 TILING = "dilation-tiling"
 CONGRUENCE = "translation-congruence"
@@ -77,7 +79,7 @@ def mutants_for(p: int) -> list[Mutant]:
     maps.add(((1, 1),))
     out.append(
         Mutant(
-            "moved-cylinder", p, fam.replace(1, PSet.from_cells(p, 2, maps)),
+            "moved-cylinder", p, fam.replace(1, cells_set(p, 2, maps)),
             must_fail=frozenset({TILING}),
             must_pass=frozenset({MEASURE}),
             intended=TILING,
@@ -116,8 +118,8 @@ def mutants_for(p: int) -> list[Mutant]:
         maps1.add(((0, 2),))
         maps2.remove(((0, 2),))
         maps2.add(((0, 1), (1, 1)))
-        swapped = fam.replace(1, PSet.from_cells(p, 1, maps1)).replace(
-            2, PSet.from_cells(p, 1, maps2)
+        swapped = fam.replace(1, cells_set(p, 1, maps1)).replace(
+            2, cells_set(p, 1, maps2)
         )
         out.append(
             Mutant(

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from vilenkin_wavelets.group import GroupElement
+from vilenkin_wavelets.group import GroupElement, from_digits
 from vilenkin_wavelets.setalg import Cylinder, PSet
 
 
@@ -114,6 +114,42 @@ class CellSet:
 
     def dilate(self, k: int) -> "CellSet":
         return CellSet(self.p, self.lo + k, self.hi + k, self.cells)
+
+
+# -- plain references for single cylinders, points and grid cells --------------------
+
+
+def cylinder_relation(a: Cylinder, b: Cylinder) -> str:
+    """One of 'disjoint', 'equal', 'contains', 'within', for a against b.
+
+    Two cylinders meet iff they pin the same digits up to the coarser
+    resolution, and then the coarser contains the finer.
+    """
+    r = min(a.resolution, b.resolution)
+    if [pd for pd in a.digits if pd[0] <= r] != [pd for pd in b.digits if pd[0] <= r]:
+        return "disjoint"
+    if a.resolution == b.resolution:
+        return "equal"
+    return "contains" if a.resolution < b.resolution else "within"
+
+
+def set_contains_point(s: PSet, x: GroupElement) -> bool:
+    """Whether x lies in s: in some cylinder c, its digits up to c's
+    resolution are c's."""
+    assert x.p == s.p, "point and set bases differ"
+    support = tuple(x.support())
+    return any(tuple(pd for pd in support if pd[0] <= c.resolution) == c.digits for c in s.cylinders)
+
+
+def grid_cell_element(grid, index: int) -> GroupElement:
+    """The element of a QuotientGrid cell: index read as a base-p numeral
+    over the grid positions, first position most significant."""
+    digits = {}
+    for pos in reversed(grid.positions):
+        index, d = divmod(index, grid.p)
+        if d:
+            digits[pos] = d
+    return from_digits(grid.p, digits)
 
 
 def unit_cells(p: int, lo: int, hi: int) -> CellSet:

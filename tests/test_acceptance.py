@@ -44,6 +44,7 @@ from vilenkin_wavelets.verifier import (
     shannon_family,
 )
 
+from .families import cells_set
 from .mutants import CONGRUENCE, MEASURE, TILING, all_mutants
 from .oracle import CellSet, oracle_is_wavelet_set
 
@@ -144,7 +145,7 @@ def test_criterion_3_oracle_equivalence():
     ]
     agreements = 0
     for combo in itertools.combinations(atoms, 4):
-        family = WaveletFamily(p, ("omega1",), (PSet.from_cells(p, 2, combo),))
+        family = WaveletFamily(p, ("omega1",), (cells_set(p, 2, combo),))
         library = is_wavelet_set(family)
         oracle = oracle_is_wavelet_set(
             p, [CellSet.from_pset(s, 0, 2) for s in family.sets]

@@ -24,7 +24,7 @@ from vilenkin_wavelets.setalg import (
     unit_cell,
 )
 
-from .oracle import CellSet
+from .oracle import CellSet, contains, cylinder_relation, set_contains_point
 
 rng = random.Random(4203)
 
@@ -273,8 +273,8 @@ class TestGroupActions:
         t = from_digits(p, {0: 1, 2: 1})
         shifted = s.translate(t)
         assert shifted == unit_cell(p)  # the position-0 digits cancel
-        assert shifted.contains_point(from_digits(p, {2: 1}))
-        assert not shifted.contains_point(from_digits(p, {0: 1}))
+        assert set_contains_point(shifted, from_digits(p, {2: 1}))
+        assert not set_contains_point(shifted, from_digits(p, {0: 1}))
 
     def test_dilate_shifts_and_scales(self):
         for p in (2, 3):
@@ -338,6 +338,37 @@ class TestAeEquality:
             a = random_pset(p)
             b = PSet(p, a.cylinders, validate=False)
             assert a == b and b == a
+
+
+class TestPlainReferences:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_relation_and_membership_match_cell_sets(self, p):
+        # The plain references other tests compare against, checked on cells.
+        gen = random.Random(f"references-{p}")
+        seen = set()
+
+        def cylinder():
+            r = gen.randint(WINDOW_LO, WINDOW_HI)
+            digits = ((pos, gen.randrange(p)) for pos in range(WINDOW_LO, r + 1))
+            return Cylinder(p, r, tuple((pos, d) for pos, d in digits if d))
+
+        for _ in range(300):
+            a, b = cylinder(), cylinder()
+            cells_a, cells_b = as_cells(PSet(p, (a,))), as_cells(PSet(p, (b,)))
+            meet = cells_a.intersect(cells_b)
+            if meet.is_empty():
+                want = "disjoint"
+            elif cells_a.equals(cells_b):
+                want = "equal"
+            else:
+                want = "contains" if meet.equals(cells_b) else "within"
+            assert cylinder_relation(a, b) == want, (a, b)
+            seen.add(want)
+            x = random_element(gen, p, WINDOW_LO, WINDOW_HI)
+            inside = contains(cells_a, dict(x.support()))
+            assert set_contains_point(PSet(p, (a,)), x) == inside, (a, x)
+            seen.add(inside)
+        assert len(seen) == 6
 
 
 class TestSerialization:
@@ -421,7 +452,7 @@ def pairwise_overlap_message(cyls):
     """The O(n^2) scan the hashed disjointness check replaced, kept as the reference."""
     for i, a in enumerate(cyls):
         for b in cyls[i + 1 :]:
-            if a.relation(b) != "disjoint":
+            if cylinder_relation(a, b) != "disjoint":
                 return f"cylinders overlap: {a.to_json()} and {b.to_json()}"
     return None
 
@@ -637,14 +668,14 @@ class TestResolutionCapParity:
 
 def old_cylinder_difference(a, b):
     """a minus b as disjoint cylinders, splitting only toward b."""
-    rel = a.relation(b)
+    rel = cylinder_relation(a, b)
     if rel == "disjoint":
         return [a]
     if rel in ("within", "equal"):
         return []
     out = []
     for child in a.refine_to(a.resolution + 1):
-        if child.relation(b) == "disjoint":
+        if cylinder_relation(child, b) == "disjoint":
             out.append(child)
         else:
             out.extend(old_cylinder_difference(child, b))
@@ -741,7 +772,7 @@ class TestNestingIndex:
                     assert got.cylinders == old_difference(x, y).cylinders
                     split += any(piece not in x.cylinders for piece in got.cylinders)
             nested += any(
-                x.relation(y) != "disjoint"
+                cylinder_relation(x, y) != "disjoint"
                 for i, x in enumerate(c.cylinders)
                 for y in c.cylinders[i + 1 :]
             )
@@ -762,7 +793,7 @@ class TestNestingIndex:
             for _ in range(300):
                 cell = random_cell(gen, s)
                 q, digits = cell.resolution, cell.digits
-                rel = [cell.relation(c) for c in s.cylinders]
+                rel = [cylinder_relation(cell, c) for c in s.cylinders]
                 for top in (q, q - 1):
                     want = any(
                         r in ("within", "equal") and c.resolution <= top
@@ -785,19 +816,19 @@ def check_outside(index, s, cell):
     fill the cell minus s."""
     p = s.p
     parts = [Cylinder(p, r, d) for r, d in index.outside(p, [(cell.resolution, cell.digits)])]
-    near = [c for c in s.cylinders if cell.relation(c) != "disjoint"]
+    near = [c for c in s.cylinders if cylinder_relation(cell, c) != "disjoint"]
     PSet._check_disjoint(tuple(parts))
     for part in parts:
-        assert cell.relation(part) in ("contains", "equal")
-        assert all(part.relation(c) == "disjoint" for c in near)
+        assert cylinder_relation(cell, part) in ("contains", "equal")
+        assert all(cylinder_relation(part, c) == "disjoint" for c in near)
         if part.resolution > cell.resolution:
             parent = Cylinder(p, part.resolution - 1, _truncate(part.digits, part.resolution - 1))
-            assert any(parent.relation(c) != "disjoint" for c in near)
-    if any(cell.relation(c) in ("within", "equal") for c in s.cylinders):
+            assert any(cylinder_relation(parent, c) != "disjoint" for c in near)
+    if any(cylinder_relation(cell, c) in ("within", "equal") for c in s.cylinders):
         inside = cell.measure()
     else:
         inside = sum(
-            (c.measure() for c in s.cylinders if cell.relation(c) == "contains"),
+            (c.measure() for c in s.cylinders if cylinder_relation(cell, c) == "contains"),
             Measure.zero(p),
         )
     total = sum((part.measure() for part in parts), Measure.zero(p))

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vilenkin_wavelets.errors import FamilyArityError
 from vilenkin_wavelets.famio import family_from_document
@@ -37,6 +39,7 @@ from vilenkin_wavelets.verifier import (
 
 from perfbench import gen, searchref
 
+from .families import cells_set
 from .mutants import CONGRUENCE, MEASURE, TILING, all_mutants
 from .oracle import CellSet, oracle_is_wavelet_set
 
@@ -45,9 +48,9 @@ rng = random.Random(90125)
 _KEYS = {MEASURE: "measure", TILING: "tiling", CONGRUENCE: "congruence"}
 
 
-def oracle_verdict(family, lo=-2, hi=3):
+def oracle_verdict(family, lo=-2, hi=3, **ranges):
     sets = [CellSet.from_pset(s, lo, hi) for s in family.sets]
-    return oracle_is_wavelet_set(family.p, sets)
+    return oracle_is_wavelet_set(family.p, sets, **ranges)
 
 
 class TestShannonFamilies:
@@ -224,7 +227,7 @@ class TestSearch:
         accepted = []
         for combo in itertools.combinations(atoms, 4):
             family = WaveletFamily(
-                p, ("omega1",), (PSet.from_cells(p, 2, combo),)
+                p, ("omega1",), (cells_set(p, 2, combo),)
             )
             verdict = oracle_verdict(family, lo=0, hi=2)
             library = is_wavelet_set(family)
@@ -234,9 +237,8 @@ class TestSearch:
             if verdict["overall"]:
                 accepted.append(family.sets)
         result = search_wavelet_sets(p, (0, 2))
-        assert sorted(map(repr, (f.sets for f in result.families))) == sorted(
-            map(repr, accepted)
-        )
+        found = cylinders(f.sets for f in result.families)
+        assert sorted(found, key=repr) == sorted(cylinders(accepted), key=repr)
 
 
 class TestCongruenceImpliesMeasure:
@@ -252,7 +254,7 @@ class TestCongruenceImpliesMeasure:
         for size in (2, 4, 6):
             for combo in itertools.combinations(atoms, size):
                 family = WaveletFamily(
-                    p, ("omega1",), (PSet.from_cells(p, 2, combo),)
+                    p, ("omega1",), (cells_set(p, 2, combo),)
                 )
                 record, _ = check_translation_congruence(family)
                 if record.passed:
@@ -319,7 +321,7 @@ class TestRandomFamiliesAgainstOracle:
                 if len(chunk) < per_set:
                     ok = False
                     break
-                sets.append(PSet.from_cells(p, 2, chunk))
+                sets.append(cells_set(p, 2, chunk))
             if not ok:
                 continue
             family = WaveletFamily(p, tuple(f"omega{u+1}" for u in range(p - 1)), tuple(sets))
@@ -531,9 +533,28 @@ def old_candidates(p, lo, hi):
     if per_set * (p - 1) <= len(atoms):
         names = tuple(f"omega{u}" for u in range(1, p))
         for candidate in candidates(tuple(atoms), []):
-            sets = tuple(PSet.from_cells(p, hi, maps) for maps in candidate)
+            sets = tuple(cells_set(p, hi, maps) for maps in candidate)
             out.append((candidate, is_wavelet_set(WaveletFamily(p, names, sets)).overall))
     return tuple(out)
+
+
+def old_count(p, lo, hi):
+    """How many candidates old_candidates lists: each member chooses p**hi
+    of the atoms the earlier members left."""
+    n, per_set, count = p ** (hi - lo + 1), p**hi, 1
+    for k in range(p - 1):
+        count *= math.comb(max(n - k * per_set, 0), per_set)
+    return count
+
+
+# Every window of p = 2, 3, 5 with top 0..3 and at most 2,000 candidates.
+CHEAP_WINDOWS = [
+    (p, lo, hi)
+    for p in (2, 3, 5)
+    for hi in range(4)
+    for lo in range(hi - 5, min(hi, 1) + 1)
+    if old_count(p, lo, hi) <= 2000
+]
 
 
 def old_search(p, lo, hi, budget=None):
@@ -545,8 +566,18 @@ def old_search(p, lo, hi, budget=None):
             break
         examined += 1
         if passed:
-            found.append(tuple(PSet.from_cells(p, hi, maps) for maps in candidate))
+            found.append(tuple(cells_set(p, hi, maps) for maps in candidate))
     return examined, exhausted, found
+
+
+def assert_all_verify(families, lo, hi):
+    """Each family passes is_wavelet_set and the oracle, whose ranges reach
+    past every dilate a nesting pair of the window needs (at most hi - lo)
+    and every shell piece of its three shells."""
+    span = hi - lo + 2
+    for family in families:
+        assert is_wavelet_set(family).overall
+        assert oracle_verdict(family, lo, hi, dilate_range=span, shift_range=span)["overall"]
 
 
 def cylinders(sets_list):
@@ -567,38 +598,38 @@ class TestTransversalSearch:
             assert cylinders(f.sets for f in result.families) == cylinders(found), budget
 
     @pytest.mark.parametrize("p,lo,hi", SEARCH_WINDOWS)
-    def test_decider_sees_exactly_the_families_that_verify(self, p, lo, hi, monkeypatch):
-        # The pruning rules and the weight test are exact: is_wavelet_set
-        # is called on every candidate that verifies and on no other.
-        import vilenkin_wavelets.verifier as verifier
-
-        decided = []
-
-        def recording(family, *args, **kwargs):
-            decided.append(family.sets)
-            return is_wavelet_set(family, *args, **kwargs)
-
-        monkeypatch.setattr(verifier, "is_wavelet_set", recording)
-        search_wavelet_sets(p, (lo, hi))
-        assert cylinders(decided) == cylinders(old_search(p, lo, hi)[2])
+    def test_decider_sees_exactly_the_families_that_verify(self, p, lo, hi):
+        # The walk is the decision: it returns exactly the candidates that
+        # verify, and each passes is_wavelet_set and the oracle.
+        families = search_wavelet_sets(p, (lo, hi)).families
+        assert cylinders(f.sets for f in families) == cylinders(old_search(p, lo, hi)[2])
+        assert_all_verify(families, lo, hi)
 
     @pytest.mark.parametrize("p,lo,hi", [(2, -2, 2), (3, -1, 1)])
-    def test_decider_sees_only_families_that_verify(self, p, lo, hi, monkeypatch):
+    def test_decider_sees_only_families_that_verify(self, p, lo, hi):
         # Windows too large for the old search (35,960 and 5,920,200
         # candidates); with p = 3 a later member can pick an atom whose
         # shell key contains an earlier member's key.
-        import vilenkin_wavelets.verifier as verifier
+        families = search_wavelet_sets(p, (lo, hi)).families
+        assert families
+        assert_all_verify(families, lo, hi)
 
-        verdicts = []
-
-        def recording(family, *args, **kwargs):
-            report = is_wavelet_set(family, *args, **kwargs)
-            verdicts.append(report.overall)
-            return report
-
-        monkeypatch.setattr(verifier, "is_wavelet_set", recording)
-        result = search_wavelet_sets(p, (lo, hi))
-        assert verdicts == [True] * len(result.families) and result.families
+    @pytest.mark.parametrize("p,lo,hi", CHEAP_WINDOWS)
+    @given(data=st.data())
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    def test_drawn_budgets_match_old_search(self, p, lo, hi, data):
+        # The old search ran is_wavelet_set on every candidate; the walk
+        # must examine, flag and find exactly what it did.  Every cheap
+        # window is taken, so a walk that goes wrong on one never passes.
+        total = len(old_candidates(p, lo, hi))
+        budget = data.draw(st.one_of(
+            st.sampled_from([None, 0, max(total - 1, 0), total, total + 1]),
+            st.integers(0, total + 1),
+        ))
+        examined, exhausted, found = old_search(p, lo, hi, budget)
+        result = search_wavelet_sets(p, (lo, hi), budget=budget)
+        assert (result.examined, result.exhausted) == (examined, exhausted)
+        assert cylinders(f.sets for f in result.families) == cylinders(found)
 
     @pytest.mark.parametrize("p,lo,hi", [(2, 0, 2), (2, -1, 1), (3, -1, 0)])
     def test_pruning_rules_decide_every_candidate(self, p, lo, hi):
@@ -777,7 +808,7 @@ def random_atom_families(p, count):
     out = []
     for _ in range(count):
         pool = gen_rng.sample(atoms, (p - 1) * p**2)
-        sets = tuple(PSet.from_cells(p, 2, pool[u * p**2 : (u + 1) * p**2]) for u in range(p - 1))
+        sets = tuple(cells_set(p, 2, pool[u * p**2 : (u + 1) * p**2]) for u in range(p - 1))
         out.append(WaveletFamily(p, names, sets))
     return out
 

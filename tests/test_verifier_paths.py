@@ -33,6 +33,7 @@ from vilenkin_wavelets.verifier import (
 
 from .families import coset_shuffle_family, three_shell_family
 from .mutants import all_mutants
+from .oracle import cylinder_relation
 
 FAMILY_FILES = sorted(pathlib.Path("families").glob("*.json"))
 
@@ -145,7 +146,7 @@ def drawn_family(seed, p):
         for _ in range(rng.randint(1, 4)):
             base = rng.choice(pool)
             c = rng.choice([base, _child(rng, base), _random_cylinder(rng, p)])
-            if all(c.relation(k) == "disjoint" for k in kept):
+            if all(cylinder_relation(c, k) == "disjoint" for k in kept):
                 kept.append(c)
         members.append(PSet(p, kept))
     return WaveletFamily(p, tuple(f"omega{u}" for u in range(1, p)), tuple(members))
@@ -164,7 +165,7 @@ def test_drawn_families_overlap_nest_and_go_coarse():
         family = drawn_family(seed, 3)
         cylinders = [c for s in family.sets for c in s.cylinders]
         for a, b in itertools.combinations(cylinders, 2):
-            seen.add(a.relation(b))
+            seen.add(cylinder_relation(a, b))
         if any(c.resolution < 0 for c in cylinders):
             seen.add("coarse")
         if _overlaps_and_union(family.sets)[0]:
@@ -231,3 +232,23 @@ def test_congruence_partition_does_no_group_arithmetic():
         for s in sets:
             congruence_partition(s)
     assert calls.counts == {}
+
+
+def test_search_builds_only_the_found_members():
+    # The walk decides every candidate: no verifier condition and no set
+    # operation runs, and only the members of the found families are built.
+    p = 5
+    with _Calls(
+        (verifier, "is_wavelet_set"),
+        (verifier, "check_measure_one"),
+        (verifier, "check_dilation_tiling"),
+        (verifier, "check_translation_congruence"),
+        (PSet, "intersect"),
+        (PSet, "union"),
+        (PSet, "difference"),
+        (PSet, "__init__"),
+        (PSet, "_canonical"),
+    ) as calls:
+        result = search_wavelet_sets(p, (0, 0))
+    assert len(result.families) == 24
+    assert calls.counts == {"__init__": (p - 1) * len(result.families)}
