@@ -23,11 +23,12 @@ the cell-by-cell report rows of FilterBank.to_json list cells."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ResolutionCapError, VilenkinError
-from .group import GroupElement, from_digits, identity, lambda_encode
+from .errors import DigitError, ResolutionCapError, VilenkinError
+from .group import from_digits, identity, lambda_encode
 from .setalg import (
     Cylinder,
     DigitMap,
@@ -178,30 +179,6 @@ class MraReport:
         return self.status == "PASS"
 
 
-def _integer_parts(s: PSet) -> list[GroupElement]:
-    parts = {c.integer_part() for c in s.cylinders}
-    return sorted(parts, key=lambda_encode)
-
-
-def _translation_candidates(s: PSet, p: int) -> list[GroupElement]:
-    """Lattice elements that could give the spectrum a nonzero self-overlap.
-
-    Any translate with positive intersection measure must match a
-    difference of integer parts of two cells, because lattice shifts act
-    digitwise on the pinned digits at nonpositive positions.
-    """
-    parts = _integer_parts(s)
-    seen: dict[int, GroupElement] = {}
-    for a in parts:
-        for b in parts:
-            n = a.subtract(b)
-            seen.setdefault(lambda_encode(n), n)
-    for k in range(p):
-        n = from_digits(p, {0: k} if k else {})
-        seen.setdefault(lambda_encode(n), n)
-    return [seen[k] for k in sorted(seen)]
-
-
 def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
     """Decide whether the spectrum's lattice translates are a.e. disjoint.
 
@@ -212,6 +189,18 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
     then checked too; on a spectrum that is not resolved it stays
     INCONCLUSIVE rather than guessing.  Witnesses of the truncation come
     before those of the exact spectrum, which are marked "tail".
+
+    Each table is read off the congruence partition of its set S, the
+    triples (a, piece, T_a) with T_a the piece of integer part a moved
+    into the unit cell.  A lattice shift n rewrites only the digits at
+    positions <= 0, so S & (S + n) is the disjoint union, over the parts
+    a, of (T_a & T_b) + a with b = a - n.  Each pair of parts a != b so
+    adds its cylinders to row lambda(a - b); siblings share their integer
+    part, so no cylinders of two pieces merge, and the row is the
+    canonical set S.intersect(S.translate(n)).  The rows are those
+    differences and the p shifts of the digit at position 0; a row no
+    pair meets reads 0.  A cylinder coarser than resolution 0 spans
+    several integer parts and raises DigitError.
 
     Every verified family is resolved from depth L - w on, so no depth
     threshold is needed to certify a deeper table.  Write U for the
@@ -231,23 +220,31 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
     least 1, the shell lies in T_{J+1}, and S is the fixed point.
     """
     p = omega_sigma.p
-    T = omega_sigma.truncated
-    exact = omega_sigma.resolved
 
     def overlaps(S: PSet, tail: bool) -> tuple[list[MraRow], list[dict]]:
-        """The rows and witnesses of S's overlaps with its translates;
-        identity rows overlap by definition."""
+        """The rows and witnesses of S's overlaps with its lattice
+        translates, read off its congruence partition, one row per
+        lattice index; identity rows overlap by definition."""
+        if any(c.resolution < 0 for c in S.cylinders):
+            raise DigitError("integer part requires resolution >= 0")
+        # The p shifts of the digit at position 0 have lattice indices 0 .. p - 1.
+        found: dict[int, list[Cylinder]] = {k: [] for k in range(p)}
+        parts = congruence_partition(S)
+        for (a, _, moved_a), (b, _, moved_b) in itertools.combinations(parts, 2):
+            common = moved_a.intersect(moved_b)
+            for n, part in ((a.subtract(b), a), (b.subtract(a), b)):
+                found.setdefault(lambda_encode(n), []).extend(common.translate(part).cylinders)
         rows, witnesses = [], []
-        for n in _translation_candidates(S, p):
-            if n.is_identity:
+        for index in sorted(found):
+            if not index:
                 rows.append(MraRow(0, S.measure()))
                 continue
-            overlap = S.intersect(S.translate(n))
+            overlap = PSet(p, found[index], validate=False)
             m = overlap.measure()
-            rows.append(MraRow(lambda_encode(n), m))
+            rows.append(MraRow(index, m))
             if m > 0:
                 witness = {
-                    "lattice_index": lambda_encode(n),
+                    "lattice_index": index,
                     "measure": m.exact_string(),
                     "cell": _least_cell(overlap.cylinders),
                 }
@@ -256,19 +253,10 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
                 witnesses.append(witness)
         return rows, witnesses
 
-    # The reported table is the truncation's.  T lies in the exact
-    # spectrum, so when the exact spectrum has no overlap neither has T,
-    # and its table follows without another intersection.
-    tail_witnesses = [] if exact is None else overlaps(exact, True)[1]
-    if exact is not None and not tail_witnesses:
-        rows = [
-            MraRow(0, T.measure()) if n.is_identity else MraRow(lambda_encode(n), Measure.zero(p))
-            for n in _translation_candidates(T, p)
-        ]
-        witnesses = []
-    else:
-        rows, witnesses = overlaps(T, False)
-        witnesses += tail_witnesses
+    exact = omega_sigma.resolved
+    rows, witnesses = overlaps(omega_sigma.truncated, False)
+    if exact is not None:
+        witnesses += overlaps(exact, True)[1]
 
     if witnesses:
         status = "FAIL"
@@ -320,7 +308,9 @@ class FilterBank:
         return {
             "resolution": r,
             "rows": rows,
-            "translation_candidates": [lambda_encode(n) for n in _integer_parts(self.spectrum)],
+            "translation_candidates": [
+                lambda_encode(n) for n, _, _ in congruence_partition(self.spectrum)
+            ],
         }
 
 

@@ -26,7 +26,7 @@ from .errors import (
     OverlapError,
     ResolutionCapError,
 )
-from .group import GroupElement, check_base, from_digits
+from .group import GroupElement, check_base
 
 #: Cap on the resolution a refinement into cells may reach.
 MAX_RESOLUTION = 24
@@ -284,12 +284,6 @@ class Cylinder:
         return _cylinder(
             self.p, self.resolution + k, tuple((pos + k, d) for pos, d in self.digits)
         )
-
-    def integer_part(self) -> GroupElement:
-        """Lattice element read from the pinned digits at positions <= 0."""
-        if self.resolution < 0:
-            raise DigitError("integer part requires resolution >= 0")
-        return from_digits(self.p, {pos: d for pos, d in self.digits if pos <= 0})
 
     # -- serialization -------------------------------------------------------------
 

@@ -10,6 +10,7 @@ meaningful.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -131,6 +132,13 @@ def cylinder_relation(a: Cylinder, b: Cylinder) -> str:
     if a.resolution == b.resolution:
         return "equal"
     return "contains" if a.resolution < b.resolution else "within"
+
+
+def cylinder_integer_part(c: Cylinder) -> GroupElement:
+    """The lattice element of a cylinder's pinned digits at positions <= 0;
+    a cylinder coarser than resolution 0 spans several."""
+    assert c.resolution >= 0, "integer part requires resolution >= 0"
+    return from_digits(c.p, {pos: d for pos, d in c.digits if pos <= 0})
 
 
 def set_contains_point(s: PSet, x: GroupElement) -> bool:
@@ -331,6 +339,57 @@ def oracle_permutation_test(p: int, tables: list[dict], r: int, level: int) -> d
         rows = tuple(sum(row) for row in matrix)
         out[cell] = (columns == rows == (1,) * p, columns, rows)
     return out
+
+
+# -- reference MRA overlap table ----------------------------------------------------
+
+
+def lattice_index(p: int, lo: int, digits: tuple) -> int:
+    """The lattice index of the digits at positions lo..0 of a digit tuple
+    that starts at lo: the digit at position -k weighs p**k."""
+    return sum(d * p ** (-lo - k) for k, d in enumerate(digits[: 1 - lo]))
+
+
+def oracle_overlap_table(s: CellSet) -> dict[int, CellSet]:
+    """S & (S + n), keyed by the lattice index of n, for every lattice n
+    whose digits lie at positions lo..0: any other n moves a digit below
+    lo, where every cell of s is zero, so its overlap is empty.  The
+    window must hold position 0."""
+    p, lo = s.p, s.lo
+    assert lo <= 0 <= s.hi, "the window must hold position 0"
+    width = 1 - lo
+    table = {}
+    for shift in itertools.product(range(p), repeat=width):
+        moved = {
+            tuple((d + t) % p for d, t in zip(cell, shift)) + cell[width:] for cell in s.cells
+        }
+        table[lattice_index(p, lo, shift)] = CellSet(p, lo, s.hi, s.cells & frozenset(moved))
+    return table
+
+
+def oracle_translation_candidates(s: CellSet) -> list[int]:
+    """The lattice indices of the differences a - b of the integer parts
+    (digits at positions lo..0) of two cells of s, and of the p shifts of
+    the digit at position 0 alone, in increasing order."""
+    p, width = s.p, 1 - s.lo
+    parts = {cell[:width] for cell in s.cells}
+    differences = {tuple((x - y) % p for x, y in zip(a, b)) for a in parts for b in parts}
+    return sorted({lattice_index(p, s.lo, n) for n in differences} | set(range(p)))
+
+
+def oracle_least_cylinder(s: CellSet) -> dict:
+    """The least of the largest cylinders inside a nonempty s, as
+    Cylinder.to_json writes it: the coarsest resolution at which some
+    cylinder lies inside s, then the least of those cylinders' sorted
+    (position, digit) pairs of nonzero digits."""
+    for r in range(s.lo - 1, s.hi + 1):
+        counts = Counter(cell[: r - s.lo + 1] for cell in s.cells)
+        inside = [prefix for prefix, n in counts.items() if n == s.p ** (s.hi - r)]
+        if inside:
+            keys = [tuple((s.lo + k, d) for k, d in enumerate(prefix) if d) for prefix in inside]
+            least = min(keys)
+            return {"resolution": r, "digits": {str(pos): d for pos, d in least}}
+    raise AssertionError("the empty set holds no cylinder")
 
 
 # -- reference scaling spectrum and Calderon identity --------------------------------

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfbench import gen
-from vilenkin_wavelets.errors import VilenkinError
+from vilenkin_wavelets.errors import DigitError, VilenkinError
 from vilenkin_wavelets.famio import family_from_document
 from vilenkin_wavelets.group import from_digits, lambda_decode, lambda_encode
 from vilenkin_wavelets.mra import (
@@ -24,8 +24,6 @@ from vilenkin_wavelets.mra import (
     OmegaSigma,
     _fixed_point,
     _fold,
-    _integer_parts,
-    _translation_candidates,
     accumulate_omega_sigma,
     build_filters,
     check_mra_condition,
@@ -47,7 +45,7 @@ from vilenkin_wavelets.verifier import search_wavelet_sets, shannon_family
 
 from .families import coset_shuffle_family, family_named, three_shell_family
 from .mutants import mutants_for
-from .oracle import cylinder_relation, set_contains_point
+from .oracle import cylinder_integer_part, cylinder_relation, set_contains_point
 from .test_filter_oracle import assert_identities_match
 
 
@@ -148,6 +146,19 @@ class TestMraCondition:
         mra = check_mra_condition(sigma)
         assert mra.status == "FAIL" and mra.certified
         assert any(w["lattice_index"] == 1 for w in mra.witnesses)
+
+    @pytest.mark.parametrize("resolved", [False, True])
+    def test_coarse_cylinder_has_no_integer_part(self, resolved):
+        # A truncation holding a resolution -1 cylinder, which spans two
+        # integer parts: the table is refused, resolved or not.
+        p = 2
+        truncated = PSet(p, [Cylinder(p, -1, ((-1, 1),)), Cylinder(p, 2, ((2, 1),))])
+        sigma = OmegaSigma(
+            p=p, depth=1, truncated=truncated, level=2, lowest_fixed=-1,
+            resolved=truncated if resolved else None,
+        )
+        with pytest.raises(DigitError, match=r"^integer part requires resolution >= 0$"):
+            check_mra_condition(sigma)
 
     def test_inconclusive_without_certification(self):
         # Shallow depth with a spectrum that is not self-similar at that
@@ -624,7 +635,7 @@ def loop_evaluate_cell(spectrum, value, cell):
     first shifted cell inside the spectrum gives the value, whether it
     lies in the value set, and a cell no shift moves into the spectrum
     has value 0.  None means the latter."""
-    q_int = cell.integer_part()
+    q_int = cylinder_integer_part(cell)
     for base in _index(spectrum)[1]:
         shifted = cell.translate(q_int.subtract(base).negate())
         if _inside(shifted, spectrum):
@@ -1155,6 +1166,27 @@ def union_of_dilates(family, J):
     return PSet(family.p, (c.dilate(j) for j in range(1, J + 1) for c in union.cylinders))
 
 
+def _integer_parts(s):
+    """The integer parts of s's cylinders, in lattice-index order."""
+    parts = {cylinder_integer_part(c) for c in s.cylinders}
+    return sorted(parts, key=lambda_encode)
+
+
+def _translation_candidates(s, p):
+    """Every difference of two integer parts of s and the p digit-0
+    shifts, in lattice-index order: the rows of the MRA table."""
+    parts = _integer_parts(s)
+    seen = {}
+    for a in parts:
+        for b in parts:
+            n = a.subtract(b)
+            seen.setdefault(lambda_encode(n), n)
+    for k in range(p):
+        n = from_digits(p, {0: k} if k else {})
+        seen.setdefault(lambda_encode(n), n)
+    return [seen[k] for k in sorted(seen)]
+
+
 def two_pass_mra_condition(omega_sigma):
     """The truncation's table and witnesses, then the exact spectrum's
     overlaps, each computed by intersecting the set with its translates."""
@@ -1192,6 +1224,57 @@ def two_pass_mra_condition(omega_sigma):
         rows=rows,
         witnesses=witnesses,
     )
+
+
+def _in_unit_cell(s):
+    """Whether s pins no nonzero digit at positions <= 0 and no cylinder
+    of s is coarser than resolution 0."""
+    return all(c.resolution >= 0 and all(pos > 0 for pos, _ in c.digits) for c in s.cylinders)
+
+
+@pytest.mark.parametrize("name", SHIPPED_PASS + ["overlapping"])
+def test_table_reads_one_partition_per_set(name, monkeypatch):
+    # check_mra_condition partitions each set it tables once, and
+    # intersects and translates only pieces moved into the unit cell,
+    # never a whole spectrum.
+    from vilenkin_wavelets import mra
+
+    if name == "overlapping":
+        p = 2
+        spectrum = PSet(p, [Cylinder(p, 1, ()), Cylinder(p, 1, ((0, 1),))])
+        wider = spectrum.union(PSet(p, [Cylinder(p, 2, ((-1, 1), (1, 1)))]))
+        sigmas = [
+            OmegaSigma(p=p, depth=6, truncated=spectrum, level=1, lowest_fixed=0, resolved=wider)
+        ]
+    else:
+        sigmas = [accumulate_omega_sigma(family_named(name), J) for J in (1, 3, 8)]
+    partitioned, operands = [], []
+    partition, intersect, translate = mra.congruence_partition, PSet.intersect, PSet.translate
+
+    def counted_partition(s):
+        partitioned.append(s)
+        return partition(s)
+
+    def counted_intersect(a, b):
+        operands.extend((a, b))
+        return intersect(a, b)
+
+    def counted_translate(a, t):
+        operands.append(a)
+        return translate(a, t)
+
+    monkeypatch.setattr(mra, "congruence_partition", counted_partition)
+    monkeypatch.setattr(PSet, "intersect", counted_intersect)
+    monkeypatch.setattr(PSet, "translate", counted_translate)
+    for sigma in sigmas:
+        partitioned.clear()
+        report = check_mra_condition(sigma)
+        tabled = [sigma.truncated] + ([sigma.resolved] if sigma.resolved is not None else [])
+        assert partitioned == tabled
+        assert all(_in_unit_cell(s) and s not in tabled for s in operands)
+    assert (report.status == "FAIL") == (name == "overlapping")
+    # Shannon spectra lie in the unit cell, one piece with nothing to meet.
+    assert bool(operands) == (not name.startswith("shannon"))
 
 
 def assert_resolved_is_the_fixed_point(family, depths):

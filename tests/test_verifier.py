@@ -41,7 +41,7 @@ from perfbench import gen, searchref
 
 from .families import cells_set
 from .mutants import CONGRUENCE, MEASURE, TILING, all_mutants
-from .oracle import CellSet, oracle_is_wavelet_set
+from .oracle import CellSet, cylinder_integer_part, oracle_is_wavelet_set
 
 rng = random.Random(90125)
 
@@ -412,7 +412,7 @@ def assert_congruence_matches_cells(s):
     split of s, each moved into the unit cell on its own."""
     p = s.p
     cells = [cell for c in s.cylinders for cell in (c.refine_to(0) if c.resolution < 0 else (c,))]
-    moved = [PSet(p, (cell.translate(cell.integer_part().negate()),)) for cell in cells]
+    moved = [PSet(p, (cell.translate(cylinder_integer_part(cell).negate()),)) for cell in cells]
     res, want = brute_cover_defects(unit_cell(p), moved)
     _, entries = congruence_defects(s)
     assert defect_cells(p, entries, res) == (res, want)

@@ -33,7 +33,7 @@ from vilenkin_wavelets.verifier import (
 
 from .families import coset_shuffle_family, three_shell_family
 from .mutants import all_mutants
-from .oracle import cylinder_relation
+from .oracle import cylinder_integer_part, cylinder_relation
 
 FAMILY_FILES = sorted(pathlib.Path("families").glob("*.json"))
 
@@ -60,7 +60,7 @@ def reference_congruence_partition(s):
     p = s.p
     groups = {}
     for c in s.cylinders:
-        n = c.integer_part() if c.resolution >= 0 else from_digits(p, dict(c.digits))
+        n = cylinder_integer_part(c) if c.resolution >= 0 else from_digits(p, dict(c.digits))
         groups.setdefault(n, []).append(c)
     out = []
     for n in sorted(groups, key=lambda_encode):
