@@ -82,7 +82,6 @@ def _parser() -> argparse.ArgumentParser:
     f.add_argument("--level", type=int, default=None,
                    help="identity check resolution (default: 4, or the filter "
                         "table resolution when that is finer)")
-    f.add_argument("--tolerance", type=float, default=1e-10)
 
     s = sub.add_parser("synthesize", help="sample a wavelet onto a grid as CSV")
     common(s)
@@ -221,7 +220,6 @@ def _cmd_filters(args) -> tuple[dict, int]:
     params = {
         "p": args.p, "input": args.input, "depth": args.depth,
         "level": DEFAULT_LEVEL if args.level is None else args.level,
-        "tolerance": args.tolerance,
     }
     conditions, family, sigma, mra = _spectrum_stage(args)
     if mra is None or not mra.passed:

@@ -23,7 +23,6 @@ the cell-by-cell report rows of FilterBank.to_json list cells."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -34,6 +33,8 @@ from .setalg import (
     DigitMap,
     Measure,
     PSet,
+    _cylinder,
+    _nested_pairs,
     empty_set,
     theta_ball,
     unit_cell,
@@ -194,13 +195,14 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
     triples (a, piece, T_a) with T_a the piece of integer part a moved
     into the unit cell.  A lattice shift n rewrites only the digits at
     positions <= 0, so S & (S + n) is the disjoint union, over the parts
-    a, of (T_a & T_b) + a with b = a - n.  Each pair of parts a != b so
-    adds its cylinders to row lambda(a - b); siblings share their integer
-    part, so no cylinders of two pieces merge, and the row is the
-    canonical set S.intersect(S.translate(n)).  The rows are those
-    differences and the p shifts of the digit at position 0; a row no
-    pair meets reads 0.  A cylinder coarser than resolution 0 spans
-    several integer parts and raises DigitError.
+    a, of (T_a & T_b) + a with b = a - n.  The cells of T_a & T_b, a != b,
+    are the nested pairs across the moved pieces (setalg._nested_pairs):
+    each goes to row lambda(a - b) moved back by a, and to row
+    lambda(b - a) moved back by b.  Siblings share their integer part, so
+    the row is the canonical set S.intersect(S.translate(n)).  The rows
+    are the differences of two parts and the p shifts of the digit at
+    position 0; a row no pair meets reads 0.  A cylinder coarser than
+    resolution 0 spans several integer parts and raises DigitError.
 
     Every verified family is resolved from depth L - w on, so no depth
     threshold is needed to certify a deeper table.  Write U for the
@@ -227,13 +229,15 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
         lattice index; identity rows overlap by definition."""
         if any(c.resolution < 0 for c in S.cylinders):
             raise DigitError("integer part requires resolution >= 0")
-        # The p shifts of the digit at position 0 have lattice indices 0 .. p - 1.
-        found: dict[int, list[Cylinder]] = {k: [] for k in range(p)}
         parts = congruence_partition(S)
-        for (a, _, moved_a), (b, _, moved_b) in itertools.combinations(parts, 2):
-            common = moved_a.intersect(moved_b)
-            for n, part in ((a.subtract(b), a), (b.subtract(a), b)):
-                found.setdefault(lambda_encode(n), []).extend(common.translate(part).cylinders)
+        diff = [[lambda_encode(a.subtract(b)) for b, _, _ in parts] for a, _, _ in parts]
+        # Rows for the differences of two parts and the p digit-0 shifts.
+        found: dict[int, list[Cylinder]] = {k: [] for r in [range(p), *diff] for k in r}
+        prefixes = [tuple(n.support()) for n, _, _ in parts]
+        # An equal pair comes up from both sides; the constructor keeps one.
+        for j, x, i, _ in _nested_pairs([moved.cylinders for _, _, moved in parts]):
+            for a, b in ((i, j), (j, i)):
+                found[diff[a][b]].append(_cylinder(p, x.resolution, prefixes[a] + x.digits))
         rows, witnesses = [], []
         for index in sorted(found):
             if not index:

@@ -16,9 +16,10 @@ from __future__ import annotations
 import decimal
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BaseMismatchError,
@@ -349,28 +350,11 @@ class PSet:
 
     @staticmethod
     def _check_disjoint(cyls: tuple[Cylinder, ...]) -> None:
-        """Raise on the first overlapping pair (i, j), i < j, in scan order.
-
-        Two cylinders overlap iff the coarser one's digits are the finer
-        one's truncated to its resolution, so each cylinder finds every
-        coarser-or-equal partner by one lookup per resolution present.
-        """
-        at: dict[tuple[int, DigitMap], list[int]] = {}
-        for i, c in enumerate(cyls):
-            at.setdefault((c.resolution, c.digits), []).append(i)
-        resolutions = sorted({c.resolution for c in cyls})
-        first = None
-        for j, b in enumerate(cyls):
-            for r in resolutions:
-                if r > b.resolution:
-                    break
-                for i in at.get((r, _truncate(b.digits, r)), ()):
-                    if i != j:
-                        pair = (i, j) if i < j else (j, i)
-                        if first is None or pair < first:
-                            first = pair
-        if first is not None:
-            a, b = cyls[first[0]], cyls[first[1]]
+        """Raise on the first overlapping pair (i, j), i < j, in scan order:
+        the least pair of _nested_pairs over the cylinders, one group each."""
+        pairs = [sorted((i, j)) for j, _, i, _ in _nested_pairs([(c,) for c in cyls])]
+        if pairs:
+            a, b = (cyls[k] for k in min(pairs))
             raise OverlapError(f"cylinders overlap: {a.to_json()} and {b.to_json()}")
 
     @staticmethod
@@ -420,10 +404,8 @@ class PSet:
         return min(positions) if positions else None
 
     def measure(self) -> Measure:
-        if self.is_empty:
-            return Measure.zero(self.p)
-        scale = max(c.resolution for c in self.cylinders)
-        count = sum(self.p ** (scale - c.resolution) for c in self.cylinders)
+        scale = self.max_resolution
+        count = _scaled_count(self.p, ((c.resolution, 1) for c in self.cylinders), scale)
         return Measure.make(count, self.p, scale)
 
     # -- refinement and cells ------------------------------------------------------
@@ -523,6 +505,18 @@ _set_pset_p = PSet.__dict__["p"].__set__
 _set_pset_cylinders = PSet.__dict__["cylinders"].__set__
 
 
+def _scaled_count(p: int, terms: Iterable[tuple[int, int]], scale: int) -> int:
+    """sum(w * p**(scale - r) for r, w in terms), every r at most scale, by
+    Horner's rule over the increasing resolutions; the plain sum builds a
+    power of up to scale - r digits per term, quadratic in the depth."""
+    count, at = 0, None
+    for r, w in sorted(terms):
+        if at is not None and r != at:
+            count *= p ** (r - at)
+        count, at = count + w, r
+    return count * p ** (scale - at) if at is not None else 0
+
+
 def _truncate(digits: DigitMap, resolution: int) -> DigitMap:
     """Digits restricted to positions <= resolution (input sorted)."""
     i = len(digits)
@@ -608,6 +602,34 @@ class _NestingIndex:
                 else:
                     out.append((r, digits))
         return out
+
+
+def _nested_pairs(
+    groups: Sequence[Sequence[Cylinder]],
+) -> Iterator[tuple[int, Cylinder, int, int]]:
+    """Every (j, b, i, r): a cylinder b of group j and a group i != j with
+    a cylinder of resolution r containing b (an equal one included), once
+    per such cylinder.  Two cylinders nest or are disjoint, so these are
+    all the overlaps across groups, each on its finer cylinder.  One
+    _NestingIndex over all the groups finds the containers, and one
+    owner table their groups."""
+    owners: dict[tuple[int, DigitMap], list[int]] = {}
+    finest = [-math.inf] * len(groups)
+    for i, group in enumerate(groups):
+        for c in group:
+            owners.setdefault((c.resolution, c.digits), []).append(i)
+            if c.resolution > finest[i]:
+                finest[i] = c.resolution
+    # No container of b in another group is finer than the second finest
+    # group, nor than b, so the lookups of a deepest group stop there.
+    top = sorted(finest)[-2] if len(groups) > 1 else -math.inf
+    index = _NestingIndex(c for group in groups for c in group)
+    for j, group in enumerate(groups):
+        for b in group:
+            for key in index.containing(b.digits, min(b.resolution, top)):
+                for i in owners[key]:
+                    if i != j:
+                        yield j, b, i, key[0]
 
 
 def _parent(key: tuple[int, DigitMap]) -> tuple[int, DigitMap]:

@@ -33,6 +33,8 @@ from .setalg import (
     _cylinder,
     _exceeds,
     _NestingIndex,
+    _nested_pairs,
+    _scaled_count,
     _truncate,
     annulus,
     unit_cell,
@@ -150,41 +152,23 @@ def _overlaps_and_union(
 ) -> tuple[dict[tuple[int, int], tuple[int, DigitMap]], PSet]:
     """The least overlap cell of each pair of member sets, and their union.
 
-    Two cylinders are nested or disjoint, so the intersection of two
-    canonical sets is the finer cylinder of each nested pair across them:
-    a cylinder b of member j lies in the overlap of members i and j
-    exactly when a cylinder of member i contains it (an equal one
-    included).  One _NestingIndex over all members' cylinders, with the
-    members that own each key, finds those containers by the truncated
-    lookups of b.  The pair (i, j), i < j, maps to the least such cell
-    as a (resolution, digits) key: the least cylinder of
-    s_i.intersect(s_j), the witness of their overlap.  A pair that does
-    not overlap is absent.
-
-    A member's own cylinders are disjoint, so the union is the cylinders
-    that no strictly coarser cylinder of another member contains, one of
-    each equal group, merged once into canonical form.
-    """
-    owners: dict[tuple[int, DigitMap], list[int]] = {}
-    for i, s in enumerate(sets):
-        for c in s.cylinders:
-            owners.setdefault((c.resolution, c.digits), []).append(i)
-    index = _NestingIndex(c for s in sets for c in s.cylinders)
+    Members i and j overlap on the cylinders of one that _nested_pairs
+    finds inside a cylinder of the other; the pair (i, j), i < j, maps to
+    the least as a (resolution, digits) key, the least cylinder of
+    s_i.intersect(s_j) and the witness of their overlap.  A pair that
+    does not overlap is absent.  A member's own cylinders are disjoint,
+    so the union is the cylinders with no strictly coarser container,
+    one of each equal group, merged once into canonical form."""
     least: dict[tuple[int, int], tuple[int, DigitMap]] = {}
-    kept: list[Cylinder] = []
-    for j, s in enumerate(sets):
-        for b in s.cylinders:
-            cell = (b.resolution, b.digits)
-            inside = False
-            for key in index.containing(b.digits, b.resolution):
-                for i in owners[key]:
-                    if i != j:
-                        pair = (i, j) if i < j else (j, i)
-                        if pair not in least or cell < least[pair]:
-                            least[pair] = cell
-                inside = inside or key[0] < b.resolution
-            if not inside:
-                kept.append(b)
+    inside: set[tuple[int, DigitMap]] = set()
+    for j, b, i, r in _nested_pairs([s.cylinders for s in sets]):
+        cell = (b.resolution, b.digits)
+        pair = (i, j) if i < j else (j, i)
+        if pair not in least or cell < least[pair]:
+            least[pair] = cell
+        if r < b.resolution:
+            inside.add(cell)
+    kept = [c for s in sets for c in s.cylinders if (c.resolution, c.digits) not in inside]
     # The constructor keeps one of equal cylinders and merges siblings.
     return least, PSet(sets[0].p, kept, validate=False)
 
@@ -241,8 +225,8 @@ def _cover_defects(
         for c in piece.cylinders:
             key = c.resolution, c.digits
             keys[key] = keys.get(key, 0) + k
-    levels = sorted({r for r, _ in keys})
-    res = max([0, target.max_resolution] + levels[-1:])
+    levels = {r for r, _ in keys}
+    res = max(0, target.max_resolution, *levels)
 
     # A key lies inside a coarser one only if the keys span two
     # resolutions; the index is built only then, or for the descent.
@@ -254,8 +238,8 @@ def _cover_defects(
         for (r, digits), m in keys.items()
         if m > 1 or index and index.covers(digits, r - 1)
     ]
-    covered = sum(m * p ** (res - r) for (r, _), m in keys.items())
-    if not overlapping and covered == sum(p ** (res - c.resolution) for c in target.cylinders):
+    whole = _scaled_count(p, ((c.resolution, 1) for c in target.cylinders), res)
+    if not overlapping and _scaled_count(p, ((r, m) for (r, _), m in keys.items()), res) == whole:
         return []
 
     index = index or _NestingIndex(c for piece in pieces for c in piece.cylinders)
@@ -268,7 +252,7 @@ def _cover_defects(
     for r, digits in overlapping:
         if outer.covers(digits, r - 1):
             continue  # split from the coarser overlapping cylinder around it
-        count = sum(keys.get((q, _truncate(digits, q)), 0) for q in levels if q <= r)
+        count = sum(keys[key] for key in index.containing(digits, r))
         stack = [(r, digits, count)]
         while stack:
             q, node, count = stack.pop()
@@ -335,31 +319,27 @@ def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> Condit
     if w_lo is None:
         w_lo = level  # all-zero cylinders only; ranges below are diagnostic
 
-    # One pass over D: each cylinder's shell key and lowest nonzero position.
+    # One pass over D: the shell keys by lowest nonzero position m.  Group m
+    # is a run of D's cylinders moved by k = -m, so canonical: the shell piece of k.
     theta = None
-    shell_keys: list[tuple[Cylinder, int]] = []
-    by_key: dict[tuple[int, DigitMap], list[int]] = {}
+    groups: dict[int, list[Cylinder]] = {}
     for c in union.cylinders:
         if not c.digits:
             theta = c  # D is disjoint, so it holds at most one
             continue
         m = c.digits[0][0]
-        key = (c.resolution - m, tuple((pos - m, x) for pos, x in c.digits))
-        shell_keys.append((_cylinder(p, *key), m))
-        by_key.setdefault(key, []).append(m)
+        key = tuple((pos - m, x) for pos, x in c.digits)
+        groups.setdefault(m, []).append(_cylinder(p, c.resolution - m, key))
+    lowest = list(groups)
 
-    # Nesting pairs: the keys containing each key, by truncated-key lookups.
+    # Nesting pairs: keys of two groups, the finer one moved back.
     overlaps: dict[int, tuple[int, DigitMap]] = {}
-    index = _NestingIndex(x for x, _ in shell_keys)
-    for x, m in shell_keys:
-        for key in index.containing(x.digits, x.resolution):
-            for m_y in by_key[key]:
-                if m_y != m:
-                    top = max(m, m_y)
-                    cell = (x.resolution + top, tuple((pos + top, v) for pos, v in x.digits))
-                    d = abs(m - m_y)
-                    if d not in overlaps or cell < overlaps[d]:
-                        overlaps[d] = cell
+    for j, x, i, _ in _nested_pairs(list(groups.values())):
+        top = max(lowest[i], lowest[j])
+        cell = (x.resolution + top, tuple((pos + top, v) for pos, v in x.digits))
+        d = abs(lowest[i] - lowest[j])
+        if d not in overlaps or cell < overlaps[d]:
+            overlaps[d] = cell
 
     if theta is not None:
         witnesses.append({"kind": "contains-identity-neighborhood", "cell": theta.to_json()})
@@ -399,14 +379,9 @@ def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> Condit
             details={"resolution": level, "degenerate": True},
         )
 
-    # Each group is an in-order run of D's cylinders moved by the same k,
-    # so it is canonical.
-    groups: dict[int, list[Cylinder]] = {}
-    for x, m in shell_keys:
-        groups.setdefault(m, []).append(x)
     pieces = [PSet._canonical(p, tuple(group)) for group in groups.values()]
-    top = max(x.resolution for x, _ in shell_keys)
-    shell_total = Measure.make(sum(p ** (top - x.resolution) for x, _ in shell_keys), p, top)
+    top = max(x.resolution for group in groups.values() for x in group)
+    shell_total = _scaled_count(p, ((x.resolution, 1) for g in groups.values() for x in g), top)
     witnesses.extend(
         {"kind": "cover-defect", **entry} for entry in _cover_defects(_annulus(p), pieces)
     )
@@ -420,7 +395,7 @@ def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> Condit
             "lowest_fixed_position": w_lo,
             "dilate_range": [1, max(level - w_lo + extra_range, 0)],
             "shell_range": [-level - extra_range, -w_lo + extra_range],
-            "shell_measure": shell_total.exact_string(),
+            "shell_measure": Measure.make(shell_total, p, top).exact_string(),
         },
     )
 

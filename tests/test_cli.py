@@ -505,6 +505,19 @@ class TestDeterminism:
         golden = (GOLDEN / f"{name}.json").read_bytes()
         assert emit_report(report) == golden
 
+    @pytest.mark.parametrize("mutant", ["shell-inflate", "moved-cylinder", "measure-deficit"])
+    def test_p3_mutant_golden(self, mutant):
+        # Between them these FAIL reports hold every witness kind the
+        # overlap walk feeds: set-overlap (shell-inflate), dilate-overlap
+        # and cover-defect (moved-cylinder), and the identity-neighbourhood
+        # branch (measure-deficit).  The files are the catalogue's mutants.
+        path = f"families/mutant-{mutant}-p3.json"
+        [want] = [m for m in all_mutants((3,)) if m.name == mutant]
+        assert parse_family_file(path).sets == want.family.sets
+        code, report = run_command(["verify", "--p", "3", "--input", path])
+        assert code == 1
+        assert emit_report(report) == (GOLDEN / f"verify-mutant-{mutant}-p3.json").read_bytes()
+
     @pytest.mark.parametrize(
         "name,window,budget,code",
         [

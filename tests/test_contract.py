@@ -184,9 +184,10 @@ class TestMalformedInputExitsTwo:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-12"])
     @pytest.mark.parametrize("command", ["filters", "transform"])
     def test_tolerance_outside_its_domain(self, work, command, value):
-        # A NaN tolerance wrote "tolerance": NaN, which is not JSON, into a
-        # filters report, and made every transform FAIL.  Refused before
-        # any file is read, so the CSV input need not exist.
+        # A NaN tolerance made every transform FAIL; it is refused before
+        # any file is read, so the CSV input need not exist.  filters
+        # takes no --tolerance (every bank it builds is 0/1 and decided
+        # exactly), so there any value is a usage error.
         argv = {
             "filters": base_argv("filters", work),
             "transform": ["transform", "--p", "2", "--grid", "1", "1", "--input",
@@ -194,7 +195,19 @@ class TestMalformedInputExitsTwo:
         }[command]
         code, out, err = run(argv + [f"--tolerance={value}"])
         assert_one_line(code, err, 2)
-        assert err.startswith("--tolerance must be finite and nonnegative, got ") and out == ""
+        assert out == ""
+        if command == "transform":
+            assert err.startswith("--tolerance must be finite and nonnegative, got ")
+        else:
+            assert err.endswith(f"error: unrecognized arguments: --tolerance={value}\n")
+
+    @pytest.mark.parametrize("value", ["0", "1e-10", "0.5"])
+    def test_filters_takes_no_tolerance(self, work, value):
+        # The option was validated and written to the report but acted on
+        # no bank; it is gone, so even a valid value exits 2 with one line.
+        code, out, err = run(base_argv("filters", work) + ["--tolerance", value])
+        assert_one_line(code, err, 2)
+        assert out == "" and "unrecognized arguments: --tolerance" in err
 
     @pytest.mark.parametrize(
         "argv",
