@@ -205,7 +205,7 @@ def _cmd_mra(args) -> tuple[dict, int]:
             "spectrum": {
                 "depth": sigma.depth,
                 "tail_bound": measure_json(sigma.tail_bound()),
-                "truncated_measure": measure_json(sigma.truncated.measure()),
+                "truncated_measure": measure_json(mra.rows[0].measure),
                 "self_similar_tail_resolved": sigma.resolved is not None,
             }
         }

@@ -35,7 +35,7 @@ from .setalg import (
     PSet,
     _cylinder,
     _nested_pairs,
-    empty_set,
+    _union,
     theta_ball,
     unit_cell,
 )
@@ -133,13 +133,11 @@ def accumulate_omega_sigma(
 
     settle = min(depth, max(union.max_resolution - w_lo, 1))
     truncated = _dilates(union, settle)
+    resolved = _fixed_point(union, truncated, w_lo + settle)
     if depth > settle:
-        resolved = _fixed_point(union, truncated, w_lo + settle)
         if resolved is None:
             raise VilenkinError(f"the spectrum is not the fixed point at depth {settle}")
         truncated = resolved.difference(resolved.dilate(depth))
-    else:
-        resolved = _fixed_point(union, truncated, w_lo + depth)
     expected = Fraction(1) - Fraction(1, family.p**depth)
     if truncated.measure().as_fraction() != expected:
         raise VilenkinError("truncated spectrum does not telescope to 1 - p^-J")
@@ -400,12 +398,8 @@ def check_identity_level(bank: FilterBank, level: int) -> None:
 def _cells(p: int, entries: list[dict], rotations=None) -> PSet:
     """The points the entries' cells cover, or that a rotation moves
     into them."""
-    out = empty_set(p)
-    for entry in entries:
-        cell = PSet(p, (Cylinder.from_json(p, entry["cell"]),), validate=False)
-        for n in rotations or [identity(p)]:
-            out = out.union(cell.translate(n))
-    return out
+    cells = [Cylinder.from_json(p, entry["cell"]) for entry in entries]
+    return _union(p, [(c.translate(n),) for c in cells for n in rotations or [identity(p)]])
 
 
 def verify_filter_identities(bank: FilterBank, level: int) -> FilterIdentityReport:

@@ -451,8 +451,7 @@ class PSet:
 
     def union(self, other: "PSet") -> "PSet":
         self._check_other(other)
-        extra = other.difference(self)
-        return PSet(self.p, self.cylinders + extra.cylinders, validate=False)
+        return _union(self.p, (self.cylinders, other.cylinders))
 
     def intersect(self, other: "PSet") -> "PSet":
         self._check_other(other)
@@ -467,10 +466,10 @@ class PSet:
 
     def difference(self, other: "PSet") -> "PSet":
         self._check_other(other)
-        parts = _NestingIndex(other.cylinders).outside(
-            self.p, [(c.resolution, c.digits) for c in self.cylinders]
-        )
-        return PSet(self.p, (_cylinder(self.p, r, d) for r, d in parts), validate=False)
+        weight = dict.fromkeys(((c.resolution, c.digits) for c in other.cylinders), 1)
+        parts = _NestingIndex(other.cylinders).parts(self.p, self.cylinders, weight)
+        kept = (_cylinder(self.p, r, d) for r, d, count in parts if not count)
+        return PSet(self.p, kept, validate=False)
 
     # -- group actions ----------------------------------------------------------------
 
@@ -534,13 +533,12 @@ class _NestingIndex:
     pairs.  The stored cylinders may repeat or nest.
     """
 
-    __slots__ = ("at", "levels", "inner")
+    __slots__ = ("levels", "inner")
 
     def __init__(self, cylinders: Iterable[Cylinder]):
         at: dict[int, set[DigitMap]] = {}
         for c in cylinders:
             at.setdefault(c.resolution, set()).add(c.digits)
-        self.at = at
         self.levels = sorted(at.items())
         # inner[q]: the stored digit maps finer than q truncated to q,
         # filled in per resolution on first use.
@@ -578,29 +576,28 @@ class _NestingIndex:
             }
         return digits in inner
 
-    def outside(
-        self, p: int, keys: Iterable[tuple[int, DigitMap]]
-    ) -> list[tuple[int, DigitMap]]:
-        """The parts of the given (resolution, digits) cells that no stored
-        cylinder meets, as cylinder keys, split only toward stored cylinders.
+    def parts(
+        self, p: int, cells: Iterable[Cylinder], weight: dict[tuple[int, DigitMap], int]
+    ) -> list[tuple[int, DigitMap, int]]:
+        """The given cells split only toward the stored cylinders, as
+        maximal (resolution, digits, count) parts; a part's count is the
+        total weight of the stored keys that contain it.
 
-        Below a cell that no stored cylinder covers, only a stored key
-        equal to a part can cover it, so that check is one set lookup.
+        weight maps every stored key to its weight.  A cell's count is
+        the weight of the keys containing it, and each child adds the
+        weight of its own key, the one key it may add.
         """
         out = []
-        for r, digits in keys:
-            if self.covers(digits, r):
-                continue
-            stack = [(r, digits)]
+        for cell in cells:
+            r, digits = cell.resolution, cell.digits
+            stack = [(r, digits, sum(weight[key] for key in self.containing(digits, r)))]
             while stack:
-                r, digits = stack.pop()
-                if digits in self.at.get(r, ()):
+                q, node, count = stack.pop()
+                if not self.straddled(q, node):
+                    out.append((q, node, count))
                     continue
-                if self.straddled(r, digits):
-                    stack.append((r + 1, digits))
-                    stack.extend((r + 1, digits + ((r + 1, d),)) for d in range(1, p))
-                else:
-                    out.append((r, digits))
+                for child in (node, *(node + ((q + 1, d),) for d in range(1, p))):
+                    stack.append((q + 1, child, count + weight.get((q + 1, child), 0)))
         return out
 
 
@@ -630,6 +627,21 @@ def _nested_pairs(
                 for i in owners[key]:
                     if i != j:
                         yield j, b, i, key[0]
+
+
+def _union(p: int, groups: Sequence[Sequence[Cylinder]], pairs: Iterable | None = None) -> PSet:
+    """The union of groups of cylinders, each group disjoint in itself:
+    the cylinders that no cylinder of another group strictly contains,
+    one of each equal group, merged once into canonical form.  pairs is
+    _nested_pairs(groups), when the caller has already walked it."""
+    inside = {
+        (b.resolution, b.digits)
+        for _, b, _, r in (_nested_pairs(groups) if pairs is None else pairs)
+        if r < b.resolution
+    }
+    kept = (c for group in groups for c in group if (c.resolution, c.digits) not in inside)
+    # The constructor keeps one of equal cylinders and merges siblings.
+    return PSet(p, kept, validate=False)
 
 
 def _parent(key: tuple[int, DigitMap]) -> tuple[int, DigitMap]:

@@ -35,6 +35,7 @@ from .setalg import (
     _NestingIndex,
     _nested_pairs,
     _scaled_count,
+    _union,
     _truncate,
     annulus,
     unit_cell,
@@ -156,21 +157,17 @@ def _overlaps_and_union(
     finds inside a cylinder of the other; the pair (i, j), i < j, maps to
     the least as a (resolution, digits) key, the least cylinder of
     s_i.intersect(s_j) and the witness of their overlap.  A pair that
-    does not overlap is absent.  A member's own cylinders are disjoint,
-    so the union is the cylinders with no strictly coarser container,
-    one of each equal group, merged once into canonical form."""
+    does not overlap is absent.  The union is setalg._union over the
+    members, read off the same walk."""
+    groups = [s.cylinders for s in sets]
+    pairs = list(_nested_pairs(groups))
     least: dict[tuple[int, int], tuple[int, DigitMap]] = {}
-    inside: set[tuple[int, DigitMap]] = set()
-    for j, b, i, r in _nested_pairs([s.cylinders for s in sets]):
+    for j, b, i, _ in pairs:
         cell = (b.resolution, b.digits)
         pair = (i, j) if i < j else (j, i)
         if pair not in least or cell < least[pair]:
             least[pair] = cell
-        if r < b.resolution:
-            inside.add(cell)
-    kept = [c for s in sets for c in s.cylinders if (c.resolution, c.digits) not in inside]
-    # The constructor keeps one of equal cylinders and merges siblings.
-    return least, PSet(sets[0].p, kept, validate=False)
+    return least, _union(sets[0].p, groups, pairs)
 
 
 # -- condition (2): dilation tiling ---------------------------------------------
@@ -201,14 +198,18 @@ def _cover_defects(
     times (once each without copies).  Two cylinders are nested or
     disjoint, so when no piece cylinder lies inside another the pieces
     cover the target exactly once iff their measures add up to its
-    measure.  Otherwise, and on a measure deficit, the defects are
-    reported as cylinders, each with the one count that holds on all of
-    it: the target's parts outside every piece, split only toward piece
-    cylinders (count 0), and each overlapping piece cylinder split only
-    toward the finer piece cylinders inside it, the same descent.  Each
-    descent splits only ancestors of piece cylinders, so the list holds
-    at most p entries per piece cylinder and resolution below it, never
-    p**resolution; past MAX_REFINE_CELLS it is refused before the descent.
+    measure.  Otherwise, and on a measure deficit, one descent,
+    _NestingIndex.parts over the piece cylinders, splits the target's
+    cylinders only toward piece cylinders and gives each maximal part
+    its count, the copies of the keys that contain it.  The defects are
+    the parts whose count is not 1, each a cylinder with the one count
+    that holds on all of it: 0 on a gap, more than 1 on an overlap.  As
+    the pieces lie in the target, only an equal key contains a target
+    cylinder, so a part's count is the sum over the keys on its path.
+    The descent splits only ancestors of piece cylinders, so the list
+    holds at most p entries per piece cylinder and resolution below it,
+    never p**resolution; past MAX_REFINE_CELLS it is refused before
+    the descent.
 
     Entries are {"cell", "count"}, plus "cells", the number of cells at
     the cell resolution (the finest one present, at least
@@ -233,11 +234,9 @@ def _cover_defects(
     index = None
     if len(levels) > 1:
         index = _NestingIndex(c for piece in pieces for c in piece.cylinders)
-    overlapping = [
-        (r, digits)
-        for (r, digits), m in keys.items()
-        if m > 1 or index and index.covers(digits, r - 1)
-    ]
+    overlapping = any(
+        m > 1 or index and index.covers(digits, r - 1) for (r, digits), m in keys.items()
+    )
     whole = _scaled_count(p, ((c.resolution, 1) for c in target.cylinders), res)
     if not overlapping and _scaled_count(p, ((r, m) for (r, _), m in keys.items()), res) == whole:
         return []
@@ -245,24 +244,8 @@ def _cover_defects(
     index = index or _NestingIndex(c for piece in pieces for c in piece.cylinders)
     coarsest = min(c.resolution for c in target.cylinders)
     _check_witness_count("the cover check", p * sum(r - coarsest + 1 for r, _ in keys))
-    defects = [(r, digits, 0) for r, digits in index.outside(
-        p, [(c.resolution, c.digits) for c in target.cylinders]
-    )]
-    outer = _NestingIndex(_cylinder(p, r, digits) for r, digits in overlapping)
-    for r, digits in overlapping:
-        if outer.covers(digits, r - 1):
-            continue  # split from the coarser overlapping cylinder around it
-        count = sum(keys[key] for key in index.containing(digits, r))
-        stack = [(r, digits, count)]
-        while stack:
-            q, node, count = stack.pop()
-            if not index.straddled(q, node):
-                defects.append((q, node, count))
-                continue
-            for child in (node, *(node + ((q + 1, d),) for d in range(1, p))):
-                stack.append((q + 1, child, count + keys.get((q + 1, child), 0)))
-
-    defects.sort(key=lambda defect: (defect[1], defect[0]))
+    parts = index.parts(p, target.cylinders, keys)
+    defects = sorted((part for part in parts if part[2] != 1), key=lambda d: (d[1], d[0]))
     res = max(res, cell_resolution)
     out = []
     for r, digits, count in defects:

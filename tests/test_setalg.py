@@ -810,12 +810,18 @@ class TestNestingIndex:
 
 
 def check_outside(index, s, cell):
-    """outside() of one cell against the relation scan: its parts lie in
-    the cell, meet neither each other (by the hashed disjointness check)
-    nor s, are maximal (each strict parent inside the cell meets s) and
-    fill the cell minus s."""
+    """The count-0 parts() of one cell against the relation scan: they lie
+    in the cell, meet neither each other (by the hashed disjointness
+    check) nor s, are maximal (each strict parent inside the cell meets
+    s) and fill the cell minus s.  Every part's count is the number of
+    cylinders of s that contain it."""
     p = s.p
-    parts = [Cylinder(p, r, d) for r, d in index.outside(p, [(cell.resolution, cell.digits)])]
+    weight = dict.fromkeys(((c.resolution, c.digits) for c in s.cylinders), 1)
+    counted = index.parts(p, [cell], weight)
+    for r, d, count in counted:
+        part = Cylinder(p, r, d)
+        assert count == sum(cylinder_relation(part, c) in ("within", "equal") for c in s.cylinders)
+    parts = [Cylinder(p, r, d) for r, d, count in counted if not count]
     near = [c for c in s.cylinders if cylinder_relation(cell, c) != "disjoint"]
     PSet._check_disjoint(tuple(parts))
     for part in parts:
