@@ -15,8 +15,6 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .errors import DigitError, ParseError, ResolutionCapError, SchemaError, VilenkinError
 from .famio import (
@@ -205,7 +203,7 @@ def _cmd_mra(args) -> tuple[dict, int]:
             "spectrum": {
                 "depth": sigma.depth,
                 "tail_bound": measure_json(sigma.tail_bound()),
-                "truncated_measure": measure_json(mra.rows[0].measure),
+                "truncated_measure": measure_json(sigma.truncated_measure()),
                 "self_similar_tail_resolved": sigma.resolved is not None,
             }
         }
@@ -313,6 +311,8 @@ def _cmd_synthesize(args) -> tuple[dict, int]:
 
 
 def _cmd_transform(args) -> tuple[dict, int]:
+    import numpy as np  # only the grid commands load numpy
+
     primal = _csv_grid(args)
     in_grid = primal if args.direction == "forward" else primal.dual()
     with _open_csv(args.input, "r") as handle:

@@ -67,6 +67,14 @@ class OmegaSigma:
     level: int  # family union resolution
     lowest_fixed: int  # coarsest pinned digit position of the family union
     resolved: PSet | None  # exact spectrum (a superset of truncated) when the tail is self-similar
+    _measured: tuple[PSet, Measure] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def truncated_measure(self) -> Measure:
+        """The truncation's measure, an O(J^2) sum at depth J, taken once
+        per truncation: a reassigned `truncated` is measured afresh."""
+        if self._measured is None or self._measured[0] is not self.truncated:
+            self._measured = (self.truncated, self.truncated.measure())
+        return self._measured[1]
 
     def tail_bound(self) -> Measure:
         return Measure.make(1, self.p, self.depth)
@@ -138,11 +146,7 @@ def accumulate_omega_sigma(
         if resolved is None:
             raise VilenkinError(f"the spectrum is not the fixed point at depth {settle}")
         truncated = resolved.difference(resolved.dilate(depth))
-    expected = Fraction(1) - Fraction(1, family.p**depth)
-    if truncated.measure().as_fraction() != expected:
-        raise VilenkinError("truncated spectrum does not telescope to 1 - p^-J")
-
-    return OmegaSigma(
+    sigma = OmegaSigma(
         p=family.p,
         depth=depth,
         truncated=truncated,
@@ -150,6 +154,10 @@ def accumulate_omega_sigma(
         lowest_fixed=w_lo,
         resolved=resolved,
     )
+    expected = Fraction(1) - Fraction(1, family.p**depth)
+    if sigma.truncated_measure().as_fraction() != expected:
+        raise VilenkinError("truncated spectrum does not telescope to 1 - p^-J")
+    return sigma
 
 
 # -- intersection-measure criterion ---------------------------------------------
@@ -224,7 +232,7 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
     def overlaps(S: PSet, tail: bool) -> tuple[list[MraRow], list[dict]]:
         """The rows and witnesses of S's overlaps with its lattice
         translates, read off its congruence partition, one row per
-        lattice index; identity rows overlap by definition."""
+        lattice index but the identity, whose overlap is S itself."""
         if any(c.resolution < 0 for c in S.cylinders):
             raise DigitError("integer part requires resolution >= 0")
         parts = congruence_partition(S)
@@ -239,7 +247,6 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
         rows, witnesses = [], []
         for index in sorted(found):
             if not index:
-                rows.append(MraRow(0, S.measure()))
                 continue
             overlap = PSet(p, found[index], validate=False)
             m = overlap.measure()
@@ -257,6 +264,7 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
 
     exact = omega_sigma.resolved
     rows, witnesses = overlaps(omega_sigma.truncated, False)
+    rows.insert(0, MraRow(0, omega_sigma.truncated_measure()))
     if exact is not None:
         witnesses += overlaps(exact, True)[1]
 

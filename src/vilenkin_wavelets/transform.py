@@ -12,6 +12,11 @@ The transform factors into one p-point kernel per digit position, giving
 the radix-p generalization of the fast Walsh-Hadamard butterfly with
 O(n (M+N) p) arithmetic.  The dual grid swaps the two depths because the
 duality pairing matches position j with dual position 1 - j.
+
+Only the grid code here computes in floating point, so numpy is loaded
+on first use: ``np`` starts as a stand-in whose first attribute read
+imports numpy and rebinds ``np`` to it.  The exact commands import this
+module with the package and never load numpy.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
-
-import numpy as np
 
 from .errors import AliasingError, BaseMismatchError, ParseError, SchemaError
 from .group import (
@@ -35,6 +38,20 @@ from .group import (
 )
 from .setalg import PSet
 from .verifier import WaveletFamily, congruence_defects
+
+
+class _LazyNumpy:
+    """Stands in for numpy until a grid function reads an attribute of np."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy()
 
 _NORM_RTOL = 1e-9
 _LABEL_TABLE = 1 << 8  # most label ends `labels` holds

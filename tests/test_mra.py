@@ -1269,6 +1269,45 @@ def test_table_reads_one_partition_per_set(name, monkeypatch):
     assert (report.status == "FAIL") == (name == "overlapping")
 
 
+@pytest.mark.parametrize(
+    "name,depth", [("shannon2", 1), ("shannon3", 8), ("three-shell2", 3), ("three-shell2", 40)]
+)
+def test_mra_op_measures_the_truncation_once(name, depth, monkeypatch, tmp_path):
+    # The telescoping check, row 0 of the table and the report's
+    # truncated_measure share one O(J^2) measure of the depth-J truncation.
+    from vilenkin_wavelets import cli
+
+    measured, sigmas = [], []
+    measure, accumulate = PSet.measure, cli.accumulate_omega_sigma
+
+    def counted_measure(s):
+        measured.append(s)
+        return measure(s)
+
+    def kept(*args, **kwargs):
+        sigmas.append(accumulate(*args, **kwargs))
+        return sigmas[-1]
+
+    monkeypatch.setattr(PSet, "measure", counted_measure)
+    monkeypatch.setattr(cli, "accumulate_omega_sigma", kept)
+    family = pathlib.Path(__file__).resolve().parent.parent / "families" / f"{name}.json"
+    argv = ["mra", "--p", name[-1], "--input", str(family), "--depth", str(depth)]
+    assert cli.main(argv + ["--output", str(tmp_path / "r.json")]) == 0
+    [sigma] = sigmas
+    assert sum(s == sigma.truncated for s in measured) == 1
+
+
+def test_truncated_measure_follows_the_truncation():
+    family = family_named("three-shell2")
+    sigma = accumulate_omega_sigma(family, 5)
+    assert sigma.truncated_measure() == 1 - Fraction(1, 2**5)
+    sigma.truncated = accumulate_omega_sigma(family, 7).truncated
+    assert sigma.truncated_measure() == 1 - Fraction(1, 2**7)
+    assert check_mra_condition(sigma).rows[0].measure == 1 - Fraction(1, 2**7)
+    sigma.truncated = PSet(family.p, sigma.truncated.cylinders[1:])
+    assert sigma.truncated_measure() == sigma.truncated.measure() < 1 - Fraction(1, 2**7)
+
+
 def assert_resolved_is_the_fixed_point(family, depths):
     """Past the settle depth, accumulate_omega_sigma reuses the fixed point
     it found there; the fixed-point test at depth J must find it again."""
