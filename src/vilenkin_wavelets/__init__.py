@@ -23,7 +23,6 @@ from .errors import (
 )
 from .group import (
     GroupElement,
-    character_exponent,
     format_element,
     from_digits,
     identity,
@@ -37,7 +36,6 @@ from .setalg import (
     Measure,
     PSet,
     annulus,
-    empty_set,
     expanded_unit,
     theta_ball,
     unit_cell,
@@ -91,5 +89,4 @@ from .famio import (
     family_from_document,
     family_to_document,
     parse_family_file,
-    save_family_file,
 )

@@ -66,9 +66,6 @@ def _parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="decide the wavelet-set conditions")
     common(v)
-    v.add_argument("--extra-range", type=int, default=0,
-                   help="widen the reported dilate and shell ranges; "
-                        "the work and the verdict do not change")
 
     m = sub.add_parser("mra", help="verify plus the scaling-spectrum criterion")
     common(m)
@@ -99,7 +96,6 @@ def _parser() -> argparse.ArgumentParser:
     q = sub.add_parser("search", help="enumerate wavelet families in a digit window")
     common(q, needs_input=False)
     q.add_argument("--window", type=int, nargs=2, metavar=("LO", "HI"), required=True)
-    q.add_argument("--resolution", type=int, default=None)
     q.add_argument("--budget", type=int, default=None)
 
     return parser
@@ -109,8 +105,6 @@ def _check_numbers(args) -> None:
     """Reject numeric options outside their domain before any work starts."""
     if getattr(args, "depth", 1) < 1:
         raise SchemaError(f"--depth must be at least 1, got {args.depth}")
-    if getattr(args, "extra_range", 0) < 0:
-        raise SchemaError(f"--extra-range must be nonnegative, got {args.extra_range}")
     if not 0 <= getattr(args, "tolerance", 0) < math.inf:  # also refuses NaN
         raise SchemaError(f"--tolerance must be finite and nonnegative, got {args.tolerance}")
     if args.command == "search":
@@ -121,10 +115,6 @@ def _check_numbers(args) -> None:
         lo, hi = args.window
         if lo > hi:
             raise SchemaError(f"--window {lo} {hi}: the lower bound exceeds the upper bound")
-        if args.resolution not in (None, hi):
-            raise SchemaError(
-                f"--resolution {args.resolution} must equal the window top {hi}"
-            )
         if args.budget is not None and args.budget < 0:
             raise SchemaError(f"--budget must be nonnegative, got {args.budget}")
 
@@ -140,12 +130,12 @@ def _load_family(args):
 
 def _cmd_verify(args) -> tuple[dict, int]:
     family = _load_family(args)
-    report = is_wavelet_set(family, extra_range=args.extra_range)
+    report = is_wavelet_set(family)
     verdict = "PASS" if report.overall else "FAIL"
     doc = build_report(
         version=__version__,
         command="verify",
-        parameters={"p": args.p, "input": args.input, "extra_range": args.extra_range},
+        parameters={"p": args.p, "input": args.input},
         verdict=verdict,
         conditions=verdict_conditions(report),
         extra={"certificate": report.certificate},
@@ -359,16 +349,11 @@ def _cmd_transform(args) -> tuple[dict, int]:
 
 
 def _cmd_search(args) -> tuple[dict, int]:
-    result = search_wavelet_sets(
-        args.p, tuple(args.window), resolution=args.resolution, budget=args.budget
-    )
+    result = search_wavelet_sets(args.p, tuple(args.window), budget=args.budget)
     verdict = "PASS" if not result.exhausted else "INCONCLUSIVE"
     doc = build_report(
         version=__version__, command="search",
-        parameters={
-            "p": args.p, "window": list(args.window),
-            "resolution": args.resolution, "budget": args.budget,
-        },
+        parameters={"p": args.p, "window": list(args.window), "budget": args.budget},
         verdict=verdict,
         conditions=[
             {

@@ -109,11 +109,6 @@ def family_to_document(family: WaveletFamily) -> dict:
     }
 
 
-def save_family_file(family: WaveletFamily, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(family_to_document(family)) + "\n")
-
-
 # -- JSON text -----------------------------------------------------------------------
 #
 # json.dumps with an indent runs the pure-Python encoder, one generator

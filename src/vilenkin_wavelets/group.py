@@ -35,11 +35,6 @@ def check_base(p: int) -> None:
         raise DigitError(f"base {p} exceeds the supported maximum {MAX_BASE}")
 
 
-def _same_base(a: "GroupElement", b: "GroupElement") -> None:
-    if a.p != b.p:
-        raise BaseMismatchError(f"mixed bases {a.p} and {b.p}")
-
-
 @dataclass(frozen=True, slots=True)
 class GroupElement:
     """A finitely supported digit sequence in canonical trimmed form.
@@ -98,7 +93,8 @@ class GroupElement:
 
     def add(self, other: "GroupElement") -> "GroupElement":
         """Digitwise sum modulo p (no carries)."""
-        _same_base(self, other)
+        if self.p != other.p:
+            raise BaseMismatchError(f"mixed bases {self.p} and {other.p}")
         if self.is_identity:
             return other
         if other.is_identity:
@@ -194,23 +190,6 @@ def lambda_decode(value: int, p: int) -> GroupElement:
             digits[pos] = d
         pos -= 1
     return from_digits(p, digits)
-
-
-# -- characters ---------------------------------------------------------------
-
-
-def character_exponent(x: GroupElement, omega: GroupElement) -> int:
-    """Exponent e in chi(x, omega) = exp(2*pi*i*e/p).
-
-    The pairing sums x_j * omega_{1-j} over all positions j, reduced
-    modulo p.  It is symmetric and bilinear, and shifting one argument by
-    the contracting dilation equals shifting the other the same way.
-    """
-    _same_base(x, omega)
-    total = 0
-    for j, d in x.support():
-        total += d * omega.digit(1 - j)
-    return total % x.p
 
 
 # -- text notation ------------------------------------------------------------

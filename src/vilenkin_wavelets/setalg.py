@@ -683,10 +683,6 @@ def _merge_siblings(p: int, items: list[tuple[int, DigitMap]]) -> list[tuple[int
 # -- distinguished sets ------------------------------------------------------------
 
 
-def empty_set(p: int) -> PSet:
-    return PSet(p, (), validate=False)
-
-
 def unit_cell(p: int) -> PSet:
     """The dual unit subgroup: all digits at positions <= 0 are zero; measure 1."""
     return PSet(p, (Cylinder(p, 0, ()),), validate=False)

@@ -256,7 +256,7 @@ def _cover_defects(
     return out
 
 
-def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> ConditionRecord:
+def check_dilation_tiling(family: WaveletFamily) -> ConditionRecord:
     """Decide whether the contracting dilates of the family tile the dual group.
 
     Covering is decided on the single shell between the expanded and
@@ -278,16 +278,14 @@ def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> Condit
     by max(m_x, m_y).  Distinct cylinders of D are disjoint, so nesting
     keys have m_x != m_y.  As w <= m_c <= L_c <= L for the lowest pinned
     position w of D and its finest resolution L, a nesting pair always
-    has 1 <= d <= L - w: the dilates by more never meet D.  extra_range
-    widens only the reported dilate and shell ranges, never the work or
-    the verdict; those depend only on D.
+    has 1 <= d <= L - w: the dilates by more never meet D.
 
     An identity cylinder t of resolution r rejects the family up front,
     as the single shell no longer accounts for everything.  D then meets
     its dilate by every d >= 1 -- t.dilate(d) lies in t, and so does
     b.dilate(d) for every other cylinder b with m_b + d > r -- and the
     overlaps are listed for d in [1, max(L - w, 1)], a range read off D
-    alone, so here too extra_range changes nothing.
+    alone.
     """
     p = family.p
     names = family.names
@@ -376,8 +374,8 @@ def check_dilation_tiling(family: WaveletFamily, extra_range: int = 0) -> Condit
         details={
             "resolution": level,
             "lowest_fixed_position": w_lo,
-            "dilate_range": [1, max(level - w_lo + extra_range, 0)],
-            "shell_range": [-level - extra_range, -w_lo + extra_range],
+            "dilate_range": [1, max(level - w_lo, 0)],
+            "shell_range": [-level, -w_lo],
             "shell_measure": Measure.make(shell_total, p, top).exact_string(),
         },
     )
@@ -483,11 +481,11 @@ def check_translation_congruence(family: WaveletFamily) -> tuple[ConditionRecord
 # -- top-level decision --------------------------------------------------------------
 
 
-def is_wavelet_set(family: WaveletFamily, extra_range: int = 0) -> VerdictReport:
+def is_wavelet_set(family: WaveletFamily) -> VerdictReport:
     """Decide all conditions; measure one is implied by congruence but is
     checked independently for sharper diagnostics."""
     measure = check_measure_one(family)
-    tiling = check_dilation_tiling(family, extra_range=extra_range)
+    tiling = check_dilation_tiling(family)
     congruence, certificate = check_translation_congruence(family)
     conditions = [measure, tiling, congruence]
     return VerdictReport(
@@ -508,17 +506,12 @@ class SearchResult:
     examined: int
 
 
-def search_wavelet_sets(
-    p: int,
-    window: tuple[int, int],
-    resolution: int | None = None,
-    budget: int | None = None,
-) -> SearchResult:
+def search_wavelet_sets(p: int, window: tuple[int, int], *, budget: int | None = None) -> SearchResult:
     """Enumerate measure-one disjoint families inside a digit window and
     keep those that are wavelet sets.
 
-    Atoms are the resolution-R cells whose pinned digits sit inside the
-    window; each member set takes p**R of them.  Candidates are ranked in
+    Atoms are the cells of resolution R, the window top, whose pinned
+    digits sit inside the window; each member set takes p**R of them.  Candidates are ranked in
     lexicographic order -- each member an increasing choice among the
     atoms the earlier members left -- so output order is deterministic.
     The budget bounds how many candidates are examined; hitting it flags
@@ -561,10 +554,6 @@ def search_wavelet_sets(
     lo, hi = window
     if lo > hi:
         raise ValueError("window lower bound exceeds upper bound")
-    if resolution is None:
-        resolution = hi
-    if resolution != hi:
-        raise ValueError("enumeration requires resolution equal to the window top")
     check_base(p)
     if hi < 0 or lo > 1:
         # A member takes p**hi atoms: a fraction for hi < 0, and for lo > 1
@@ -577,7 +566,7 @@ def search_wavelet_sets(
             f"search window {lo}..{hi} holds {p}**{span} atoms, "
             f"more than the cap {MAX_REFINE_CELLS}"
         )
-    per_set = p**resolution
+    per_set = p**hi
     # Each member of a candidate that survives the walk is a transversal:
     # one of p**(1 - lo) integer parts for each of the p**hi classes.
     if budget is None and _exceeds(p ** (1 - lo), per_set * (p - 1), MAX_REFINE_CELLS):

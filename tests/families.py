@@ -2,8 +2,19 @@
 
 from collections.abc import Iterable
 
+from vilenkin_wavelets.famio import dumps, family_to_document
 from vilenkin_wavelets.setalg import Cylinder, DigitMap, PSet
 from vilenkin_wavelets.verifier import WaveletFamily, search_wavelet_sets, shannon_family
+
+
+def empty_set(p: int) -> PSet:
+    return PSet(p, (), validate=False)
+
+
+def save_family_file(family: WaveletFamily, path: str) -> None:
+    """Write a family file that parse_family_file reads back."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(dumps(family_to_document(family)) + "\n")
 
 
 def cells_set(p: int, L: int, maps: Iterable[DigitMap]) -> PSet:

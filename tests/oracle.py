@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from vilenkin_wavelets.errors import BaseMismatchError
 from vilenkin_wavelets.group import GroupElement, from_digits
 from vilenkin_wavelets.setalg import Cylinder, PSet
 
@@ -117,7 +118,7 @@ class CellSet:
         return CellSet(self.p, self.lo + k, self.hi + k, self.cells)
 
 
-# -- plain references for single cylinders, points and grid cells --------------------
+# -- plain references for single cylinders, points, characters and grid cells -------
 
 
 def cylinder_relation(a: Cylinder, b: Cylinder) -> str:
@@ -147,6 +148,18 @@ def set_contains_point(s: PSet, x: GroupElement) -> bool:
     assert x.p == s.p, "point and set bases differ"
     support = tuple(x.support())
     return any(tuple(pd for pd in support if pd[0] <= c.resolution) == c.digits for c in s.cylinders)
+
+
+def character_exponent(x: GroupElement, omega: GroupElement) -> int:
+    """Exponent e in chi(x, omega) = exp(2*pi*i*e/p).
+
+    The pairing sums x_j * omega_{1-j} over all positions j, reduced
+    modulo p.  It is symmetric and bilinear, and shifting one argument by
+    the contracting dilation equals shifting the other the same way.
+    """
+    if x.p != omega.p:
+        raise BaseMismatchError(f"mixed bases {x.p} and {omega.p}")
+    return sum(d * omega.digit(1 - j) for j, d in x.support()) % x.p
 
 
 def grid_cell_element(grid, index: int) -> GroupElement:

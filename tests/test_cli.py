@@ -11,10 +11,11 @@ import pytest
 from perfbench import gen
 from vilenkin_wavelets.cli import main, run_command
 from vilenkin_wavelets.errors import SchemaError
-from vilenkin_wavelets.famio import condition_json, emit_report, parse_family_file
+from vilenkin_wavelets.famio import emit_report, parse_family_file
 from vilenkin_wavelets.verifier import is_wavelet_set, shannon_family
 
 from .mutants import all_mutants
+from .test_verifier import expand_cover_defects, per_k_dilation_tiling
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -356,51 +357,30 @@ class TestBoundedByInput:
 
     def test_identity_family_ignores_extra_range(self, tmp_path):
         # The identity cylinder (1, {}) meets every dilate of the union;
-        # the overlaps are listed for d up to L - w = 1 - (-2) whatever the
-        # range, so a huge --extra-range neither lists more nor hits a cap.
+        # the overlaps are listed for d up to L - w = 1 - (-2), a range
+        # read off the family alone.
         family = write_family(tmp_path / "identity.json", 2, [
             {"resolution": 1, "digits": {}},
             {"resolution": 0, "digits": {"-2": 1}},
         ])
-        base_code, base = run_command(["verify", "--p", "2", "--input", family])
-        start = time.perf_counter()
-        code, wide = run_command(
-            ["verify", "--p", "2", "--input", family, "--extra-range", "1999990"]
-        )
-        assert time.perf_counter() - start < 1.0
-        assert code == base_code == 1
-        assert wide["conditions"] == base["conditions"]
-        tiling = wide["conditions"][1]
+        code, report = run_command(["verify", "--p", "2", "--input", family])
+        assert code == 1 and report["parameters"] == {"p": 2, "input": family}
+        tiling = report["conditions"][1]
+        assert tiling["measures"] == {"resolution": 1, "degenerate": True}
         assert [w["d"] for w in tiling["witnesses"] if w["kind"] == "dilate-overlap"] == [1, 2, 3]
 
     @pytest.mark.parametrize("path", sorted(str(f.relative_to(ROOT)) for f in (ROOT / "families").glob("*.json")))
     def test_extra_range_sweep_keeps_file_reports(self, path):
-        p = json.loads((ROOT / path).read_text())["p"]
-        base_code, base = run_command(["verify", "--p", str(p), "--input", path])
-        for extra_range in range(41):
-            code, report = run_command(
-                ["verify", "--p", str(p), "--input", path, "--extra-range", str(extra_range)]
-            )
-            assert code == base_code and report["verdict"] == base["verdict"], extra_range
-            assert_same_witnesses(base["conditions"], report["conditions"])
-
-    def test_extra_range_sweep_keeps_mutant_verdicts(self):
-        for mutant in all_mutants():
-            base = is_wavelet_set(mutant.family)
-            for extra_range in range(41):
-                report = is_wavelet_set(mutant.family, extra_range=extra_range)
-                assert report.overall == base.overall
-                assert_same_witnesses(
-                    [condition_json(c) for c in base.conditions],
-                    [condition_json(c) for c in report.conditions],
-                )
-
-
-def assert_same_witnesses(base, wide):
-    """Equal verdicts and witnesses, degenerate tiling records included."""
-    assert [(c["passed"], c["witnesses"]) for c in wide] == [
-        (c["passed"], c["witnesses"]) for c in base
-    ]
+        # The per-k reference scans ranges extra_range wider than the fixed
+        # L - w the report lists, and finds the report's tiling condition.
+        family = parse_family_file(path)
+        code, report = run_command(["verify", "--p", str(family.p), "--input", path])
+        assert code == (0 if report["verdict"] == "PASS" else 1)
+        tiling = report["conditions"][1]
+        got = tiling["passed"], expand_cover_defects(family.p, tiling["witnesses"]), tiling["measures"]
+        for extra_range in (0, 1, 2, 40):
+            want = per_k_dilation_tiling(family, extra_range)
+            assert got == (want.passed, expand_cover_defects(family.p, want.witnesses), want.details)
 
 
 class TestNegativeResolutionMember:
@@ -840,16 +820,12 @@ class TestInputErrorsExitTwo:
              "--depth must be at least 1, got 0"),
             (["filters", "--p", "2", "--input", "families/shannon2.json", "--depth", "-3"],
              "--depth must be at least 1, got -3"),
-            (["verify", "--p", "2", "--input", "families/shannon2.json", "--extra-range", "-5"],
-             "--extra-range must be nonnegative, got -5"),
             (["search", "--p", "2", "--window", "3", "1"],
              "--window 3 1: the lower bound exceeds the upper bound"),
             (["search", "--p", "2", "--window", "0", "1", "--budget", "-1"],
              "--budget must be nonnegative, got -1"),
-            (["search", "--p", "2", "--window", "0", "1", "--resolution", "0"],
-             "--resolution 0 must equal the window top 1"),
         ],
-        ids=["mra-depth", "filters-depth", "extra-range", "window", "budget", "resolution"],
+        ids=["mra-depth", "filters-depth", "window", "budget"],
     )
     def test_numeric_options_rejected_before_work(self, argv, message, capsys, monkeypatch):
         import vilenkin_wavelets.cli as cli

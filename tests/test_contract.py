@@ -211,8 +211,16 @@ class TestMalformedInputExitsTwo:
 
     @pytest.mark.parametrize(
         "argv",
-        [["verify", "--bogus"], ["verify", "--p", "x", "--input", "f"], [], ["nosuch"]],
-        ids=["unknown-flag", "non-integer", "no-command", "unknown-command"],
+        [
+            ["verify", "--bogus"],
+            ["verify", "--p", "x", "--input", "f"],
+            [],
+            ["nosuch"],
+            ["verify", "--p", "2", "--input", SHANNON2_FILE, "--extra-range", "0"],
+            ["search", "--p", "2", "--window", "0", "1", "--resolution", "1"],
+        ],
+        ids=["unknown-flag", "non-integer", "no-command", "unknown-command",
+             "verify-extra-range", "search-resolution"],
     )
     def test_usage_errors_are_one_line(self, argv):
         # argparse printed its usage text, several lines, before the error.
@@ -222,14 +230,13 @@ class TestMalformedInputExitsTwo:
 
 
 INT_OPTIONS = {
-    "verify": ["--p", "--extra-range"],
+    "verify": ["--p"],
     "mra": ["--p", "--depth"],
     "filters": ["--p", "--depth", "--level"],
     "synthesize": ["--p", "--set"],
-    "search": ["--p", "--resolution", "--budget"],
+    "search": ["--p", "--budget"],
 }
 OUT_OF_DOMAIN = {
-    "--extra-range": st.integers(max_value=-1),
     "--depth": st.integers(max_value=0),
     "--budget": st.integers(max_value=-1),
     "--set": st.integers(max_value=0) | st.integers(min_value=2),
@@ -240,11 +247,11 @@ def base_argv(command, work):
     family = ["--input", SHANNON2_FILE]
     samples = ["--samples", str(work / "samples.csv")]
     return {
-        "verify": ["verify", "--p", "2", *family, "--extra-range", "0"],
+        "verify": ["verify", "--p", "2", *family],
         "mra": ["mra", "--p", "2", *family, "--depth", "4"],
         "filters": ["filters", "--p", "2", *family, "--depth", "4", "--level", "4"],
         "synthesize": ["synthesize", "--p", "2", *family, "--grid", "1", "1", "--set", "1", *samples],
-        "search": ["search", "--p", "2", "--window", "0", "1", "--resolution", "1", "--budget", "5"],
+        "search": ["search", "--p", "2", "--window", "0", "1", "--budget", "5"],
     }[command]
 
 

@@ -8,12 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vilenkin_wavelets.famio import (
-    dumps,
-    family_to_document,
-    parse_family_file,
-    save_family_file,
-)
+from vilenkin_wavelets.famio import dumps, family_to_document, parse_family_file
+
+from .families import save_family_file
 
 FAMILIES = sorted((pathlib.Path(__file__).resolve().parent.parent / "families").glob("*.json"))
 

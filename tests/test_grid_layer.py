@@ -21,7 +21,6 @@ from vilenkin_wavelets.setalg import (
     Cylinder,
     PSet,
     annulus,
-    empty_set,
     expanded_unit,
     theta_ball,
     unit_cell,
@@ -37,6 +36,7 @@ from vilenkin_wavelets.transform import (
 )
 from vilenkin_wavelets.verifier import shannon_family
 
+from .families import empty_set
 from .oracle import grid_cell_element
 
 _NORM_RTOL = 1e-9

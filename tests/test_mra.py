@@ -37,13 +37,12 @@ from vilenkin_wavelets.setalg import (
     Measure,
     PSet,
     _NestingIndex,
-    empty_set,
     theta_ball,
     unit_cell,
 )
 from vilenkin_wavelets.verifier import search_wavelet_sets, shannon_family
 
-from .families import coset_shuffle_family, family_named, three_shell_family
+from .families import coset_shuffle_family, empty_set, family_named, three_shell_family
 from .mutants import mutants_for
 from .oracle import cylinder_integer_part, cylinder_relation, set_contains_point
 from .test_filter_oracle import assert_identities_match

@@ -18,12 +18,12 @@ from vilenkin_wavelets.setalg import (
     _NestingIndex,
     _truncate,
     annulus,
-    empty_set,
     expanded_unit,
     theta_ball,
     unit_cell,
 )
 
+from .families import empty_set
 from .oracle import CellSet, contains, cylinder_relation, set_contains_point
 
 rng = random.Random(4203)

@@ -7,13 +7,9 @@ import pytest
 
 from vilenkin_wavelets.errors import AliasingError, SchemaError
 from vilenkin_wavelets.famio import parse_family_file
-from vilenkin_wavelets.group import (
-    character_exponent,
-    from_digits,
-    lambda_decode,
-)
+from vilenkin_wavelets.group import from_digits, lambda_decode
 from vilenkin_wavelets.mra import accumulate_omega_sigma
-from vilenkin_wavelets.setalg import empty_set, expanded_unit, theta_ball, unit_cell
+from vilenkin_wavelets.setalg import expanded_unit, theta_ball, unit_cell
 from vilenkin_wavelets.transform import (
     GridSignal,
     QuotientGrid,
@@ -35,7 +31,8 @@ from vilenkin_wavelets.transform import (
 )
 from vilenkin_wavelets.verifier import shannon_family
 
-from .oracle import grid_cell_element
+from .families import empty_set
+from .oracle import character_exponent, grid_cell_element
 
 rng = np.random.default_rng(61803)
 FAMILIES = pathlib.Path(__file__).resolve().parents[1] / "families"
