@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -526,8 +527,12 @@ def v0_residual(
 
 
 def _reprs(x: np.ndarray) -> list[str]:
-    """``repr`` of every float in ``x``, formatted in C by the list's ``str``."""
-    return str(x.tolist())[1:-1].split(", ")
+    """``repr`` of every float in ``x``: each distinct bit pattern (so -0.0
+    apart from 0.0) is formatted once, in C by the list's ``str``, and the
+    table is gathered back."""
+    bits, where = np.unique(x.view(np.uint64), return_inverse=True)
+    table = np.array(str(bits.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
+    return table[where].tolist()
 
 
 def write_csv(signal: GridSignal, stream: TextIO) -> None:
@@ -550,12 +555,20 @@ def _read_lines(stream: TextIO, count: int) -> list[str]:
 
 def _canonical_rows(lines: list[str], cells: list[str]) -> np.ndarray | None:
     """Samples of rows that hold ``cells`` in order, three fields each, as
-    write_csv writes them; None if any row is otherwise or not finite."""
+    write_csv writes them; None if any row is otherwise or not finite.
+
+    The join puts a comma after each line, so a line that ends in a line
+    break ends in a field that does.  When every line but the last ends
+    in one and no label or re field holds one, each of those lines ends
+    in an im field (every third): the lines but the last close multiples
+    of three fields, and 3n fields in all leave three to every line.
+    """
     n = len(lines)
-    if len(cells) != n or list(map(str.count, lines, itertools.repeat(","))) != [2] * n:
-        return None
     fields = ",".join(lines).split(",")
-    if fields[0::3] != cells:
+    if len(fields) != 3 * n or fields[0::3] != cells:
+        return None
+    ends = "".join(map(operator.itemgetter(slice(-1, None)), lines[:-1]))
+    if ends != "\n" * (n - 1) or "\n" in "".join(fields[1::3]):
         return None
     out = np.empty(n, dtype=np.complex128)
     try:

@@ -194,11 +194,27 @@ def oracle_is_wavelet_set(
     p: int,
     sets: list[CellSet],
     *,
-    dilate_range: int = 8,
+    dilate_range: int | None = None,
     shell_indices=(-1, 0, 1),
-    shift_range: int = 5,
+    shift_range: int | None = None,
 ) -> dict:
-    """Decide the wavelet-set conditions by enumeration over wide ranges."""
+    """Decide the wavelet-set conditions by enumeration.
+
+    By default the ranges reach exactly as far as a dilate can matter on
+    the cells' window [lo, hi].  The points of a cell that is not all zero
+    have their lowest nonzero digit at one position in [lo, hi], so, as
+    ``verifier.check_dilation_tiling`` proves for nesting pairs (no
+    d > L - w), the union meets its dilate by d > hi - lo nowhere; an
+    all-zero cell meets its dilate by 1 already.  The dilate by k meets
+    shell m only if lo + k <= m <= hi + k, so |k| never exceeds the larger
+    of |m - lo| and |m - hi|.  Passing either range overrides it.
+    """
+    lo = min(s.lo for s in sets)
+    hi = max(s.hi for s in sets)
+    if dilate_range is None:
+        dilate_range = max(hi - lo, 1)
+    if shift_range is None:
+        shift_range = max((abs(m - end) for m in shell_indices for end in (lo, hi)), default=0)
     measures_ok = all(s.measure() == 1 for s in sets)
 
     union = sets[0]

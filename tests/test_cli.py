@@ -648,6 +648,24 @@ class TestSignalCommands:
             b = read_csv(grid, f2)
         assert np.max(np.abs(a.values - b.values)) < 1e-12
 
+    def test_header_only_samples_are_the_zero_signal(self, tmp_path):
+        # A cell with no row reads as 0, so a file of the header alone is
+        # the zero signal, and its transform too.
+        samples = tmp_path / "zero.csv"
+        samples.write_text("cell,re,im\n")
+        spectrum = tmp_path / "spec.csv"
+        code, report = run_command(
+            [
+                "transform", "--p", "2", "--grid", "1", "2",
+                "--input", str(samples), "--samples", str(spectrum),
+            ]
+        )
+        assert code == 0
+        measures = report["conditions"][0]["measures"]
+        assert measures["input_norm"] == measures["output_norm"] == 0
+        rows = spectrum.read_text().splitlines()
+        assert rows[0] == "cell,re,im" and len(rows) == 1 + 2**3
+        assert all(row.endswith(",0.0,0.0") for row in rows[1:])
 
 
 class TestCsvCommandInputErrors:

@@ -13,6 +13,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vilenkin_wavelets.errors import AliasingError, ParseError, SchemaError
 from vilenkin_wavelets import transform
@@ -340,6 +342,41 @@ def check_labels_and_csv_bytes(p, M, N):
     assert np.array_equal(read_csv(grid, got).values, signal.values)
 
 
+# Where repr changes form (1e15 / 1e16, 1e-4 / 1e-5), both zeros and the
+# least subnormal; a signal drawn from these repeats values within and
+# across chunks, so each row's text comes from the table of its chunk.
+FEW_VALUES = [0.0, -0.0, 1.0, -0.5, 1 / 3, 1e15, 1e16, -1e16, 1e-4, 1e-5, 5e-324, -5e-324]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    shape=st.sampled_from([(2, 2, 2), (3, 1, 1), (5, 0, 2), (2, 0, 3)]),
+    data=st.data(),
+)
+def test_csv_bytes_on_few_valued_signals(shape, data):
+    grid = QuotientGrid(*shape)
+    column = st.lists(st.sampled_from(FEW_VALUES), min_size=grid.size, max_size=grid.size)
+    constant = st.sampled_from(FEW_VALUES).map(lambda v: [v] * grid.size)
+    re = data.draw(column)
+    im = data.draw(st.one_of(column, constant))
+    re[:2] = [0.0, -0.0]  # both zeros in the first chunk of every size but 1
+    values = np.empty(grid.size, dtype=np.complex128)
+    values.real, values.imag = re, im
+    signal = GridSignal(grid, values)
+    want = io.StringIO()
+    reference_write_csv(signal, want)
+    for chunk in (1, 3, transform._CSV_CHUNK_ROWS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transform, "_CSV_CHUNK_ROWS", chunk)
+            got = io.StringIO()
+            write_csv(signal, got)
+            assert got.getvalue() == want.getvalue(), chunk
+            got.seek(0)
+            back = read_csv(grid, got).values
+        assert np.array_equal(back, values)
+        assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
+
+
 def test_labels_reject_bases_above_36():
     with pytest.raises(ParseError, match="bases up to 36; got 37"):
         QuotientGrid(37, 1, 1).labels()
@@ -460,6 +497,18 @@ def reader_cases(grid, chunk):
     two = f"{rows[1].split(',')[0]},0"
     four = f"5,{rows[2].split(',')[0]},0,0"
     cases["2-and-4-fields"] = edit_row(edit_row(text, 1, lambda r, _: two), 2, lambda r, _: four)
+    # The six fields of rows k and k + 1 split 1 + 5, 2 + 4, 4 + 2 or 5 + 1:
+    # within a chunk, across a chunk boundary and at the end of the file,
+    # each with CRLF endings and with no final newline.  Labels and samples
+    # all parse as floats, so only the row shape tells these from rows.
+    for k in sorted({1, chunk - 1, len(rows) - 2}):
+        six = ",".join(rows[k : k + 2]).split(",")
+        for a in (1, 2, 4, 5):
+            lines = rows[:k] + [",".join(six[:a]), ",".join(six[a:])] + rows[k + 2 :]
+            split = "\n".join([text.split("\n")[0], *lines, ""])
+            cases[f"{a}-and-{6 - a}-fields-at-{k}"] = split
+            cases[f"{a}-and-{6 - a}-fields-at-{k}-crlf"] = split.replace("\n", "\r\n")
+            cases[f"{a}-and-{6 - a}-fields-at-{k}-no-final-newline"] = split[:-1]
     cases["spaces"] = edit_row(text, 2, lambda r, _: " " + r.replace(",", " , ") + " ")
     cases["blank-line"] = edit_row(text, 2, lambda r, _: "\n" + r)
     for k in (chunk - 1, chunk, chunk + 1):
@@ -486,6 +535,44 @@ def test_chunked_reader_matches_row_reader(p, M, N, chunk, monkeypatch):
             outcome(reference_read_csv, grid, io.StringIO(text)),
             name,
         )
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_lines_split_at_carriage_returns(chunk, monkeypatch, tmp_path):
+    # A stream that ends lines at "\r" alone passes "\n" through inside a
+    # line, so a break can end a field in mid-line: here the first row is
+    # ".,1" and the second "5\n,1.,0,0", two fields and then four.
+    monkeypatch.setattr(transform, "_CSV_CHUNK_ROWS", chunk)
+    grid = QuotientGrid(2, 1, 0)
+    texts = {
+        "canonical": "cell,re,im\r.,1.0,0.0\r1.,0.0,2.0\r",
+        "2-and-4-fields": "cell,re,im\r.,1\r5\n,1.,0,0\r",
+    }
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode())
+        with open(path, newline="\r") as got, open(path, newline="\r") as want:
+            assert_same(outcome(read_csv, grid, got), outcome(reference_read_csv, grid, want), name)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 5])
+def test_write_csv_output_stays_off_the_row_reader(chunk, monkeypatch):
+    # write_csv's own rows, with either line ending and with or without the
+    # final newline, are read a chunk at a time and never one row at a time.
+    monkeypatch.setattr(transform, "_CSV_CHUNK_ROWS", chunk)
+
+    def row_reader(*args):
+        raise AssertionError("the row reader read write_csv output")
+
+    monkeypatch.setattr(transform, "_read_rows", row_reader)
+    grid = QuotientGrid(3, 1, 2)
+    rng = np.random.default_rng(chunk)
+    values = rng.normal(size=grid.size) + 1j * rng.integers(-1, 2, size=grid.size)
+    out = io.StringIO()
+    write_csv(GridSignal(grid, values), out)
+    text = out.getvalue()
+    for form in (text, text.replace("\n", "\r\n"), text[:-1]):
+        assert np.array_equal(read_csv(grid, io.StringIO(form)).values, values)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

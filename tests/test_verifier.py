@@ -566,13 +566,12 @@ def old_search(p, lo, hi, budget=None):
 
 
 def assert_all_verify(families, lo, hi):
-    """Each family passes is_wavelet_set and the oracle, whose ranges reach
-    past every dilate a nesting pair of the window needs (at most hi - lo)
-    and every shell piece of its three shells."""
-    span = hi - lo + 2
+    """Each family passes is_wavelet_set and the oracle, whose default
+    ranges reach every dilate a nesting pair of the window needs (at most
+    hi - lo) and every shell piece of its three shells."""
     for family in families:
         assert is_wavelet_set(family).overall
-        assert oracle_verdict(family, lo, hi, dilate_range=span, shift_range=span)["overall"]
+        assert oracle_verdict(family, lo, hi)["overall"]
 
 
 def cylinders(sets_list):
@@ -886,6 +885,53 @@ def hand_gaps(witnesses):
         (w["cell"]["resolution"], tuple(sorted((int(k), v) for k, v in w["cell"]["digits"].items())))
         for w in defects
     )
+
+
+def family_window(family):
+    """The narrowest window around position 0 that holds the family's cylinders."""
+    cylinders = [c for s in family.sets for c in s.cylinders]
+    lo = min([0] + [c.min_fixed_position for c in cylinders if c.min_fixed_position is not None])
+    return lo, max([0] + [c.resolution for c in cylinders])
+
+
+class TestOracleRanges:
+    """The oracle's default ranges, read off the cells' window."""
+
+    @pytest.mark.parametrize("p,lo,hi", searchref.WINDOWS)
+    def test_every_search_candidate_matches_the_library(self, p, lo, hi):
+        for candidate, passed in old_candidates(p, lo, hi):
+            sets = [CellSet.from_pset(cells_set(p, hi, maps), lo, hi) for maps in candidate]
+            assert oracle_is_wavelet_set(p, sets)["overall"] == passed, candidate
+
+    @pytest.mark.parametrize("mutant", all_mutants(), ids=lambda m: f"p{m.p}-{m.name}")
+    def test_every_mutant_matches_the_library(self, mutant):
+        report = is_wavelet_set(mutant.family)
+        verdict = oracle_verdict(mutant.family, *family_window(mutant.family))
+        for name, key in _KEYS.items():
+            assert report.condition(name).passed == verdict[key], name
+        assert report.overall == verdict["overall"]
+
+    def test_p5_window_families_verify(self):
+        # Fixed ranges (dilates to 8) would build sets of 5**9 cells here.
+        families = search_wavelet_sets(5, (0, 0)).families
+        assert len(families) == 24
+        for family in families:
+            assert oracle_verdict(family, 0, 0)["overall"]
+
+    def test_default_dilate_range_reaches_the_window_width(self):
+        # The dilate by hi - lo = 2 moves the cell (1, 0, 0) onto (0, 0, 1):
+        # the only overlap, which no shell is checked for here.
+        cells = CellSet(2, 0, 2, frozenset({(1, 0, 0), (0, 0, 1)}))
+        assert not oracle_is_wavelet_set(2, [cells], shell_indices=())["tiling"]
+        assert oracle_is_wavelet_set(2, [cells], dilate_range=1, shell_indices=())["tiling"]
+        record = check_dilation_tiling(WaveletFamily(2, ("omega1",), (cells.to_pset(),)))
+        assert [w["d"] for w in record.witnesses if w["kind"] == "dilate-overlap"] == [2]
+
+    def test_explicit_ranges_override_the_window(self):
+        # Shifts by 0 alone leave two of the three shells uncovered.
+        family = shannon_family(2)
+        assert oracle_verdict(family, 0, 2)["tiling"]
+        assert not oracle_verdict(family, 0, 2, dilate_range=1, shift_range=0)["tiling"]
 
 
 class TestShellPieces:
