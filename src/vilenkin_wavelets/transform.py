@@ -112,12 +112,17 @@ class QuotientGrid:
         return total
 
     def labels(self) -> Iterator[str]:
-        """Canonical radix-point label of every cell, in index order.
+        """Canonical radix-point label of every cell, in index order."""
+        return map(operator.add, *self._label_parts())
 
-        The label ends over the last k positions (p**k <= _LABEL_TABLE of
-        them) are built once, and each label is one of them behind a
-        prefix from the leading digits, so what is held does not grow
-        with the grid.
+    def _label_parts(self, before: str = "", after: str = "") -> tuple[Iterator[str], Iterator[str]]:
+        """Heads and ends of the labels, in index order: each label is its
+        head then its end, with ``before`` put ahead and ``after`` behind.
+
+        The ends over the last k positions (p**k <= _LABEL_TABLE of them)
+        are built once and cycled, and each head is one string repeated
+        over its p**k cells, so what is held does not grow with the grid
+        and the CSV code joins labels without building them.
         """
         check_text_base(self.p)
         p, M, N = self.p, self.M, self.N
@@ -125,23 +130,26 @@ class QuotientGrid:
         k = 1
         while k < M + N and p ** (k + 1) <= _LABEL_TABLE:
             k += 1
+        block = p**k
+        repeat = itertools.repeat
         heads = map("".join, itertools.product(alphabet, repeat=M + N - k))
         tails = ["".join(d) for d in itertools.product(alphabet, repeat=k)]
         if k <= N:
             # Fraction digits only: the all-zero end strips the head's
             # trailing zeros (up to the point), any other end keeps them.
-            ends = [t.rstrip("0") for t in tails[1:]]
-            prefixes = (h[:M].lstrip("0") + "." + h[M:] for h in heads)
-            return itertools.chain.from_iterable(
-                itertools.chain((x.rstrip("0"),), map(x.__add__, ends)) for x in prefixes
-            )
+            ends = [""] + [t.rstrip("0") for t in tails[1:]]
+            prefixes = (before + h[:M].lstrip("0") + "." + h[M:] for h in heads)
+            blocks = (itertools.chain((x.rstrip("0"),), repeat(x, block - 1)) for x in prefixes)
+            return itertools.chain.from_iterable(blocks), itertools.cycle([e + after for e in ends])
         # The point lies in the table; only the all-zero head, the first,
         # leaves the table's own leading zeros to strip.
         ends = [t[: k - N] + "." + t[k - N :].rstrip("0") for t in tails]
         next(heads)
-        return itertools.chain(
-            [e.lstrip("0") for e in ends],
-            itertools.chain.from_iterable(map(h.lstrip("0").__add__, ends) for h in heads),
+        blocks = (repeat(before + h.lstrip("0"), block) for h in heads)
+        first = [e.lstrip("0") + after for e in ends]
+        return (
+            itertools.chain(repeat(before, block), itertools.chain.from_iterable(blocks)),
+            itertools.chain(first, itertools.cycle([e + after for e in ends])),
         )
 
     def index_of_element(self, x: GroupElement) -> int:
@@ -527,22 +535,24 @@ def v0_residual(
 
 
 def _reprs(x: np.ndarray) -> list[str]:
-    """``repr`` of every float in ``x``: each distinct bit pattern (so -0.0
-    apart from 0.0) is formatted once, in C by the list's ``str``, and the
-    table is gathered back."""
-    bits, where = np.unique(x.view(np.uint64), return_inverse=True)
-    table = np.array(str(bits.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
-    return table[where].tolist()
+    """``repr`` of every float in ``x``, formatted in C by the list's ``str``."""
+    return str(x.tolist())[1:-1].split(", ")
 
 
 def write_csv(signal: GridSignal, stream: TextIO) -> None:
-    labels = signal.grid.labels()  # rejects bases above 36 before any write
-    stream.write("cell,re,im\n")
+    # A row is five strings: a line break and the label's head, the
+    # label's end and a comma, re, a comma, and im.
+    heads, ends = signal.grid._label_parts("\n", ",")  # rejects bases above 36 before any write
+    stream.write("cell,re,im")
     for start in range(0, signal.grid.size, _CSV_CHUNK_ROWS):
         chunk = signal.values[start : start + _CSV_CHUNK_ROWS]
-        cells = itertools.islice(labels, chunk.size)
-        rows = map(",".join, zip(cells, _reprs(chunk.real), _reprs(chunk.imag)))
-        stream.write("\n".join(rows) + "\n")
+        rows = [","] * (5 * chunk.size)
+        rows[0::5] = itertools.islice(heads, chunk.size)
+        rows[1::5] = itertools.islice(ends, chunk.size)
+        rows[2::5] = _reprs(chunk.real)
+        rows[4::5] = _reprs(chunk.imag)
+        stream.write("".join(rows))
+    stream.write("\n")
 
 
 def _read_lines(stream: TextIO, count: int) -> list[str]:
@@ -553,19 +563,30 @@ def _read_lines(stream: TextIO, count: int) -> list[str]:
         raise SchemaError(f"cannot decode the CSV input: {exc}") from exc
 
 
-def _canonical_rows(lines: list[str], cells: list[str]) -> np.ndarray | None:
-    """Samples of rows that hold ``cells`` in order, three fields each, as
-    write_csv writes them; None if any row is otherwise or not finite.
+def _label_text(heads: Iterator[str], ends: Iterator[str], count: int) -> str:
+    """The next ``count`` labels from ``_label_parts``, joined."""
+    text = [""] * (2 * count)
+    text[0::2] = itertools.islice(heads, count)
+    text[1::2] = itertools.islice(ends, count)
+    return "".join(text)
 
-    The join puts a comma after each line, so a line that ends in a line
-    break ends in a field that does.  When every line but the last ends
-    in one and no label or re field holds one, each of those lines ends
-    in an im field (every third): the lines but the last close multiples
-    of three fields, and 3n fields in all leave three to every line.
+
+def _canonical_rows(lines: list[str], cells: str) -> np.ndarray | None:
+    """Samples of rows that hold the labels of ``cells`` (each followed by
+    a comma) in order, three fields each, as write_csv writes them; None
+    if any row is otherwise or not finite.
+
+    No field holds a comma, so the label fields joined make ``cells``
+    exactly when each is its label.  The join puts a comma after each
+    line, so a line that ends in a line break ends in a field that does.
+    When every line but the last ends in one and no label or re field
+    holds one, each of those lines ends in an im field (every third): the
+    lines but the last close multiples of three fields, and 3n fields in
+    all leave three to every line.
     """
     n = len(lines)
     fields = ",".join(lines).split(",")
-    if len(fields) != 3 * n or fields[0::3] != cells:
+    if len(fields) != 3 * n or ",".join(fields[0::3]) + "," != cells:
         return None
     ends = "".join(map(operator.itemgetter(slice(-1, None)), lines[:-1]))
     if ends != "\n" * (n - 1) or "\n" in "".join(fields[1::3]):
@@ -585,17 +606,18 @@ def read_csv(grid: QuotientGrid, stream: TextIO) -> GridSignal:
     if header != "cell,re,im":
         raise SchemaError(f"expected header 'cell,re,im', got {header!r}")
     values = np.zeros(grid.size, dtype=np.complex128)
-    labels = grid.labels()
+    heads, ends = grid._label_parts(after=",")
     chunks = iter(functools.partial(_read_lines, stream, _CSV_CHUNK_ROWS), [])
     # Rows as write_csv writes them are read a chunk at a time; from the
     # first chunk that holds any other row, the row loop below reads on.
     start = 0
     for chunk in chunks:
-        cells = list(itertools.islice(labels, len(chunk)))
-        rows = _canonical_rows(chunk, cells)
+        rows = None
+        if len(chunk) <= grid.size - start:
+            rows = _canonical_rows(chunk, _label_text(heads, ends, len(chunk)))
         if rows is None:
             lines = itertools.chain(chunk, itertools.chain.from_iterable(chunks))
-            _read_rows(grid, values, lines, start, itertools.chain(cells, labels))
+            _read_rows(grid, values, lines, start, itertools.islice(grid.labels(), start, None))
             break
         values[start : start + len(chunk)] = rows
         start += len(chunk)
