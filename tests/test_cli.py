@@ -504,6 +504,14 @@ class TestDeterminism:
             ("search-p2-w-1_2", ("2", "-1", "2"), [], 0),
             ("search-p3-w0_1", ("3", "0", "1"), [], 0),
             ("search-p2-w0_2-budget3", ("2", "0", "2"), ["--budget", "3"], 1),
+            ("search-p2-w-1_1", ("2", "-1", "1"), [], 0),
+            ("search-p2-w-2_1", ("2", "-2", "1"), [], 0),
+            ("search-p2-w-3_1", ("2", "-3", "1"), [], 0),
+            ("search-p3-w-1_0", ("3", "-1", "0"), [], 0),
+            ("search-p3-w-2_0", ("3", "-2", "0"), [], 0),
+            ("search-p5-w0_0", ("5", "0", "0"), [], 0),
+            # The budget runs out inside the second member's subtree.
+            ("search-p3-w0_1-budget1370", ("3", "0", "1"), ["--budget", "1370"], 1),
         ],
     )
     def test_search_golden(self, name, window, budget, code):

@@ -37,6 +37,9 @@ GOLDEN_ARGV = {
     "search-p2-w-1_2": ["search", "--p", "2", "--window", "-1", "2"],
     "search-p3-w0_1": ["search", "--p", "3", "--window", "0", "1"],
     "search-p2-w0_2-budget3": ["search", "--p", "2", "--window", "0", "2", "--budget", "3"],
+    **{f"search-p{p}-w{lo}_{hi}": ["search", "--p", str(p), "--window", str(lo), str(hi)]
+       for p, lo, hi in ((2, -1, 1), (2, -2, 1), (2, -3, 1), (3, -1, 0), (3, -2, 0), (5, 0, 0))},
+    "search-p3-w0_1-budget1370": ["search", "--p", "3", "--window", "0", "1", "--budget", "1370"],
 }
 
 
