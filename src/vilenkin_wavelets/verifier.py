@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import inf
@@ -511,9 +510,10 @@ def search_wavelet_sets(p: int, window: tuple[int, int], *, budget: int | None =
     keep those that are wavelet sets.
 
     Atoms are the cells of resolution R, the window top, whose pinned
-    digits sit inside the window; each member set takes p**R of them.  Candidates are ranked in
-    lexicographic order -- each member an increasing choice among the
-    atoms the earlier members left -- so output order is deterministic.
+    digits sit inside the window; each member set takes p**R of them.
+    Candidates are ranked in lexicographic order -- each member an
+    increasing choice among the atoms the earlier members left -- so
+    output order is deterministic.
     The budget bounds how many candidates are examined; hitting it flags
     the result as exhausted.
 
@@ -636,103 +636,90 @@ def _walk_transversals(
     """Visit the candidates of rank below `limit` in order, appending to
     `found` every complete candidate whose keys fill the shell
     (search_wavelet_sets proves each one a wavelet set).  Subtree sizes
-    are counted up to `cap`, which exceeds `limit`."""
+    are counted up to `cap`, which exceeds `limit`.
+
+    Each step is a few C-level operations.  A member's used fractional
+    classes are one int bitmask: _window_cell gives position hi the least
+    significant digit of i, so atom i's class bit is 1 << (i % p**hi).
+    A dict counts the chosen atoms whose chains hold each chain key, and
+    the sizes of dropped subtrees are memoized, the cap being fixed."""
     shell_weight = (p - 1) * p ** (hi - lo)
     names = tuple(f"omega{u}" for u in range(1, p))
     seen: dict[int, tuple] = {}
-
-    def atom(i: int) -> tuple:
-        """(cell, fractional class, shell key, its truncations at resolutions
-        0..its own, weight) of atom i, worked out on first use; the zero
-        atom has no key."""
-        if i not in seen:
-            x = _window_cell(p, lo, hi, i)
-            frac = tuple(pd for pd in x if pd[0] > 0)
-            if not x:
-                seen[i] = (x, frac, None, (), 0)
-            else:
-                m = x[0][0]
-                digits = tuple((pos - m, d) for pos, d in x)
-                chain = tuple(
-                    (q, tuple(pd for pd in digits if pd[0] <= q)) for q in range(hi - m + 1)
-                )
-                seen[i] = (x, frac, chain[-1], chain, p ** (m - lo))
-        return seen[i]
-
-    chosen_keys: set = set()
-    inside: Counter = Counter()  # chain keys of the chosen atoms
+    chosen: set = set()  # shell keys of the chosen atoms
+    inside: dict = {}  # chain key -> how many chosen atoms' chains hold it
+    comb = functools.cache(lambda n, k: _comb_upto(n, k, cap))
     members: list[list[int]] = []
     rank = weight = 0
 
-    def admissible(x: int, used: set) -> bool:
-        """Not the zero atom (it holds an identity neighbourhood), a class
-        new to this member, and a key nesting with no chosen key."""
-        _, frac, key, chain, _ = atom(x)
-        return (
-            key is not None
-            and frac not in used
-            and not inside[key]
-            and not any(c in chosen_keys for c in chain)
-        )
-
-    def take(x: int, used: set, sign: int) -> None:
-        """Add (sign 1) or remove (sign -1) atom x from the partial family."""
-        nonlocal weight
-        _, frac, key, chain, w = atom(x)
-        weight += sign * w
-        (used.add if sign > 0 else used.discard)(frac)
-        (chosen_keys.add if sign > 0 else chosen_keys.discard)(key)
-        for c in chain:
-            inside[c] += sign
-
-    def examine() -> None:
-        if weight == shell_weight:
-            # Atoms are cells of the window, so the constructor only merges.
-            sets = (
-                PSet(p, [_cylinder(p, hi, atom(i)[0]) for i in m], validate=False)
-                for m in members
+    def atom(i: int) -> tuple:
+        """(cell, shell key, its truncations at resolutions 0..its own,
+        class bit, weight) of atom i, worked out on first use; the zero
+        atom has no key."""
+        x = _window_cell(p, lo, hi, i)
+        if not x:
+            seen[i] = (x, None, (), 0, 0)
+        else:
+            m = x[0][0]
+            digits = tuple((pos - m, d) for pos, d in x)
+            chain = tuple(
+                (q, tuple(pd for pd in digits if pd[0] <= q)) for q in range(hi - m + 1)
             )
-            found.append(WaveletFamily(p, names, tuple(sets)))
+            seen[i] = (x, chain[-1], chain, 1 << (i % per_set), p ** (m - lo))
+        return seen[i]
 
-    def walk(k: int, pool: Sequence[int]) -> bool:
-        """Member k's choices from pool; False once the rank hits the limit."""
-        nonlocal rank
+    def walk(k: int, pool: Sequence[int]) -> None:
+        """Member k's choices from pool, until the rank hits the limit."""
+        nonlocal rank, weight
         size = len(pool)
-        used: set = set()
+        after = tail[k]
+        used = 0  # class bits of the picks
         picks: list[int] = []  # pool indices, increasing
         j = 0
-        while True:
-            if rank >= limit:
-                return False
+        while rank < limit:
             need = per_set - len(picks)
             if j > size - need:
                 if not picks:
-                    return True
+                    return
                 j = picks.pop()
-                take(pool[j], used, -1)
+                _, key, chain, bit, w = seen[pool[j]]
+                weight -= w
+                used ^= bit
+                chosen.discard(key)
+                for c in chain:
+                    inside[c] -= 1
                 j += 1
                 continue
-            x = pool[j]
-            if not admissible(x, used):
-                rank += _comb_upto(size - j - 1, need - 1, cap) * tail[k]
+            _, key, chain, bit, w = seen.get(pool[j]) or atom(pool[j])
+            # Drop the zero atom (it holds an identity neighbourhood), a
+            # class this member already holds and a key nesting with a chosen key.
+            if key is None or used & bit or inside.get(key) or not chosen.isdisjoint(chain):
+                rank += comb(size - j - 1, need - 1) * after
                 j += 1
                 continue
-            take(x, used, 1)
-            if need > 1:
-                picks.append(j)
-            else:
-                members.append([pool[i] for i in picks] + [x])
-                if k + 2 < p:
-                    taken = set(members[-1])
-                    going = walk(k + 1, [a for a in pool if a not in taken])
-                else:
-                    examine()
-                    rank += 1
-                    going = True
-                members.pop()
-                take(x, used, -1)
-                if not going:
-                    return False
+            weight += w
+            used |= bit
+            chosen.add(key)
+            for c in chain:
+                inside[c] = inside.get(c, 0) + 1
+            picks.append(j)
             j += 1
+            if need > 1:
+                continue
+            members.append([pool[i] for i in picks])
+            if k + 2 < p:
+                taken = set(members[-1])
+                walk(k + 1, [a for a in pool if a not in taken])
+            else:
+                if weight == shell_weight:
+                    # Atoms are cells of the window, so the constructor only merges.
+                    sets = (
+                        PSet(p, [_cylinder(p, hi, seen[i][0]) for i in m], validate=False)
+                        for m in members
+                    )
+                    found.append(WaveletFamily(p, names, tuple(sets)))
+                rank += 1
+            members.pop()
+            j = size + 1  # the member is whole, so the next step undoes its last pick
 
     walk(0, range(p ** (hi - lo + 1)))
