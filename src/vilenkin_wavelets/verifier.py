@@ -703,8 +703,8 @@ def _walk_transversals(
             for c in chain:
                 inside[c] = inside.get(c, 0) + 1
             picks.append(j)
-            j += 1
             if need > 1:
+                j += 1
                 continue
             members.append([pool[i] for i in picks])
             if k + 2 < p:

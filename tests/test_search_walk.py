@@ -20,8 +20,7 @@ WALK_WINDOWS = [(2, -2, 2), (2, -3, 2), (3, -1, 1), (3, -3, 0), (2, -5, 1), (5, 
 @functools.lru_cache(maxsize=None)
 def reference(p, lo, hi, budget):
     """(family cylinders in order, examined, exhausted) of the reference walk."""
-    result = reference_search(p, (lo, hi), budget=budget)
-    return summary(result)
+    return summary(reference_search(p, (lo, hi), budget=budget))
 
 
 def summary(result):
