@@ -24,20 +24,19 @@ family = shannon_family(p)
 # ---------------------------------------------------------------------------
 # Accumulate the truncated scaling spectrum.  For the Shannon family the
 # dilates telescope: the depth-J truncation is the unit cell minus the
-# depth-J identity ball, and the tail is detected as exactly self-similar.
+# depth-J identity ball, and the exact spectrum is the unit cell.
 # ---------------------------------------------------------------------------
 sigma = accumulate_omega_sigma(family, depth)
 print(f"truncated spectrum measure: {sigma.truncated.measure().exact_string()}")
 print(f"tail bound: {sigma.tail_bound().exact_string()}")
-print(f"self-similar tail resolved: {sigma.resolved is not None}")
-print(f"resolved spectrum: {sigma.spectrum().to_json()}")
+print(f"exact spectrum: {sigma.resolved.to_json()}")
 
 # ---------------------------------------------------------------------------
 # The intersection-measure table: identity row 1 - p^-J, all other
 # lattice translates exactly zero.
 # ---------------------------------------------------------------------------
 mra = check_mra_condition(sigma)
-print(f"\nMRA criterion: {mra.status} (certified via {mra.certification})")
+print(f"\nMRA criterion: {mra.status}")
 for row in mra.rows:
     print(f"  n={row.lattice_index}: {row.measure.exact_string()}")
 

@@ -78,7 +78,7 @@ print(f"reconstruction relative error: {rel:.2e}")
 # like p^(-depth/2): the uncovered spectral mass is the identity ball.
 # ---------------------------------------------------------------------------
 sigma = accumulate_omega_sigma(family, 8)
-phi = synthesize_wavelet(sigma.spectrum(), QuotientGrid(p, 5, 4))
+phi = synthesize_wavelet(sigma.resolved, QuotientGrid(p, 5, 4))
 print("\ncoarse-subspace residuals:")
 for depth in range(5):
     print(f"  depth {depth}: {v0_residual(phi, family, depth):.6f}")

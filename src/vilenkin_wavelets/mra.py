@@ -4,9 +4,10 @@ The candidate scaling spectrum is the union of all forward contracting
 dilates of the family.  Working with its depth-J truncation keeps every
 quantity an exact cylinder set; the untruncated remainder lives inside an
 identity ball of measure p**(-J) and is accounted for explicitly, never
-approximated.  When the truncation plus that ball is literally a fixed
-point of S -> sigma(D) | sigma(S), the spectrum has been resolved
-exactly; every PASS below is decided on that exact spectrum.
+approximated.  At depth max(L - w, 1), L the family's resolution and w
+its lowest pinned position, the truncation plus that ball is literally
+the fixed point of S -> sigma(D) | sigma(S), the exact spectrum; every
+verdict below is decided on it, at every depth.
 
 Filters are 0/1 and lattice periodic: the low-pass vanishes on the first
 dilate of the family and equals one on the rest of the spectrum; each
@@ -59,14 +60,15 @@ def _require_verified(family: WaveletFamily, verdict: VerdictReport | None) -> V
 
 @dataclass
 class OmegaSigma:
-    """Depth-J truncation of the scaling spectrum, plus exact-tail data."""
+    """Depth-J truncation of the scaling spectrum, and the exact spectrum
+    it is read off."""
 
     p: int
     depth: int
     truncated: PSet
     level: int  # family union resolution
     lowest_fixed: int  # coarsest pinned digit position of the family union
-    resolved: PSet | None  # exact spectrum (a superset of truncated) when the tail is self-similar
+    resolved: PSet  # the exact spectrum, a superset of truncated
     _measured: tuple[PSet, Measure] | None = field(default=None, init=False, repr=False, compare=False)
 
     def truncated_measure(self) -> Measure:
@@ -79,28 +81,29 @@ class OmegaSigma:
     def tail_bound(self) -> Measure:
         return Measure.make(1, self.p, self.depth)
 
-    def spectrum(self) -> PSet:
-        """Best available cylinder representation of the spectrum."""
-        return self.resolved if self.resolved is not None else self.truncated
-
 
 def _dilates(union: PSet, depth: int) -> PSet:
     """The union of the dilates of a verified family's union by 1 to depth.
 
     Dilation tiling makes those dilates pairwise disjoint, so their
-    cylinders make one canonical set; the constructor still checks it.
+    cylinders make one canonical set.  The constructor still checks it:
+    verify_calderon relies on that check for its pieces_disjoint verdict.
     """
     return PSet(
         union.p, (c.dilate(j) for j in range(1, depth + 1) for c in union.cylinders)
     )
 
 
-def _fixed_point(union: PSet, truncated: PSet, ball: int) -> PSet | None:
-    """truncated | theta_ball(p, ball) when it equals its own image
-    sigma(union) | sigma(itself), else None."""
-    candidate = truncated.union(theta_ball(union.p, ball))
-    image = union.dilate(1).union(candidate.dilate(1))
-    return candidate if image == candidate else None
+def _fixed_point(union: PSet, depth: int) -> PSet:
+    """The dilates of the union by 1 to depth plus theta_ball(p, w + depth),
+    w its lowest pinned position, which must equal its own image
+    sigma(union) | sigma(itself); a set that does not raises VilenkinError."""
+    candidate = _dilates(union, depth).union(
+        theta_ball(union.p, union.min_fixed_position + depth)
+    )
+    if union.dilate(1).union(candidate.dilate(1)) != candidate:
+        raise VilenkinError(f"the dilates 1 to {depth} do not close into the spectrum")
+    return candidate
 
 
 def accumulate_omega_sigma(
@@ -111,26 +114,16 @@ def accumulate_omega_sigma(
 ) -> OmegaSigma:
     """Union of the first `depth` contracting dilates of the family union.
 
-    Also tests for the fixed point: if the truncation plus the identity
-    ball theta_ball(p, w + depth), w the family's lowest pinned position,
-    satisfies S == sigma(D) | sigma(S) exactly, the spectrum is
-    self-similar and S represents it exactly (a.e.).  The test runs at
-    every depth; check_mra_condition shows it succeeds from depth L - w
-    on, L the family's resolution.
+    The exact spectrum comes first.  With L the family's resolution and w
+    its lowest pinned position, the dilates 1 to settle = max(L - w, 1)
+    plus the identity ball theta_ball(p, w + settle) make the fixed point
+    S == sigma(D) | sigma(S), the spectrum exactly (a.e.):
+    check_mra_condition's docstring proves it, and a family whose dilates
+    do not close raises VilenkinError.
 
-    So the dilates are built only up to settle = min(depth, max(L - w, 1)).
-    A deeper truncation is read off the fixed point S found there: S is
-    the disjoint union of all the dilates, sigma^depth(S) the union of
-    those past depth, and S - sigma^depth(S) the truncation (clopen sets
-    equal a.e. are equal).  A spectrum that is not the fixed point at
-    settle contradicts that proof and raises VilenkinError.
-
-    The fixed-point test at depth would find S again, so it is not run.
-    The union is zero below w and S is made of its dilates by 1 and more,
-    so S lies in the ball B(w) = theta_ball(p, w); then sigma^depth(S)
-    lies in B(w + depth), which lies in B(w + settle), which lies in S.
-    So the truncation plus B(w + depth),
-    (S - sigma^depth(S)) | B(w + depth), is S itself.
+    The truncation at every depth is read off S: S is the disjoint union
+    of all the dilates, sigma^depth(S) the union of those past depth, and
+    S - sigma^depth(S) the truncation (clopen sets equal a.e. are equal).
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -139,17 +132,11 @@ def accumulate_omega_sigma(
     w_lo = union.min_fixed_position
     assert w_lo is not None
 
-    settle = min(depth, max(union.max_resolution - w_lo, 1))
-    truncated = _dilates(union, settle)
-    resolved = _fixed_point(union, truncated, w_lo + settle)
-    if depth > settle:
-        if resolved is None:
-            raise VilenkinError(f"the spectrum is not the fixed point at depth {settle}")
-        truncated = resolved.difference(resolved.dilate(depth))
+    resolved = _fixed_point(union, max(union.max_resolution - w_lo, 1))
     sigma = OmegaSigma(
         p=family.p,
         depth=depth,
-        truncated=truncated,
+        truncated=resolved.difference(resolved.dilate(depth)),
         level=union.max_resolution,
         lowest_fixed=w_lo,
         resolved=resolved,
@@ -174,9 +161,7 @@ class MraRow:
 
 @dataclass
 class MraReport:
-    status: str  # PASS | FAIL | INCONCLUSIVE
-    certified: bool
-    certification: str | None  # how the verdict was certified
+    status: str  # PASS | FAIL
     depth: int
     rows: list[MraRow]
     witnesses: list[dict] = field(default_factory=list)
@@ -190,12 +175,11 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
     """Decide whether the spectrum's lattice translates are a.e. disjoint.
 
     The reported table always contains the truncated measures.  A nonzero
-    row other than the identity is a certified failure (truncation is a
-    subset, so the true overlap can only be larger).  An all-zero table
-    passes only on the exactly resolved spectrum, whose own overlaps are
-    then checked too; on a spectrum that is not resolved it stays
-    INCONCLUSIVE rather than guessing.  Witnesses of the truncation come
-    before those of the exact spectrum, which are marked "tail".
+    row other than the identity is a failure (truncation is a subset, so
+    the true overlap can only be larger).  The verdict is decided on the
+    exact spectrum, whose own overlaps are checked too.  Witnesses of the
+    truncation come before those of the exact spectrum, which are marked
+    "tail".
 
     Each table is read off the congruence partition of its set S, the
     triples (a, piece, T_a) with T_a the piece of integer part a moved
@@ -210,8 +194,9 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
     position 0; a row no pair meets reads 0.  A cylinder coarser than
     resolution 0 spans several integer parts and raises DigitError.
 
-    Every verified family is resolved from depth L - w on, so no depth
-    threshold is needed to certify a deeper table.  Write U for the
+    For every verified family the set S below is the fixed point at
+    every depth J >= L - w, so accumulate_omega_sigma builds the spectrum
+    at depth max(L - w, 1), whatever the reported depth.  Write U for the
     family union, L for its finest resolution, w for its lowest pinned
     position, T_J for the union of sigma^1(U) .. sigma^J(U), B(k) =
     theta_ball(p, k) (the points whose digits at positions <= k are all
@@ -262,23 +247,11 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
                 witnesses.append(witness)
         return rows, witnesses
 
-    exact = omega_sigma.resolved
     rows, witnesses = overlaps(omega_sigma.truncated, False)
     rows.insert(0, MraRow(0, omega_sigma.truncated_measure()))
-    if exact is not None:
-        witnesses += overlaps(exact, True)[1]
-
-    if witnesses:
-        status = "FAIL"
-    elif exact is not None:
-        status = "PASS"
-    else:
-        status = "INCONCLUSIVE"
-
+    witnesses += overlaps(omega_sigma.resolved, True)[1]
     return MraReport(
-        status=status,
-        certified=status != "INCONCLUSIVE",
-        certification="self-similar-fixed-point" if exact is not None else None,
+        status="FAIL" if witnesses else "PASS",
         depth=omega_sigma.depth,
         rows=rows,
         witnesses=witnesses,
@@ -290,7 +263,7 @@ def check_mra_condition(omega_sigma: OmegaSigma) -> MraReport:
 
 @dataclass
 class FilterBank:
-    """The 0/1 filters of a resolved spectrum, each one cylinder set: its
+    """The 0/1 filters of the exact spectrum, each one cylinder set: its
     level set Per_1 on the unit cell, the points whose digits at
     positions 1 to the table resolution make the filter one.  A filter
     is lattice periodic, so that set fixes it everywhere; on the unit
@@ -350,8 +323,7 @@ def build_filters(
     *,
     mra: MraReport | None = None,
 ) -> FilterBank:
-    """The 0/1 low-pass and band filters of the exactly resolved spectrum
-    Omega; a spectrum that is not resolved raises ValueError.
+    """The 0/1 low-pass and band filters of the exact spectrum Omega.
 
     The low-pass vanishes on the first dilate sigma(U) of the family
     union and is one on the rest of Omega; band u is the indicator of
@@ -365,8 +337,6 @@ def build_filters(
     if not mra.passed:
         raise VilenkinError("the intersection-measure criterion did not pass")
     domain = omega_sigma.resolved
-    if domain is None:
-        raise ValueError("the filters need an exactly resolved spectrum")
 
     first_dilates = [s.dilate(1) for s in family.sets]
     resolution = max(
@@ -490,7 +460,7 @@ def verify_two_scale(
     window: int | None = None,
 ) -> TwoScaleReport:
     """The refinement equations and the low-pass product, each decided as
-    an equality of two cylinder sets on the resolved spectrum.
+    an equality of two cylinder sets on the exact spectrum.
 
     With 0/1 filters every identity compares two indicators.  Write Omega
     for the spectrum, D_u for the members, sigma^-j for the dilate by -j,
@@ -529,11 +499,7 @@ def verify_two_scale(
     identity and its "lhs" and "rhs" values at that cell; refinement
     cells are moved one position back into the frame of the filter
     argument.
-
-    A spectrum that is not exactly resolved raises ValueError.
     """
-    if omega_sigma.resolved is None:
-        raise ValueError("the two-scale check needs an exactly resolved spectrum")
     p = family.p
     w_lo = omega_sigma.lowest_fixed
     if window is None:
@@ -630,9 +596,7 @@ def verify_calderon(
     union = family.union()
     w_lo = union.min_fixed_position
     settle = max(union.max_resolution - w_lo, 1) + 2
-    omega = _fixed_point(union, _dilates(union, settle), w_lo + settle)
-    if omega is None:
-        raise VilenkinError(f"the dilates 1 to {settle} do not close into the spectrum")
+    omega = _fixed_point(union, settle)
 
     T = omega_sigma.truncated
     truncation = omega.difference(omega.dilate(J))  # the dilates 1 to J

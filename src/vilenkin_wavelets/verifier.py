@@ -413,15 +413,15 @@ def congruence_partition(s: PSet) -> list[tuple[GroupElement, PSet, PSet]]:
     # A group is one coarse cylinder or an in-order run of cylinders of s
     # that share their leading digits, so it is canonical before and
     # after they are stripped.
-    ordered = sorted(groups, key=lambda prefix: sum(d * p**-pos for pos, d in prefix))
-    out = []
-    for prefix in ordered:
-        piece, moved = groups[prefix]
-        out.append((
+    out = [
+        (
             from_digits(p, dict(prefix)),
             PSet._canonical(p, tuple(piece)),
             PSet._canonical(p, tuple(moved)) if moved else _unit_cell(p),
-        ))
+        )
+        for prefix, (piece, moved) in groups.items()
+    ]
+    out.sort(key=lambda part: lambda_encode(part[0]))
     return out
 
 

@@ -263,7 +263,7 @@ def test_criterion_8_calderon_and_residual():
     p = 2
     family = shannon_family(p)
     sigma = accumulate_omega_sigma(family, 8)
-    phi = synthesize_wavelet(sigma.spectrum(), QuotientGrid(p, 5, 4))
+    phi = synthesize_wavelet(sigma.resolved, QuotientGrid(p, 5, 4))
     previous = math.inf
     residuals = []
     for depth in range(0, 5):

@@ -22,7 +22,6 @@ from vilenkin_wavelets.mra import (
     MraReport,
     MraRow,
     OmegaSigma,
-    _fixed_point,
     _fold,
     accumulate_omega_sigma,
     build_filters,
@@ -98,7 +97,7 @@ class TestMraCondition:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_shannon_certifies(self, p):
         _, sigma, mra, _ = shannon_pipeline(p)
-        assert mra.status == "PASS" and mra.certified
+        assert mra.status == "PASS"
         identity_row = [r for r in mra.rows if r.lattice_index == 0]
         assert identity_row[0].measure == Fraction(p**8 - 1, p**8)
         for row in mra.rows:
@@ -120,12 +119,7 @@ class TestMraCondition:
         for depth in range(1, 10):
             sigma = accumulate_omega_sigma(family, depth)
             statuses.append(check_mra_condition(sigma).status)
-        certified_seen = False
-        for status in statuses:
-            if status == "PASS":
-                certified_seen = True
-            if certified_seen:
-                assert status == "PASS"
+        assert set(statuses) == {"PASS"}
 
     def test_translate_overlap_fails(self):
         # Synthetic spectrum with two cells in the same lattice-coset slot:
@@ -140,38 +134,26 @@ class TestMraCondition:
         )
         sigma = OmegaSigma(
             p=p, depth=6, truncated=spectrum, level=1, lowest_fixed=0,
-            resolved=None,
+            resolved=spectrum,
         )
         mra = check_mra_condition(sigma)
-        assert mra.status == "FAIL" and mra.certified
-        assert any(w["lattice_index"] == 1 for w in mra.witnesses)
+        assert mra.status == "FAIL"
+        assert any(w["lattice_index"] == 1 and "tail" not in w for w in mra.witnesses)
 
     @pytest.mark.parametrize("resolved", [False, True])
     def test_coarse_cylinder_has_no_integer_part(self, resolved):
-        # A truncation holding a resolution -1 cylinder, which spans two
-        # integer parts: the table is refused, resolved or not.
+        # A spectrum holding a resolution -1 cylinder, which spans two
+        # integer parts: the table is refused, whether the truncation holds
+        # it too or only the resolved spectrum does.
         p = 2
-        truncated = PSet(p, [Cylinder(p, -1, ((-1, 1),)), Cylinder(p, 2, ((2, 1),))])
+        fine = Cylinder(p, 2, ((2, 1),))
+        spectrum = PSet(p, [Cylinder(p, -1, ((-1, 1),)), fine])
         sigma = OmegaSigma(
-            p=p, depth=1, truncated=truncated, level=2, lowest_fixed=-1,
-            resolved=truncated if resolved else None,
+            p=p, depth=1, truncated=PSet(p, [fine]) if resolved else spectrum, level=2,
+            lowest_fixed=-1, resolved=spectrum,
         )
         with pytest.raises(DigitError, match=r"^integer part requires resolution >= 0$"):
             check_mra_condition(sigma)
-
-    def test_inconclusive_without_certification(self):
-        # Shallow depth with a spectrum that is not self-similar at that
-        # depth and whose zero rows cannot be certified.
-        from vilenkin_wavelets.mra import OmegaSigma
-
-        p = 2
-        spectrum = PSet(p, [Cylinder(p, 3, ((1, 1),))], validate=False)
-        sigma = OmegaSigma(
-            p=p, depth=2, truncated=spectrum, level=3, lowest_fixed=1,
-            resolved=None,
-        )
-        mra = check_mra_condition(sigma)
-        assert mra.status == "INCONCLUSIVE" and not mra.certified
 
 
 class TestThreeShellPipeline:
@@ -188,29 +170,18 @@ class TestThreeShellPipeline:
         assert sigma.resolved != unit_cell(2)  # not the Shannon spectrum
 
         mra = check_mra_condition(sigma)
-        assert mra.status == "PASS" and mra.certified
+        assert mra.status == "PASS"
         bank = build_filters(family, sigma, mra=mra)
         assert verify_filter_identities(bank, 4).passed
         assert verify_two_scale(family, sigma, bank).passed
         assert verify_calderon(family, sigma).passed
 
     def test_truncated_filters_and_two_scale(self):
-        # A spectrum that is not resolved certifies nothing: the criterion
-        # is INCONCLUSIVE, build_filters refuses it even beside a PASS
-        # report, tables built by hand on the truncation are all zero on
-        # the fold of the tail ball and fail the identities there, and the
-        # two-scale check refuses.
+        # Tables built by hand on the truncation are all zero on the fold
+        # of the tail ball: they fail the identities there, and the
+        # refinement equations on the exact spectrum.
         family = three_shell_family()
         sigma = accumulate_omega_sigma(family, 8)
-        passed = check_mra_condition(sigma)
-        sigma.resolved = None
-        mra = check_mra_condition(sigma)
-        assert mra.status == "INCONCLUSIVE" and mra.certification is None
-        with pytest.raises(VilenkinError):
-            build_filters(family, sigma, mra=mra)
-        with pytest.raises(ValueError, match="resolved spectrum"):
-            build_filters(family, sigma, mra=passed)
-
         bank = _bank("three-shell2-truncated")
         identities = verify_filter_identities(bank, bank.resolution)
         assert not identities.passed and identities.formulations_agree
@@ -219,29 +190,32 @@ class TestThreeShellPipeline:
         missed = PSet(2, [Cylinder.from_json(2, e["cell"]) for e in gaps])
         assert missed.measure() == sigma.tail_bound()  # Omega - T folds onto the gap
 
-        with pytest.raises(ValueError, match="resolved spectrum"):
-            verify_two_scale(family, sigma, bank)
+        report = verify_two_scale(family, sigma, bank)
+        assert not report.passed and report.failing_cells
 
-    def test_truncated_spectrum_is_never_certified(self):
-        # The family pins a digit at a negative position.  With the tail
-        # forgotten, an all-zero table stays INCONCLUSIVE at every depth:
-        # no depth threshold certifies without the fixed point.
+    def test_overlap_past_the_truncation_fails(self):
+        # The family pins a digit at a negative position.  Its truncations
+        # have all-zero tables at every depth; a spectrum with a lattice
+        # translate of its tail added overlaps past them, and the verdict,
+        # decided on the spectrum, is FAIL with "tail" witnesses only.
         family = three_shell_family()
-        for depth in (3, 4, 5, 6, 8, 30):
+        shift = from_digits(2, {0: 1})
+        for depth in (1, 3, 4, 8, 30):
             sigma = accumulate_omega_sigma(family, depth)
-            sigma.resolved = None
+            tail = sigma.resolved.dilate(depth)
+            sigma.resolved = sigma.resolved.union(tail.translate(shift))
             report = check_mra_condition(sigma)
-            assert report.status == "INCONCLUSIVE" and not report.certified, depth
-            assert not report.witnesses and report.certification is None
+            assert all(row.measure == 0 for row in report.rows[1:]), depth
+            assert report.status == "FAIL" and report.witnesses, depth
+            assert all(w.get("tail") for w in report.witnesses), depth
 
 
 class TestNonShannonFamilies:
     def test_full_pipeline(self):
         family = coset_shuffle_family()
         sigma = accumulate_omega_sigma(family, 6)
-        assert sigma.resolved is not None
         mra = check_mra_condition(sigma)
-        assert mra.status == "PASS" and mra.certified
+        assert mra.status == "PASS"
         bank = build_filters(family, sigma, mra=mra)
         assert verify_filter_identities(bank, 4).passed
         assert verify_two_scale(family, sigma, bank).passed
@@ -315,15 +289,8 @@ class TestFilters:
         assert evaluate_point(bank.m0, omega2) == 1
 
     def test_unresolved_outside_domain(self):
-        # build_filters refuses a spectrum with its tail forgotten; tables
-        # built by hand on the truncation are zero in the tail ball.
+        # Tables built by hand on the truncation are zero in the tail ball.
         p = 2
-        family = shannon_family(p)
-        sigma = accumulate_omega_sigma(family, 3)
-        sigma.resolved = None
-        assert check_mra_condition(sigma).status == "INCONCLUSIVE"
-        with pytest.raises(VilenkinError):
-            build_filters(family, sigma)
         bank = _bank("shannon2-truncated")
         deep = Cylinder(p, 6, ((6, 1),))  # inside the unresolved tail ball
         assert [evaluate_cell(t, deep) for t in bank.all_tables()] == [0, 0]
@@ -340,7 +307,7 @@ class TestFilters:
         )
         sigma = OmegaSigma(
             p=p, depth=6, truncated=spectrum, level=1, lowest_fixed=0,
-            resolved=None,
+            resolved=spectrum,
         )
         family = shannon_family(p)
         with pytest.raises(VilenkinError):
@@ -402,20 +369,15 @@ class TestTwoScale:
 
     @pytest.mark.parametrize("name", SWEEP)
     def test_passes_at_every_depth_to_forty(self, name):
-        # From the first depth where the spectrum resolves to J = 40, far
-        # past MAX_RESOLUTION, every verdict holds at every depth,
-        # two-scale included from the first resolved one.
+        # At every depth from 1 to J = 40, far past MAX_RESOLUTION, every
+        # verdict holds, two-scale included.
         family = family_named(name)
         p = family.p
-        resolved = []
         for J in range(1, 41):
             sigma = accumulate_omega_sigma(family, J)
             assert sigma.truncated.measure() == 1 - Fraction(1, p**J)
             mra = check_mra_condition(sigma)
-            if sigma.resolved is None:
-                assert mra.status == "INCONCLUSIVE", J
-                continue
-            assert mra.status == "PASS" and mra.certification == "self-similar-fixed-point", J
+            assert mra.status == "PASS", J
             bank = build_filters(family, sigma, mra=mra)
             identities = verify_filter_identities(bank, max(bank.resolution, 4))
             assert identities.passed and not identities.failing_cells, J
@@ -423,8 +385,6 @@ class TestTwoScale:
             report = verify_two_scale(family, sigma, bank)
             assert report.passed and not report.failing_cells, J
             assert report.checked_cells > 0
-            resolved.append(J)
-        assert resolved == list(range(resolved[0], 41)) and resolved[0] <= 4
 
     @pytest.mark.parametrize("name", SWEEP)
     def test_same_sets_at_every_depth(self, name):
@@ -463,15 +423,6 @@ class TestTwoScale:
         report = verify_two_scale(family, sigma, bank)
         assert time.perf_counter() - start < 0.5
         assert report.passed and report.window == 1 - w
-
-    @pytest.mark.parametrize("name", ["shannon2-truncated"])
-    def test_refuses_what_it_cannot_decide(self, name):
-        # A truncated spectrum has no exact equations.
-        family = shannon_family(2)
-        sigma = accumulate_omega_sigma(family, 3)
-        sigma.resolved = None
-        with pytest.raises(ValueError):
-            verify_two_scale(family, sigma, _bank(name))
 
     def test_level_sets_split_the_unit_cell(self):
         # The bands are the first dilates of the members, folded onto the
@@ -792,20 +743,22 @@ class _Unresolved:
 UNRESOLVED = _Unresolved()
 
 
-def walk_two_scale(family, omega_sigma, bank, *, window=None, product_depth=None):
+def walk_two_scale(
+    family, omega_sigma, bank, *, window=None, product_depth=None, truncated=False
+):
     """The cell walk verify_two_scale used to be: cells of the window are
     split until each identity's two sides are constant on them, and each
-    cell is checked on its own.  On a resolved spectrum it checks every
+    cell is checked on its own.  On the resolved spectrum it checks every
     cell of the window, with the product to depth window + the table
-    resolution unless told otherwise.  It also takes truncated spectra,
-    with an exclusion ball, a depth bound and an allowance for what they
-    cannot resolve, and gives up on cells whose product factors pass
-    MAX_RESOLUTION."""
+    resolution unless told otherwise.  With truncated=True it walks the
+    truncation instead, with an exclusion ball, a depth bound and an
+    allowance for what it cannot resolve, and gives up on cells whose
+    product factors pass MAX_RESOLUTION."""
     p = family.p
     J = omega_sigma.depth
     L = omega_sigma.level
     w_lo = omega_sigma.lowest_fixed
-    resolved = omega_sigma.resolved is not None
+    resolved = not truncated
     if window is None:
         window = max(2, 1 - w_lo)
     if not resolved and window + L > J:
@@ -817,7 +770,7 @@ def walk_two_scale(family, omega_sigma, bank, *, window=None, product_depth=None
     if product_depth < 1 or not resolved and product_depth > J:
         raise ValueError(f"product depth must lie in [1, {J}]")
 
-    phi = membership_index(omega_sigma.spectrum())
+    phi = membership_index(omega_sigma.truncated if truncated else omega_sigma.resolved)
     bands = [membership_index(member) for member in family.sets]
     if resolved:
         two_scale_exclusion = product_exclusion = membership_index(empty_set(p))
@@ -979,11 +932,8 @@ class TestTwoScaleWalk:
     def test_failures_match_the_cell_walk(self, name, variant):
         family = family_named(name)
         p = family.p
-        decided = 0
         for J in range(1, 11):
             sigma = accumulate_omega_sigma(family, J)
-            if sigma.resolved is None:
-                continue
             bank = build_filters(family, sigma)
             m0, m1 = bank.m0, bank.m1
             if variant in ("m0-flipped", "deep-product"):
@@ -1000,11 +950,11 @@ class TestTwoScaleWalk:
             assert failure_sets(got, p) == failure_sets(want, p), J
             assert got.passed == want.passed == (variant == "correct"), J
             assert want.unresolved_mass == 0
-            decided += 1
-        assert decided >= 6
 
 
 def _two_scale_inputs(name):
+    """The family, its spectrum and the bank of a named walk input; the
+    truncated ones walk the truncation with a bank folded from it."""
     if name in ("shannon2", "shannon3", "shannon5"):
         family, sigma, _, bank = shannon_pipeline(int(name[-1]))
         return family, sigma, bank
@@ -1014,7 +964,6 @@ def _two_scale_inputs(name):
         family, depth = three_shell_family(), 8 if name.endswith("truncated") else 6
     sigma = accumulate_omega_sigma(family, depth)
     if name.endswith("truncated"):
-        sigma.resolved = None
         return family, sigma, _bank(name)
     return family, sigma, build_filters(family, sigma)
 
@@ -1047,9 +996,10 @@ class TestMembershipIndex:
 
         monkeypatch.setattr(sys.modules[__name__], "membership_index", checked)
         family, sigma, bank = _two_scale_inputs(name)
-        report = walk_two_scale(family, sigma, bank)
+        truncated = name.endswith("truncated")
+        report = walk_two_scale(family, sigma, bank, truncated=truncated)
         # Tables folded from a truncation are zero where the tail folds.
-        assert report.passed != name.endswith("truncated")
+        assert report.passed != truncated
         assert set(seen) == {0, 1, None}
 
     @pytest.mark.parametrize("name", NAMES)
@@ -1057,7 +1007,8 @@ class TestMembershipIndex:
         family, sigma, _ = _two_scale_inputs(name)
         p = family.p
         gen = random.Random(f"membership-{name}")
-        sets = [sigma.spectrum(), *family.sets, theta_ball(p, sigma.level + sigma.depth)]
+        spectrum = sigma.truncated if name.endswith("truncated") else sigma.resolved
+        sets = [spectrum, *family.sets, theta_ball(p, sigma.level + sigma.depth)]
         for s in sets:
             locate = membership_index(s)
             outcomes = set()
@@ -1104,22 +1055,29 @@ def bound_families():
 
 class TestFixedPointBound:
     def test_resolved_from_l_minus_w(self):
-        # check_mra_condition's docstring proves the spectrum resolved at
-        # every J >= L - w, and only a resolved spectrum can PASS.
+        # check_mra_condition's docstring proves that the depth-J truncation
+        # closes into the fixed point at every J >= L - w, the same set at
+        # every such J; the spectrum reported at every depth is that fixed
+        # point, and the verdict decided on it is the same at every depth.
         families = bound_families()
         assert len(families) >= 30
         attained = 0
         for family in families:
             union = family.union()
             L, w = union.max_resolution, union.min_fixed_position
+            spectrum = fixed_point_at(family, max(L - w, 1))
             first = None
+            statuses = set()
             for J in range(1, L - w + 9):
-                sigma = accumulate_omega_sigma(family, J)
-                if sigma.resolved is not None and first is None:
+                fixed = fixed_point_at(family, J)
+                if fixed is not None and first is None:
                     first = J
-                assert (sigma.resolved is not None) == (first is not None), (family.sets, J)
-                assert first is not None or not check_mra_condition(sigma).passed
+                assert fixed == (spectrum if first else None), (family.sets, J)
+                sigma = accumulate_omega_sigma(family, J)
+                assert sigma.resolved == spectrum, (family.sets, J)
+                statuses.add(check_mra_condition(sigma).status)
             assert first <= max(L - w, 1), family.sets
+            assert len(statuses) == 1, family.sets
             attained += first == L - w
         assert attained > 0  # the bound is tight
 
@@ -1165,6 +1123,18 @@ def union_of_dilates(family, J):
     return PSet(family.p, (c.dilate(j) for j in range(1, J + 1) for c in union.cylinders))
 
 
+def fixed_point_at(family, J):
+    """The union of the dilates 1..J plus theta_ball(p, w + J) when it is
+    its own image sigma(U) | sigma(itself), U the family union and w its
+    lowest pinned position; else None."""
+    union = family.union()
+    candidate = union_of_dilates(family, J).union(
+        theta_ball(family.p, union.min_fixed_position + J)
+    )
+    image = union.dilate(1).union(candidate.dilate(1))
+    return candidate if image == candidate else None
+
+
 def _integer_parts(s):
     """The integer parts of s's cylinders, in lattice-index order."""
     parts = {cylinder_integer_part(c) for c in s.cylinders}
@@ -1191,11 +1161,7 @@ def two_pass_mra_condition(omega_sigma):
     overlaps, each computed by intersecting the set with its translates."""
     p = omega_sigma.p
     rows, witnesses = [], []
-    exact = omega_sigma.resolved
-    passes = [(omega_sigma.truncated, False)]
-    if exact is not None:
-        passes.append((exact, True))
-    for S, tail in passes:
+    for S, tail in ((omega_sigma.truncated, False), (omega_sigma.resolved, True)):
         for n in _translation_candidates(S, p):
             if n.is_identity:
                 if not tail:
@@ -1214,11 +1180,8 @@ def two_pass_mra_condition(omega_sigma):
                 if tail:
                     witness["tail"] = True
                 witnesses.append(witness)
-    status = "FAIL" if witnesses else "PASS" if exact is not None else "INCONCLUSIVE"
     return MraReport(
-        status=status,
-        certified=status != "INCONCLUSIVE",
-        certification="self-similar-fixed-point" if exact is not None else None,
+        status="FAIL" if witnesses else "PASS",
         depth=omega_sigma.depth,
         rows=rows,
         witnesses=witnesses,
@@ -1262,8 +1225,7 @@ def test_table_reads_one_partition_per_set(name, monkeypatch):
     for sigma in sigmas:
         partitioned.clear()
         report = check_mra_condition(sigma)
-        tabled = [sigma.truncated] + ([sigma.resolved] if sigma.resolved is not None else [])
-        assert partitioned == tabled
+        assert partitioned == [sigma.truncated, sigma.resolved]
         assert calls == []
     assert (report.status == "FAIL") == (name == "overlapping")
 
@@ -1308,45 +1270,45 @@ def test_truncated_measure_follows_the_truncation():
 
 
 def assert_resolved_is_the_fixed_point(family, depths):
-    """Past the settle depth, accumulate_omega_sigma reuses the fixed point
-    it found there; the fixed-point test at depth J must find it again."""
-    union = family.union()
+    """accumulate_omega_sigma reports the fixed point it finds at the
+    settle depth max(L - w, 1) at every depth J.  From the settle depth
+    on, the reported truncation plus theta_ball(p, w + J) must close into
+    it again; below it, the union of the dilates 1..settle must."""
+    p, union = family.p, family.union()
     w = union.min_fixed_position
+    settle = max(union.max_resolution - w, 1)
     for J in depths:
         sigma = accumulate_omega_sigma(family, J)
-        assert _fixed_point(union, sigma.truncated, w + J) == sigma.resolved, J
+        K = max(J, settle)
+        truncated = sigma.truncated if J == K else union_of_dilates(family, K)
+        candidate = truncated.union(theta_ball(p, w + K))
+        assert union.dilate(1).union(candidate.dilate(1)) == candidate == sigma.resolved, J
 
 
 class TestSpectrumFromTheFixedPoint:
     @pytest.mark.parametrize("name", SHIPPED_PASS + ["coset-shuffle3"])
     def test_matches_the_union_of_dilates(self, name):
         family = family_named(name)
-        p, union = family.p, family.union()
-        w = union.min_fixed_position
-        statuses = set()
+        union = family.union()
+        settle = max(union.max_resolution - union.min_fixed_position, 1)
         for J in range(1, 41):
             sigma = accumulate_omega_sigma(family, J)
-            truncated = union_of_dilates(family, J)
-            assert sigma.truncated == truncated, J
-            candidate = truncated.union(theta_ball(p, w + J))
-            image = union.dilate(1).union(candidate.dilate(1))
-            assert sigma.resolved == (candidate if image == candidate else None), J
+            assert sigma.truncated == union_of_dilates(family, J), J
+            assert sigma.resolved == fixed_point_at(family, max(J, settle)), J
             mra = check_mra_condition(sigma)
             assert mra == two_pass_mra_condition(sigma), J
-            statuses.add(mra.status)
-        assert "PASS" in statuses
+            assert mra.status == "PASS", J
 
-    @pytest.mark.parametrize("resolved", ["none", "same", "wider", "overlapping"])
+    @pytest.mark.parametrize("resolved", ["same", "wider", "overlapping"])
     def test_failing_spectrum_matches_two_passes(self, resolved):
         # The spectrum of test_translate_overlap_fails: two cells a lattice
-        # shift apart.  With an exact spectrum that overlaps too, the
+        # shift apart.  The exact spectrum overlaps too, and the
         # truncation's witnesses come before the "tail" ones.
         p = 2
         cells = [Cylinder(p, 1, ()), Cylinder(p, 1, ((0, 1),))]
         spectrum = PSet(p, cells, validate=False)
         truncated = spectrum
         exact = {
-            "none": None,
             "same": spectrum,
             "wider": spectrum.union(PSet(p, [Cylinder(p, 2, ((-1, 1), (1, 1)))])),
             "overlapping": spectrum,
@@ -1359,17 +1321,20 @@ class TestSpectrumFromTheFixedPoint:
         got = check_mra_condition(sigma)
         assert got == two_pass_mra_condition(sigma)
         assert got.status == "FAIL" and got.witnesses
-        assert any("tail" in w for w in got.witnesses) == (exact is not None)
+        assert any("tail" in w for w in got.witnesses)
         assert any("tail" not in w for w in got.witnesses) == (resolved != "overlapping")
 
     def test_unresolved_spectrum_matches_two_passes(self):
+        # A truncation that leaves part of the spectrum out: its all-zero
+        # table passes on the spectrum, whose overlaps are all null too.
         p = 2
-        spectrum = PSet(p, [Cylinder(p, 3, ((1, 1),))], validate=False)
+        truncated = PSet(p, [Cylinder(p, 3, ((1, 1),))])
+        spectrum = truncated.union(PSet(p, [Cylinder(p, 3, ((1, 1), (2, 1)))]))
         sigma = OmegaSigma(
-            p=p, depth=2, truncated=spectrum, level=3, lowest_fixed=1, resolved=None,
+            p=p, depth=2, truncated=truncated, level=3, lowest_fixed=1, resolved=spectrum,
         )
         got = check_mra_condition(sigma)
-        assert got == two_pass_mra_condition(sigma) and got.status == "INCONCLUSIVE"
+        assert got == two_pass_mra_condition(sigma) and got.status == "PASS"
 
     @pytest.mark.parametrize("name", SWEEP)
     def test_resolved_is_the_fixed_point_at_every_depth(self, name):
@@ -1387,14 +1352,16 @@ class TestSpectrumFromTheFixedPoint:
 
     def test_a_spectrum_off_the_fixed_point_is_refused(self, monkeypatch):
         # The proof in check_mra_condition's docstring rules this out; the
-        # deeper truncation is read off the fixed point only when it is one.
+        # truncation is read off the fixed point, at every depth, only when
+        # the dilates close into one.
         from vilenkin_wavelets import mra
 
         family = shannon_family(2)
-        monkeypatch.setattr(mra, "_fixed_point", lambda *args: None)
-        assert accumulate_omega_sigma(family, 1).resolved is None
-        with pytest.raises(VilenkinError, match="not the fixed point at depth 1"):
-            accumulate_omega_sigma(family, 2)
+        dilates = mra._dilates
+        monkeypatch.setattr(mra, "_dilates", lambda u, k: PSet(u.p, dilates(u, k).cylinders[1:]))
+        for depth in (1, 2, 5):
+            with pytest.raises(VilenkinError, match="the dilates 1 to 1 do not close"):
+                accumulate_omega_sigma(family, depth)
 
 
 # -- filters decided without listing cells ----------------------------------------

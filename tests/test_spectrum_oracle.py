@@ -40,30 +40,30 @@ def members_of(family):
 
 def assert_spectrum_matches(family, J):
     """accumulate_omega_sigma and verify_calderon at depth J against the
-    oracle's truncation, fixed point and Calderon report."""
+    oracle's truncation, Calderon report and fixed point, the last found
+    at max(J, L - w, 1).  Returns the oracle's fixed point at J itself,
+    None when the depth-J truncation does not close into it."""
     members = members_of(family)
     sigma = accumulate_omega_sigma(family, J)
+    union = family.union()
+    settle = max(J, union.max_resolution - union.min_fixed_position, 1)
     lo = min(m.lo for m in members) + 1  # every spectrum point pins nothing below
-    hi = max(m.hi for m in members) + J
+    hi = max(m.hi for m in members) + settle
     truncation = oracle_spectrum(members, J)
     assert CellSet.from_pset(sigma.truncated, lo, hi).equals(truncation), J
-    fixed = oracle_fixed_point(members, J)
-    assert (sigma.resolved is None) == (fixed is None), J
-    if fixed is not None:
-        assert CellSet.from_pset(sigma.resolved, lo, hi).equals(fixed), J
+    fixed = oracle_fixed_point(members, settle)
+    assert fixed is not None and CellSet.from_pset(sigma.resolved, lo, hi).equals(fixed), J
     report = verify_calderon(family, sigma)
     assert vars(report) == oracle_calderon(members, truncation, J), J
     assert report.passed, J
-    return sigma
+    return fixed if settle == J else oracle_fixed_point(members, J)
 
 
 @pytest.mark.parametrize("name", NAMED)
 def test_named_families(name):
     family = family_named(name)
-    resolved = [
-        J for J in range(1, NAMED[name] + 1) if assert_spectrum_matches(family, J).resolved
-    ]
-    assert resolved and resolved == list(range(resolved[0], NAMED[name] + 1))
+    closed = [J for J in range(1, NAMED[name] + 1) if assert_spectrum_matches(family, J)]
+    assert closed and closed == list(range(closed[0], NAMED[name] + 1))
 
 
 def corrupted(members, J):
@@ -104,5 +104,4 @@ def test_random_pass_families(stratum, seed, data):
     family = family_from_document(gen.pass_family(random.Random(seed), p, R, w, n).document())
     settle = max(R - w, 1)
     J = data.draw(st.integers(max(settle - 2, 1), settle + (2 if p == 2 else 1)), label="J")
-    sigma = assert_spectrum_matches(family, J)
-    assert (sigma.resolved is not None) or J < settle
+    assert assert_spectrum_matches(family, J) is not None or J < settle

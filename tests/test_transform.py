@@ -351,7 +351,7 @@ class TestTranslateOrthonormality:
     @pytest.mark.parametrize("p", [2, 3])
     def test_spectrum_indicator_after_mra(self, p):
         sigma = accumulate_omega_sigma(shannon_family(p), 6)
-        report = translate_orthonormality_exact(sigma.spectrum())
+        report = translate_orthonormality_exact(sigma.resolved)
         assert report.passed
 
     def test_truncated_spectrum_excludes_tail(self):
@@ -382,7 +382,7 @@ class TestTranslateOrthonormality:
 class TestV0Residual:
     def _phi(self, p=2, depth=8, M=5, N=4):
         sigma = accumulate_omega_sigma(shannon_family(p), depth)
-        return synthesize_wavelet(sigma.spectrum(), QuotientGrid(p, M, N))
+        return synthesize_wavelet(sigma.resolved, QuotientGrid(p, M, N))
 
     def test_depth_zero_full_norm(self):
         phi = self._phi()
