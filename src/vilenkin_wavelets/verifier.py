@@ -9,8 +9,9 @@ group.  The family generates an orthonormal wavelet basis exactly when
   (3) each member set is lattice-translation congruent to the unit cell.
 
 All three conditions are decided exactly on the cylinder algebra; failed
-conditions carry concrete witness cells and passing congruence checks
-return the partition certificate.
+conditions carry concrete witness cells.  The congruence check also
+returns a partition certificate that names each member's pieces by
+lattice index and cylinder positions (check_translation_congruence).
 """
 
 from __future__ import annotations
@@ -439,11 +440,23 @@ def congruence_defects(s: PSet) -> tuple[list[tuple[GroupElement, PSet, PSet]], 
 
 
 def check_translation_congruence(family: WaveletFamily) -> tuple[ConditionRecord, list[dict]]:
+    """Decide condition (3) for every member and name its pieces.
+
+    The certificate holds one {"set", "partition"} entry per member.
+    Each partition entry is {"lattice_index", "piece"}: the lattice index
+    of the piece's integer part n, and the increasing positions of the
+    piece's cylinders in the member's canonical cylinder list
+    (PSet.cylinders, sorted by resolution then digits, siblings merged).
+    Nothing derivable is written: the piece translated by -n is its
+    cylinders with the digits at positions <= 0 stripped, or the unit
+    cell for a piece coarser than resolution 0 (see congruence_partition).
+    """
     witnesses: list[dict] = []
     certificate: list[dict] = []
 
     for name, s in zip(family.names, family.sets):
         parts, defects = congruence_defects(s)
+        position = {c: i for i, c in enumerate(s.cylinders)}
         witnesses.extend(
             {
                 "kind": "translate-overlap" if entry["count"] > 1 else "cover-gap",
@@ -458,10 +471,9 @@ def check_translation_congruence(family: WaveletFamily) -> tuple[ConditionRecord
                 "partition": [
                     {
                         "lattice_index": lambda_encode(n),
-                        "piece": piece.to_json(),
-                        "translated": shifted.to_json(),
+                        "piece": [position[c] for c in piece.cylinders],
                     }
-                    for n, piece, shifted in parts
+                    for n, piece, _ in parts
                 ],
             }
         )
