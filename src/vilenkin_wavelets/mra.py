@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DigitError, ResolutionCapError, VilenkinError
+from .errors import DigitError, OverlapError, ResolutionCapError, VilenkinError
 from .group import from_digits, identity, lambda_encode
 from .setalg import (
     Cylinder,
@@ -45,6 +45,7 @@ from .verifier import (
     WaveletFamily,
     _cover_defects,
     _least_cell,
+    _shell_overlaps,
     congruence_partition,
     is_wavelet_set,
 )
@@ -82,25 +83,44 @@ class OmegaSigma:
         return Measure.make(1, self.p, self.depth)
 
 
-def _dilates(union: PSet, depth: int) -> PSet:
-    """The union of the dilates of a verified family's union by 1 to depth.
+def _fixed_point(union: PSet, beyond: int = 0) -> PSet:
+    """The exact spectrum S == sigma(U) | sigma(S) of a family union U,
+    built at depth k = max(L - w, 1) + beyond, L the union's finest
+    resolution and w its lowest pinned position: the dilates of U by 1
+    to k plus theta_ball(p, w + k), which must equal its own image
+    sigma(U) | sigma(itself); a set that does not raises VilenkinError.
 
-    Dilation tiling makes those dilates pairwise disjoint, so their
-    cylinders make one canonical set.  The constructor still checks it:
-    verify_calderon relies on that check for its pieces_disjoint verdict.
+    No dilate is checked against another.  Any two dilates sigma^i(U)
+    and sigma^j(U), i < j, meet exactly where U meets its dilate by
+    j - i, and verifier._shell_overlaps reads those overlaps, for every
+    difference at once, off U's shell keys (check_dilation_tiling proves
+    it), and an identity cylinder of U, one that pins no nonzero digit,
+    contains all of its own dilates.  Either raises OverlapError;
+    otherwise all the dilates of U are pairwise disjoint, not only those
+    by 1 to k.
+
+    Write top = w + k.  Each cylinder c of U pins a nonzero digit at its
+    lowest pinned position m_c, in [w, L], and zeros below it, so
+    c.dilate(j) pins a nonzero digit at m_c + j and zeros below.  For
+    j <= top - m_c that digit is at a position <= top, and the dilate is
+    disjoint from the ball; for larger j the dilate lies in the ball.
+    As top - m_c <= k, the dilates kept are a subset of those by 1 to k,
+    and the ones dropped add nothing to the ball.  So the kept dilates
+    and the ball are disjoint pieces of the same set, merged once
+    without a check.
     """
-    return PSet(
-        union.p, (c.dilate(j) for j in range(1, depth + 1) for c in union.cylinders)
-    )
-
-
-def _fixed_point(union: PSet, depth: int) -> PSet:
-    """The dilates of the union by 1 to depth plus theta_ball(p, w + depth),
-    w its lowest pinned position, which must equal its own image
-    sigma(union) | sigma(itself); a set that does not raises VilenkinError."""
-    candidate = _dilates(union, depth).union(
-        theta_ball(union.p, union.min_fixed_position + depth)
-    )
+    theta, _, overlaps = _shell_overlaps(union)
+    if theta is not None:
+        raise OverlapError(f"the family union holds the identity cylinder {theta.to_json()}")
+    if overlaps:
+        d = min(overlaps)
+        cell = _cylinder(union.p, *overlaps[d]).to_json()
+        raise OverlapError(f"the family union meets its dilate by {d} on {cell}")
+    w = union.min_fixed_position
+    depth = max(union.max_resolution - w, 1) + beyond
+    top = w + depth
+    kept = [c.dilate(j) for c in union.cylinders for j in range(1, top - c.digits[0][0] + 1)]
+    candidate = PSet(union.p, kept + list(theta_ball(union.p, top).cylinders), validate=False)
     if union.dilate(1).union(candidate.dilate(1)) != candidate:
         raise VilenkinError(f"the dilates 1 to {depth} do not close into the spectrum")
     return candidate
@@ -129,16 +149,13 @@ def accumulate_omega_sigma(
         raise ValueError("depth must be at least 1")
     _require_verified(family, verdict)
     union = family.union()
-    w_lo = union.min_fixed_position
-    assert w_lo is not None
-
-    resolved = _fixed_point(union, max(union.max_resolution - w_lo, 1))
+    resolved = _fixed_point(union)
     sigma = OmegaSigma(
         p=family.p,
         depth=depth,
         truncated=resolved.difference(resolved.dilate(depth)),
         level=union.max_resolution,
-        lowest_fixed=w_lo,
+        lowest_fixed=union.min_fixed_position,
         resolved=resolved,
     )
     expected = Fraction(1) - Fraction(1, family.p**depth)
@@ -568,19 +585,23 @@ def verify_calderon(
     For indicator wavelets the identity says the scaling spectrum Omega
     is the disjoint union of all forward contracting dilates sigma^j(D_u),
     j >= 1, of the family.  Omega is recomputed here without
-    accumulate_omega_sigma: the dilates of the family union U by 1 to
-    s = max(L - w, 1) + 2 (L the family's resolution, w its lowest pinned
-    position) make one set through the validating constructor, which
-    checks them pairwise disjoint, and with the ball theta_ball(p, w + s)
-    they close into the fixed point Omega' = sigma(U) | sigma(Omega')
-    (check_mra_condition's docstring proves it from s >= L - w on; a
-    family that does not close raises VilenkinError).
+    accumulate_omega_sigma: _fixed_point builds it from the family union
+    U at depth s = max(L - w, 1) + 2 (L the family's resolution, w its
+    lowest pinned position), the dilates of U by 1 to s outside the ball
+    theta_ball(p, w + s) plus the ball, which close into the fixed point
+    Omega' = sigma(U) | sigma(Omega') (check_mra_condition's docstring
+    proves it from s >= L - w on; a family that does not close raises
+    VilenkinError).
 
     - pieces_disjoint: unrolling the fixed point makes Omega' the union
       of every sigma^j(U), j >= 1, up to the null point 0, and those
       pieces' measures sum to (p - 1)(p^-1 + p^-2 + ..) = 1.  So Omega'
-      has measure 1 exactly when the pieces are pairwise a.e. disjoint,
-      which needs no dilate past s.
+      has measure 1 exactly when the pieces are pairwise a.e. disjoint.
+      _fixed_point has already refused, with OverlapError, a union any
+      two of whose dilates meet, by the shell-key check of
+      verifier._shell_overlaps, which covers every pair of dilates, not
+      only those up to s.  The verdict is still the measure, read off
+      the set _fixed_point returns.
     - The reported truncation T_J passes when T_J | sigma^J(Omega') =
       Omega' with the two pieces disjoint, that is T_J = Omega' minus its
       J-th dilate, the union of the dilates 1 to J.
@@ -593,10 +614,7 @@ def verify_calderon(
     _require_verified(family, verdict)
     p = family.p
     J = omega_sigma.depth
-    union = family.union()
-    w_lo = union.min_fixed_position
-    settle = max(union.max_resolution - w_lo, 1) + 2
-    omega = _fixed_point(union, settle)
+    omega = _fixed_point(family.union(), 2)
 
     T = omega_sigma.truncated
     truncation = omega.difference(omega.dilate(J))  # the dilates 1 to J

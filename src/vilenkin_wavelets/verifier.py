@@ -91,7 +91,12 @@ class WaveletFamily:
                 raise FamilyArityError("member sets must be nonempty")
 
     def union(self) -> PSet:
-        """The union of the members, merged once (see _overlaps_and_union)."""
+        """The union of the members, merged once (see _overlaps_and_union)
+        and kept: the family is frozen and its sets immutable."""
+        return self._union
+
+    @functools.cached_property
+    def _union(self) -> PSet:
         return _overlaps_and_union(self.sets)[1]
 
     def replace(self, u: int, new_set: PSet) -> "WaveletFamily":
@@ -256,6 +261,44 @@ def _cover_defects(
     return out
 
 
+def _shell_overlaps(
+    union: PSet,
+) -> tuple[Cylinder | None, list[list[Cylinder]], dict[int, tuple[int, DigitMap]]]:
+    """The shell keys of a disjoint set D and the overlaps of D with its
+    dilates read off them (check_dilation_tiling's docstring proves it).
+
+    Returns D's identity cylinder, if any; the shell keys
+    K(c) = c.dilate(-m_c) of its other cylinders, one list per lowest
+    nonzero position m_c, each a run of D's cylinders moved by -m_c and
+    so canonical: the shell piece of -m_c; and, for every d >= 1 at
+    which D meets its dilate by d, the least cell of that overlap as a
+    (resolution, digits) key.  One _nested_pairs walk over the key lists
+    finds the overlaps at every d at once.  The identity cylinder's own
+    overlaps are left to the caller.
+    """
+    p = union.p
+    theta = None
+    groups: dict[int, list[Cylinder]] = {}
+    for c in union.cylinders:
+        if not c.digits:
+            theta = c  # D is disjoint, so it holds at most one
+            continue
+        m = c.digits[0][0]
+        key = tuple((pos - m, x) for pos, x in c.digits)
+        groups.setdefault(m, []).append(_cylinder(p, c.resolution - m, key))
+    lowest, keys = list(groups), list(groups.values())
+
+    # Nesting pairs: keys of two groups, the finer one moved back.
+    overlaps: dict[int, tuple[int, DigitMap]] = {}
+    for j, x, i, _ in _nested_pairs(keys):
+        top = max(lowest[i], lowest[j])
+        cell = (x.resolution + top, tuple((pos + top, v) for pos, v in x.digits))
+        d = abs(lowest[i] - lowest[j])
+        if d not in overlaps or cell < overlaps[d]:
+            overlaps[d] = cell
+    return theta, keys, overlaps
+
+
 def check_dilation_tiling(family: WaveletFamily) -> ConditionRecord:
     """Decide whether the contracting dilates of the family tile the dual group.
 
@@ -286,6 +329,12 @@ def check_dilation_tiling(family: WaveletFamily) -> ConditionRecord:
     b.dilate(d) for every other cylinder b with m_b + d > r -- and the
     overlaps are listed for d in [1, max(L - w, 1)], a range read off D
     alone.
+
+    _shell_overlaps builds the keys and reads the overlaps off them.  It
+    is also the whole disjointness check of mra._fixed_point: as
+    sigma^i(D) & sigma^j(D) = sigma^i(D & sigma^(j - i)(D)), no overlap
+    at any d means all the dilates of D are pairwise disjoint, which
+    verify_calderon's pieces_disjoint rests on.
     """
     p = family.p
     names = family.names
@@ -300,27 +349,7 @@ def check_dilation_tiling(family: WaveletFamily) -> ConditionRecord:
     if w_lo is None:
         w_lo = level  # all-zero cylinders only; ranges below are diagnostic
 
-    # One pass over D: the shell keys by lowest nonzero position m.  Group m
-    # is a run of D's cylinders moved by k = -m, so canonical: the shell piece of k.
-    theta = None
-    groups: dict[int, list[Cylinder]] = {}
-    for c in union.cylinders:
-        if not c.digits:
-            theta = c  # D is disjoint, so it holds at most one
-            continue
-        m = c.digits[0][0]
-        key = tuple((pos - m, x) for pos, x in c.digits)
-        groups.setdefault(m, []).append(_cylinder(p, c.resolution - m, key))
-    lowest = list(groups)
-
-    # Nesting pairs: keys of two groups, the finer one moved back.
-    overlaps: dict[int, tuple[int, DigitMap]] = {}
-    for j, x, i, _ in _nested_pairs(list(groups.values())):
-        top = max(lowest[i], lowest[j])
-        cell = (x.resolution + top, tuple((pos + top, v) for pos, v in x.digits))
-        d = abs(lowest[i] - lowest[j])
-        if d not in overlaps or cell < overlaps[d]:
-            overlaps[d] = cell
+    theta, groups, overlaps = _shell_overlaps(union)
 
     if theta is not None:
         witnesses.append({"kind": "contains-identity-neighborhood", "cell": theta.to_json()})
@@ -360,9 +389,9 @@ def check_dilation_tiling(family: WaveletFamily) -> ConditionRecord:
             details={"resolution": level, "degenerate": True},
         )
 
-    pieces = [PSet._canonical(p, tuple(group)) for group in groups.values()]
-    top = max(x.resolution for group in groups.values() for x in group)
-    shell_total = _scaled_count(p, ((x.resolution, 1) for g in groups.values() for x in g), top)
+    pieces = [PSet._canonical(p, tuple(group)) for group in groups]
+    top = max(x.resolution for group in groups for x in group)
+    shell_total = _scaled_count(p, ((x.resolution, 1) for g in groups for x in g), top)
     witnesses.extend(
         {"kind": "cover-defect", **entry} for entry in _cover_defects(_annulus(p), pieces)
     )

@@ -463,9 +463,10 @@ class TestCalderon:
 
     @pytest.mark.parametrize("name", SWEEP)
     def test_no_dilate_past_the_settle_depth(self, name, monkeypatch):
-        # The dilates of the family are built to max(L - w, 1) + 2 at any
-        # depth, and the set operations that follow dilate the closed
-        # spectrum the same number of times at J = 12 and J = 200.
+        # The spectrum is built from dilates of the family by at most
+        # max(L - w, 1) + 2, the deepest one it reaches, at any depth, and
+        # the set operations that follow dilate the closed spectrum the
+        # same number of times at J = 12 and J = 200.
         from vilenkin_wavelets import mra
 
         family = family_named(name)
@@ -473,17 +474,19 @@ class TestCalderon:
         settle = max(union.max_resolution - union.min_fixed_position, 1) + 2
         sigmas = {J: accumulate_omega_sigma(family, J) for J in (12, 200)}
         built, calls = [], []
-        dilates, dilate = mra._dilates, Cylinder.dilate
+        fixed_point, dilate = mra._fixed_point, Cylinder.dilate
 
-        def counted_dilates(u, depth):
-            built.append(depth)
-            return dilates(u, depth)
+        def counted_fixed_point(u, beyond=0):
+            start = len(calls)
+            spectrum = fixed_point(u, beyond)
+            built.append(max(calls[start:]))
+            return spectrum
 
         def counted(c, k):
             calls.append(k)
             return dilate(c, k)
 
-        monkeypatch.setattr(mra, "_dilates", counted_dilates)
+        monkeypatch.setattr(mra, "_fixed_point", counted_fixed_point)
         monkeypatch.setattr(Cylinder, "dilate", counted)
         counts = {}
         for J, sigma in sigmas.items():
@@ -1357,8 +1360,9 @@ class TestSpectrumFromTheFixedPoint:
         from vilenkin_wavelets import mra
 
         family = shannon_family(2)
-        dilates = mra._dilates
-        monkeypatch.setattr(mra, "_dilates", lambda u, k: PSet(u.p, dilates(u, k).cylinders[1:]))
+        # A ball one level short: it misses the dilates of the family that
+        # lie between it and the right one.
+        monkeypatch.setattr(mra, "theta_ball", lambda p, m: theta_ball(p, m + 1))
         for depth in (1, 2, 5):
             with pytest.raises(VilenkinError, match="the dilates 1 to 1 do not close"):
                 accumulate_omega_sigma(family, depth)

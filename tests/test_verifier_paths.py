@@ -220,6 +220,21 @@ def test_one_union_and_no_pairwise_set_operations(name, family):
     assert calls.counts.get("_overlaps_and_union", 0) <= 1
 
 
+def test_one_union_per_family_through_the_mra_stages():
+    # The spectrum, the filters and Calderon each read the family union,
+    # as a certify run does; the family computes it once.
+    from vilenkin_wavelets import mra
+
+    family = three_shell_family()
+    verdict = is_wavelet_set(family)
+    with _Calls((verifier, "_overlaps_and_union")) as calls:
+        sigma = mra.accumulate_omega_sigma(family, 6, verdict=verdict)
+        mra.build_filters(family, sigma)
+        mra.verify_calderon(family, sigma, verdict=verdict)
+    assert calls.counts == {"_overlaps_and_union": 1}
+    assert family.union() is family.union()
+
+
 def test_congruence_partition_does_no_group_arithmetic():
     sets = [s for m in all_mutants((5,)) for s in m.family.sets]
     sets += [s for family in search_wavelet_sets(3, (-1, 1)).families for s in family.sets]
