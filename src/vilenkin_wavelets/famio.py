@@ -74,15 +74,14 @@ def family_from_document(doc: dict, *, where: str = "family file") -> WaveletFam
             raise SchemaError(f"{loc}.cylinders must be a nonempty list")
         cylinders = []
         for k, cyl_json in enumerate(cylinders_json):
-            cloc = f"{loc}.cylinders[{k}]"
             if not isinstance(cyl_json, dict) or "resolution" not in cyl_json:
-                raise SchemaError(f"{cloc} must be an object with 'resolution'")
+                raise SchemaError(f"{loc}.cylinders[{k}] must be an object with 'resolution'")
             if not isinstance(cyl_json.get("digits", {}), dict):
-                raise SchemaError(f"{cloc}.digits must be an object")
+                raise SchemaError(f"{loc}.cylinders[{k}].digits must be an object")
             try:
                 cylinders.append(Cylinder.from_json(p, cyl_json))
             except (ValueError, TypeError, OverflowError, VilenkinError) as exc:
-                raise SchemaError(f"{cloc}: {exc}") from exc
+                raise SchemaError(f"{loc}.cylinders[{k}]: {exc}") from exc
         try:
             sets.append(PSet(p, cylinders))
         except OverlapError as exc:

@@ -52,8 +52,12 @@ from .verifier import (
 
 
 def _require_verified(family: WaveletFamily, verdict: VerdictReport | None) -> VerdictReport:
+    """The family's passing verdict: the one given, which must have been
+    decided on this family's sets, or a fresh one."""
     if verdict is None:
         verdict = is_wavelet_set(family)
+    elif verdict.p != family.p or verdict.sets != family.sets:
+        raise VilenkinError("the verdict was not decided on this family")
     if not verdict.overall:
         raise VilenkinError("family does not verify as a wavelet set")
     return verdict

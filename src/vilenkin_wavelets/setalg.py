@@ -207,18 +207,7 @@ class Cylinder:
     digits: DigitMap  # sorted (position, digit), digit in [1, p), position <= L
 
     def __post_init__(self) -> None:
-        check_base(self.p)
-        last = None
-        for pos, d in self.digits:
-            if pos > self.resolution:
-                raise DigitError(
-                    f"fixed digit at position {pos} above resolution {self.resolution}"
-                )
-            if not 0 < d < self.p:
-                raise DigitError(f"digit {d} out of range for base {self.p}")
-            if last is not None and pos <= last:
-                raise DigitError("digit positions must be strictly increasing")
-            last = pos
+        _check_cylinder(self.p, self.resolution, self.digits)
 
     # -- basic structure -----------------------------------------------------
 
@@ -296,10 +285,32 @@ class Cylinder:
 
     @staticmethod
     def from_json(p: int, obj: dict) -> "Cylinder":
-        digits = tuple(
-            sorted((int(pos), _json_int(d)) for pos, d in obj.get("digits", {}).items())
-        )
-        return Cylinder(p, _json_int(obj["resolution"]), digits)
+        """The cylinder of a JSON object, parsed and checked in one loop: the
+        digits in key order, then the resolution, then the checks of
+        Cylinder(...) on the sorted digits."""
+        digits = []
+        for pos, d in obj.get("digits", {}).items():
+            digits.append((int(pos), d if type(d) is int else _json_int(d)))
+        resolution = obj["resolution"]
+        if type(resolution) is not int:
+            resolution = _json_int(resolution)
+        digits.sort()
+        _check_cylinder(p, resolution, digits)
+        return _cylinder(p, resolution, tuple(digits))
+
+
+def _check_cylinder(p: int, resolution: int, digits: Iterable[tuple[int, int]]) -> None:
+    """The base, then each digit's position, range and order, in turn."""
+    check_base(p)
+    last = None
+    for pos, d in digits:
+        if pos > resolution:
+            raise DigitError(f"fixed digit at position {pos} above resolution {resolution}")
+        if not 0 < d < p:
+            raise DigitError(f"digit {d} out of range for base {p}")
+        if last is not None and pos <= last:
+            raise DigitError("digit positions must be strictly increasing")
+        last = pos
 
 
 def _json_int(value) -> int:
@@ -340,22 +351,53 @@ class PSet:
         if validate:
             self._check_disjoint(cyls)
         given = {(c.resolution, c.digits): c for c in cyls}
-        merged = _merge_siblings(p, list(given))
+        merged = _merge_siblings(p, given)
         object.__setattr__(self, "p", p)
         object.__setattr__(
             self,
             "cylinders",
-            tuple(given.get(key) or _cylinder(p, *key) for key in merged),
+            tuple([given.get(key) or _cylinder(p, *key) for key in merged]),
         )
 
     @staticmethod
     def _check_disjoint(cyls: tuple[Cylinder, ...]) -> None:
         """Raise on the first overlapping pair (i, j), i < j, in scan order:
-        the least pair of _nested_pairs over the cylinders, one group each."""
+        the least pair of _nested_pairs over the cylinders, one group each.
+
+        One sort decides whether any pair overlaps; the walk runs only to
+        name the pair.  Two cylinders overlap exactly when one contains
+        the other, and a = (r, D) contains x = (s, E), D and E the sorted
+        nonzero digits, exactly when r <= s and E is D followed by digits
+        at positions > r.  Order the cylinders by the key
+        K(c) = ([(-pos, d) for pos, d in digits], resolution), and write
+        M(c) for its first part.
+
+        (i) If a contains x then K(a) <= K(x): M(a) is a prefix of M(x),
+            and when they are equal r <= s decides.
+        (ii) If a contains x and K(a) <= K(y) <= K(x), then a contains y.
+            M(y) starts with M(a): a proper prefix of M(a) would put K(y)
+            below K(a), and a first difference inside M(a) would put K(y)
+            on the same side of K(a) and K(x).  So y = (t, D + F).  With F
+            empty, K(a) <= K(y) gives r <= t.  Otherwise let q be F's
+            first position; if q > r, a contains y (t >= q > r).  If
+            q <= r, either E = D, and M(x) is a proper prefix of M(y), or
+            E's first digit past D sits at a position g > r >= q, and
+            -g < -q; both put K(x) below K(y).
+
+        By (i) the earlier of two nested cylinders in the sorted order
+        contains the later (equal keys are equal cylinders), and by (ii)
+        so it contains the cylinder right after it.  So the cylinders are
+        pairwise disjoint exactly when no cylinder contains the next one.
+        """
+        ordered = sorted(cyls, key=_trie_key)
+        for a, b in zip(ordered, ordered[1:]):
+            if a.resolution <= b.resolution and _truncate(b.digits, a.resolution) == a.digits:
+                break
+        else:
+            return
         pairs = [sorted((i, j)) for j, _, i, _ in _nested_pairs([(c,) for c in cyls])]
-        if pairs:
-            a, b = (cyls[k] for k in min(pairs))
-            raise OverlapError(f"cylinders overlap: {a.to_json()} and {b.to_json()}")
+        a, b = (cyls[k] for k in min(pairs))
+        raise OverlapError(f"cylinders overlap: {a.to_json()} and {b.to_json()}")
 
     @staticmethod
     def _canonical(p: int, cylinders: tuple[Cylinder, ...]) -> "PSet":
@@ -516,6 +558,12 @@ def _scaled_count(p: int, terms: Iterable[tuple[int, int]], scale: int) -> int:
     return count * p ** (scale - at) if at is not None else 0
 
 
+def _trie_key(c: Cylinder) -> tuple:
+    """Preorder of the digit trie: a cylinder, then the ones it contains
+    (see PSet._check_disjoint)."""
+    return [(-pos, d) for pos, d in c.digits], c.resolution
+
+
 def _truncate(digits: DigitMap, resolution: int) -> DigitMap:
     """Digits restricted to positions <= resolution (input sorted)."""
     i = len(digits)
@@ -652,17 +700,23 @@ def _parent(key: tuple[int, DigitMap]) -> tuple[int, DigitMap]:
     return res - 1, digits
 
 
-def _merge_siblings(p: int, items: list[tuple[int, DigitMap]]) -> list[tuple[int, DigitMap]]:
+def _merge_siblings(
+    p: int, items: Iterable[tuple[int, DigitMap]]
+) -> list[tuple[int, DigitMap]]:
     """Merge every complete family of p siblings into its parent, repeatedly.
 
     Children are counted per parent key; a parent that reaches p merges
     and counts toward its own parent in turn.  A merged parent already
-    among the keys (nested input) is not counted again.
+    among the keys (nested input) is not counted again.  The keys of a
+    dict items enter the pool with their stored hashes.
     """
     pool = set(items)
     counts: dict[tuple[int, DigitMap], int] = {}
-    for key in pool:
-        parent = _parent(key)
+    for res, digits in pool:  # _parent, inlined: one pass per key of every PSet(...)
+        if digits and digits[-1][0] == res:
+            parent = (res - 1, digits[:-1])
+        else:
+            parent = (res - 1, digits)
         counts[parent] = counts.get(parent, 0) + 1
     ready = [parent for parent, n in counts.items() if n == p]
     while ready:

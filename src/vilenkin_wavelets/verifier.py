@@ -60,6 +60,7 @@ class VerdictReport:
     overall: bool
     conditions: list[ConditionRecord]
     certificate: list[dict] = field(default_factory=list)
+    sets: tuple[PSet, ...] = field(default=(), compare=False, repr=False)  # the sets judged
 
     def condition(self, name: str) -> ConditionRecord:
         for record in self.conditions:
@@ -533,6 +534,7 @@ def is_wavelet_set(family: WaveletFamily) -> VerdictReport:
         overall=all(c.passed for c in conditions),
         conditions=conditions,
         certificate=certificate,
+        sets=family.sets,
     )
 
 

@@ -119,26 +119,27 @@ def test_drawn_families(stratum, seed):
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: f"{m.name}-p{m.p}")
-def test_forged_verdict(mutant, monkeypatch):
-    # A passing verdict handed in for a family that does not verify.  The
-    # spectrum and Calderon refuse it, always with a VilenkinError, when
-    # the reference construction raises -- which, on a union with an
-    # identity cylinder and no pinned digit, was a TypeError -- and
-    # otherwise report what the reference reports.
+def test_forged_verdict(mutant):
+    # A passing verdict handed in for a family that does not verify: one
+    # made by hand, and the verdict of another family of the same base.
+    # The spectrum and Calderon refuse both.
     family = mutant.family
-    forged = VerdictReport(p=family.p, overall=True, conditions=[])
-    spectrum = accumulate_omega_sigma(shannon_family(family.p), 4)
-    calls = [
-        lambda J=J: accumulate_omega_sigma(family, J, verdict=forged) for J in (1, 4)
-    ] + [lambda: verify_calderon(family, spectrum, verdict=forged)]
-    got = [outcome(call) for call in calls]
-    monkeypatch.setattr(mra, "_fixed_point", reference_fixed_point)
-    want = [outcome(call) for call in calls]
-    for g, w in zip(got, want):
-        assert not isinstance(g, (IndexError, TypeError))
-        assert isinstance(g, VilenkinError) == isinstance(w, Exception), (g, w)
-        if not isinstance(w, Exception):
-            assert g == w
+    shannon = shannon_family(family.p)
+    spectrum = accumulate_omega_sigma(shannon, 4)
+    for forged in (VerdictReport(p=family.p, overall=True, conditions=[]), is_wavelet_set(shannon)):
+        assert forged.overall
+        for call in (
+            lambda: accumulate_omega_sigma(family, 1, verdict=forged),
+            lambda: verify_calderon(family, spectrum, verdict=forged),
+        ):
+            with pytest.raises(VilenkinError, match="^the verdict was not decided on this family$"):
+                call()
+    # The spectrum build those calls would reach, at the depths of the
+    # spectrum and of Calderon, never fails with an IndexError or a
+    # TypeError -- which, on a union with an identity cylinder and no
+    # pinned digit, it once did -- and agrees with the reference.
+    for beyond in (0, 2):
+        assert not isinstance(assert_agrees(family.union(), beyond), (IndexError, TypeError))
 
 
 # -- what the build lists -------------------------------------------------------------

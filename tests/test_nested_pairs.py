@@ -4,9 +4,9 @@ setalg._scaled_count, against plain references.
 The walk is compared with a scan of every pair of cylinders across two
 groups through oracle.cylinder_relation, on drawn groups that repeat keys
 within a group and across groups and nest many levels deep.  The
-disjointness check of PSet(...) reads the walk; the per-resolution
-truncation loop it replaced is kept here, and both must raise the same
-message on drawn lists.
+disjointness check of PSet(...) names its overlapping pair with the
+walk; the per-resolution truncation loop that once decided it is kept
+here, and both must raise the same message on drawn lists.
 """
 
 import random

@@ -1,14 +1,17 @@
 import decimal
+import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vilenkin_wavelets.errors import OverlapError, ResolutionCapError
-from vilenkin_wavelets.group import from_digits, identity, lambda_decode
+from vilenkin_wavelets import setalg
+from vilenkin_wavelets.errors import DigitError, OverlapError, ResolutionCapError
+from vilenkin_wavelets.group import check_base, from_digits, identity, lambda_decode
 from vilenkin_wavelets.setalg import (
     Cylinder,
     Measure,
@@ -371,6 +374,25 @@ class TestPlainReferences:
         assert len(seen) == 6
 
 
+# Cylinder objects as a family file may hold them, most of them valid:
+# digit keys that int() reads in more than one way ("01", " 3", "+3",
+# "1_0") or not at all ("a"), and digits and resolutions of every JSON type.
+ODD_NUMBERS = [True, False, 1.0, 2.5, float("nan"), float("inf"), "1", "a", None, 255, 256, 300]
+ODD_KEYS = ["a", " 3", "+3", "1_0", "01", "-0", "", "1.0"]
+CYLINDER_FIELDS = {
+    "resolution": st.sampled_from(list(range(-3, 9)) * 6 + ODD_NUMBERS),
+    "digits": st.dictionaries(
+        st.sampled_from([str(k) for k in range(-4, 7)] * 6 + ODD_KEYS),
+        st.sampled_from(list(range(0, 6)) * 12 + ODD_NUMBERS),
+        max_size=4,
+    ),
+}
+CYLINDER_OBJECTS = st.one_of(
+    st.fixed_dictionaries(CYLINDER_FIELDS),
+    st.fixed_dictionaries({}, optional=CYLINDER_FIELDS),
+)
+
+
 class TestSerialization:
     def test_cylinder_json_round_trip(self):
         c = Cylinder(3, 2, ((-1, 2), (2, 1)))
@@ -397,6 +419,66 @@ class TestSerialization:
             Cylinder.from_json(2, obj)
         with pytest.raises(TypeError, match=f"^{message}$"):
             PSet.from_json(2, [obj])
+
+    @settings(derandomize=True, deadline=None, max_examples=600)
+    @given(st.sampled_from([2, 3, 5, 256]), CYLINDER_OBJECTS)
+    @example(3, {"resolution": 4, "digits": {"1": 1, "01": 2}})
+    @example(3, {"resolution": 4, "digits": {"1_0": 1, " 3": 2, "+3": 1}})
+    @example(3, {"resolution": 12, "digits": {"1_0": 1, " 3": 2, "+2": 1}})
+    @example(3, {"resolution": 2, "digits": {"a": 1}})
+    @example(3, {"resolution": 2, "digits": {"0": 0, "1": 3}})
+    @example(3, {"resolution": 2, "digits": {"0": 3}})
+    @example(3, {"resolution": 2, "digits": {"3": 1}})
+    @example(256, {"resolution": 2, "digits": {"0": 300}})
+    @example(256, {"resolution": 2, "digits": {"0": 1}})
+    @example(2, {"resolution": None, "digits": {"0": None}})
+    @example(2, {"resolution": "1", "digits": {"0": 1}})
+    @example(2, {"resolution": float("nan")})
+    @example(2, {"resolution": 1, "digits": {"0": float("inf")}})
+    @example(2, {"digits": {"0": 1}})
+    @example(2, {"resolution": 1, "digits": None})
+    def test_from_json_matches_the_reference_parse(self, p, obj):
+        # The same cylinder, or the same exception type and message.
+        got, want = outcome(Cylinder.from_json, p, obj), outcome(reference_from_json, p, obj)
+        if isinstance(want, Cylinder):
+            assert type(got) is Cylinder and got == want
+            assert type(got.digits) is tuple
+        else:
+            assert (type(got), str(got)) == (type(want), str(want))
+
+
+def reference_json_int(value):
+    number = int(value)
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return number
+
+
+def reference_from_json(p, obj):
+    """Cylinder.from_json before it became one loop, with the checks its
+    Cylinder(...) call ran inlined, kept as the reference."""
+    digits = tuple(
+        sorted((int(pos), reference_json_int(d)) for pos, d in obj.get("digits", {}).items())
+    )
+    resolution = reference_json_int(obj["resolution"])
+    check_base(p)
+    last = None
+    for pos, d in digits:
+        if pos > resolution:
+            raise DigitError(f"fixed digit at position {pos} above resolution {resolution}")
+        if not 0 < d < p:
+            raise DigitError(f"digit {d} out of range for base {p}")
+        if last is not None and pos <= last:
+            raise DigitError("digit positions must be strictly increasing")
+        last = pos
+    return Cylinder(p, resolution, digits)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:  # the reference may raise anything
+        return exc
 
 
 # -- trusted constructors and the counting merge ------------------------------------
@@ -587,23 +669,104 @@ class TestTrustedPaths:
             raised += want is not None
         assert raised > 40
 
-    @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(-2, 3),
-                st.dictionaries(st.integers(-3, 3), st.integers(1, 2), max_size=4),
-            ),
-            max_size=12,
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(st.sampled_from([2, 3, 5]), st.data())
+    def test_hashed_disjointness_check_property(self, p, data):
+        # Resolutions and positions below 0 included, and some cylinders
+        # repeated, equal pairs being the ones the sort keeps adjacent.
+        raw = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(-4, 4),
+                    st.dictionaries(st.integers(-5, 4), st.integers(1, p - 1), max_size=4),
+                ),
+                max_size=12,
+            )
         )
-    )
-    def test_hashed_disjointness_check_property(self, raw):
-        p = 3
         cyls = [
             Cylinder(p, r, tuple(sorted((pos, d) for pos, d in digits.items() if pos <= r)))
             for r, digits in raw
         ]
+        if cyls:
+            cyls = data.draw(st.permutations(cyls + data.draw(st.lists(st.sampled_from(cyls), max_size=3))))
         assert hashed_overlap_message(cyls) == pairwise_overlap_message(cyls)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_disjointness_check_on_chains_and_far_nests(self, p):
+        # A chain of cylinders, one per resolution, each pinning its own
+        # last position, from resolutions below 0; then equal copies, and
+        # ancestors and descendants up to 20 levels away.  A split keeps
+        # the set disjoint: it replaces a cylinder c by c's zero-digit
+        # descendant a far below and a cylinder x inside c that pins a
+        # digit above a's resolution, which sorts right after a and so
+        # must be told apart from a's contents.
+        gen = random.Random(f"disjoint-chain-{p}")
+        raised = splits = 0
+        for _ in range(100):
+            lo = gen.randrange(-12, 3)
+            root = tuple((pos, gen.randrange(1, p)) for pos in range(lo - 3, lo) if gen.random() < 0.5)
+            cyls = [
+                Cylinder(p, r, root + ((r, gen.randrange(1, p)),))
+                for r in range(lo, lo + gen.randrange(1, 40))
+            ]
+            for _ in range(gen.choice([0, 1, 2, 3])):
+                c = gen.choice(cyls)
+                r, far, d = c.resolution, gen.randrange(1, 21), gen.randrange(1, p)
+                kind = gen.choice(["equal", "ancestor", "descendant", "zero descendant", "split"])
+                if kind == "split":
+                    cyls.remove(c)
+                    at = r + gen.randrange(1, far + 1)
+                    cyls += [
+                        Cylinder(p, r + far, c.digits),
+                        Cylinder(p, r + far + gen.randrange(3), c.digits + ((at, d),)),
+                    ]
+                    splits += 1
+                    continue
+                cyls.append(
+                    {
+                        "equal": c,
+                        "ancestor": Cylinder(p, r - far, _truncate(c.digits, r - far)),
+                        "descendant": Cylinder(p, r + far, c.digits + ((r + far, d),)),
+                        "zero descendant": Cylinder(p, r + far, c.digits),
+                    }[kind]
+                )
+            gen.shuffle(cyls)
+            want = pairwise_overlap_message(cyls)
+            assert hashed_overlap_message(cyls) == want
+            raised += want is not None
+        assert 25 < raised < 75 and splits > 15
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_disjoint_sets_make_no_walk(self, p, monkeypatch):
+        # The walk runs only to name the pair of an overlap.
+        calls = []
+        walk = setalg._nested_pairs
+        monkeypatch.setattr(setalg, "_nested_pairs", lambda groups: calls.append(1) or walk(groups))
+        gen = random.Random(f"no-walk-{p}")
+        for _ in range(40):
+            pieces = [c for s in [random_mixed_pset(gen, p)] for c in s.cylinders]
+            pieces = [piece for c in pieces for piece in random_split(gen, c, 3)]
+            gen.shuffle(pieces)
+            assert PSet(p, pieces).measure() == PSet(p, pieces, validate=False).measure()
+        assert calls == []
+        with pytest.raises(OverlapError):
+            PSet(p, [Cylinder(p, 0, ()), Cylinder(p, 5, ((5, 1),))])
+        assert calls == [1]
+
+    def test_long_chain_validates_without_the_walk(self, monkeypatch):
+        # A valid chain 20,000 resolutions deep, as a family member may
+        # hold: the walk costs a lookup per stored level for each
+        # cylinder, quadratic in the depth, so it must not run.
+        calls = []
+        walk = setalg._nested_pairs
+        monkeypatch.setattr(setalg, "_nested_pairs", lambda groups: calls.append(1) or walk(groups))
+        n = 20_000
+        chain = [Cylinder(2, r, ((r, 1),)) for r in range(1, n + 1)]
+        start = time.perf_counter()
+        s = PSet(2, chain)
+        elapsed = time.perf_counter() - start
+        assert calls == [] and len(s.cylinders) == n
+        assert elapsed < 2, elapsed
 
     def test_load_rejects_overlap_with_the_same_message(self):
         p = 2
